@@ -19,7 +19,7 @@ from .solvers import BudgetExhaustedError, SolveOptions
 
 def _opts_from_args(args: argparse.Namespace) -> SolveOptions | None:
     budget = getattr(args, "budget", None)
-    return SolveOptions(node_budget=budget) if budget else None
+    return SolveOptions(node_budget=budget) if budget is not None else None
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:

@@ -361,9 +361,11 @@ def _append_cache(cache_dir: str, rows: list[tuple[str, VerificationRecord]]) ->
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every instance (cache-aware), write outputs, compute exit status.
 
-    Records are keyed by canonical expression text, labeled-graph key and
-    solver version; warm cache hits replay the stored record verbatim, so a
-    rerun reproduces the cold-run report byte for byte.
+    Records are keyed by canonical expression text, labeled-graph key, solver
+    version and oracle cap; warm cache hits replay the stored record verbatim,
+    so a rerun reproduces the cold-run report byte for byte. A record without
+    a solver value (budget exhausted) is neither stored nor replayed, so a
+    later run with a larger budget solves the instance again.
     """
     opts: SolveOptions | None = None
     if config.node_budget is not None or config.time_budget is not None:
@@ -387,9 +389,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         spec_text = pretty(spec)
         if spec_text in records:
             continue
-        key = f"{spec_text}|{families.realize(spec).canonical_key()}|{SOLVER_VERSION}"
+        graph_key = families.realize(spec).canonical_key()
+        key = f"{spec_text}|{graph_key}|{SOLVER_VERSION}|{config.oracle_cap}"
         hit = cache.get(key)
-        if hit is not None:
+        if hit is not None and hit.solver_value is not None:
             records[spec_text] = hit
             continue
         rec = verify_instance(
@@ -399,7 +402,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             component_solver=component_solver,
         )
         records[spec_text] = rec
-        fresh.append((key, rec))
+        if rec.solver_value is not None:
+            fresh.append((key, rec))
 
     if config.cache_dir:
         _append_cache(config.cache_dir, fresh)

@@ -396,11 +396,14 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
 def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     """Brute-force TD-chromatic number by full set-partition enumeration.
 
-    Enumerates restricted-growth strings filtered to proper partitions,
-    checks each complete partition with the coloring checker, and returns the
-    minimum class count. Deliberately shares no search machinery with
-    :func:`td_chromatic_number`; intended as an independent correctness
-    oracle for graphs of at most ``cap`` vertices.
+    Enumerates restricted-growth strings filtered to proper partitions and
+    returns the minimum class count. A complete partition is tested on its
+    class bitmasks: every vertex needs a class with no member outside its
+    neighborhood. Each new best partition is re-checked with the coloring
+    checker before it is kept, so the witness passes the public checker.
+    Deliberately shares no search machinery with :func:`td_chromatic_number`;
+    intended as an independent correctness oracle for graphs of at most
+    ``cap`` vertices.
     """
     n = g.vertex_count
     if n < 2:
@@ -412,6 +415,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
 
     started = time.perf_counter()
     nbr_mask = _neighbor_masks(g)
+    outside = [~m for m in nbr_mask]  # class b lies inside N(v) iff b & outside[v] == 0
     assign = [0] * n
     blocks: list[int] = []
     best_k = n + 1
@@ -424,10 +428,17 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
             return  # already no better than the best complete partition
         if v == n:
             examined += 1
+            for out in outside:
+                for b in blocks:
+                    if not b & out:
+                        break
+                else:
+                    return  # no class lies inside this vertex's neighborhood
             coloring = Coloring(tuple(c + 1 for c in assign))
-            if is_td_coloring(g, coloring):
-                best_k = len(blocks)
-                best = coloring.colors
+            if not is_td_coloring(g, coloring):
+                raise AssertionError("internal error: oracle leaf test disagrees with checker")
+            best_k = len(blocks)
+            best = coloring.colors
             return
         vbit = 1 << v
         for b in range(len(blocks)):

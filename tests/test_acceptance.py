@@ -275,3 +275,36 @@ def test_criterion_10_round_trips(suite_run, instance_graphs):
     ok = not problems
     _report(10, ok, "DIMACS fixpoint on all suite graphs; warm rerun byte-identical")
     assert ok, problems
+
+
+# every refuted row of the default suite: (formula, solver, oracle); None = above the cap
+REFUTED_LEDGER = {
+    "C(10)": (8, 7, 7),
+    "G(3,3)": (6, 5, 5),
+    "G(3,4)": (7, 6, None),
+    "P(11)": (8, 7, None),
+    "T(3)": (5, 4, 4),
+    "T(5)": (7, 6, None),
+    "join(C(5),C(5))": (8, 6, 6),
+    "join(C(5),K(3))": (7, 6, 6),
+    "join(P(2),C(5))": (6, 5, 5),
+    "join(P(2),P(4))": (5, 4, 4),
+    "join(P(3),C(5))": (6, 5, 5),
+    "join(P(3),P(4))": (5, 4, 4),
+    "join(P(4),C(5))": (7, 5, 5),
+    "join(P(4),K(3))": (6, 5, 5),
+    "join(P(4),P(4))": (6, 4, 4),
+}
+
+
+def test_refutation_ledger(suite_run):
+    refuted = {
+        r.spec_text: (r.formula_value, r.solver_value, r.oracle_value)
+        for r in suite_run.report.records
+        if r.match == "refuted"
+    }
+    assert refuted == REFUTED_LEDGER
+    assert suite_run.report.table.endswith(
+        "total 79: confirmed 64, refuted 15, unknown 0\nexit status 3\n"
+    )
+    assert suite_run.report.exit_code == harness.EXIT_REFUTED

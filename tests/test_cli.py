@@ -63,6 +63,12 @@ class TestSolve:
         assert code == 4
         assert "budget" in err
 
+    def test_zero_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "solve", "P(4)", "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert "error: node_budget must be positive" in err
+
     def test_dimacs_input(self, capsys, tmp_path):
         path = tmp_path / "g.col"
         path.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -187,6 +188,34 @@ class TestSuite:
         monkeypatch.setattr(solvers, "td_chromatic_number", boom)
         report = run_suite(config)
         assert report.records[0].solver_value == 3
+
+    def test_unknown_not_cached(self, tmp_path):
+        config = SuiteConfig(instances=("P(12)",), node_budget=10, cache_dir=str(tmp_path))
+        assert run_suite(config).exit_code == EXIT_BUDGET
+        assert not (tmp_path / "records.jsonl").exists()
+        report = run_suite(dataclasses.replace(config, node_budget=10**8))
+        assert report.records[0].solver_value == 8
+        assert report.exit_code == EXIT_OK
+
+    def test_cached_unknown_is_recomputed(self, tmp_path):
+        config = SuiteConfig(instances=("P(12)",), cache_dir=str(tmp_path))
+        run_suite(config)
+        # replace the stored row by a budget-exhausted one under the same key,
+        # as an earlier version of the cache wrote them
+        path = tmp_path / "records.jsonl"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        stale = verify_instance("P(12)", opts=SolveOptions(node_budget=10))
+        entry["record"] = json.loads(stale.to_json())
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        report = run_suite(config)
+        assert report.records[0].solver_value == 8
+        assert report.exit_code == EXIT_OK
+
+    def test_cache_key_includes_oracle_cap(self, tmp_path):
+        config = SuiteConfig(instances=("P(11)",), cache_dir=str(tmp_path))
+        assert run_suite(config).records[0].oracle_value is None
+        wider = run_suite(dataclasses.replace(config, oracle_cap=11))
+        assert wider.records[0].oracle_value == 7
 
     def test_table_mentions_groups(self):
         report = run_suite(SuiteConfig(instances=("P(4)", "cart(P(3),P(3))")))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from tdcolor import families as fam
+from tdcolor import harness
 from tdcolor.coloring import Coloring, is_proper, is_td_coloring
+from tdcolor.expr import parse_expr
 from tdcolor.graph import Graph
 from tdcolor.solvers import (
     BudgetExhaustedError,
@@ -25,6 +27,7 @@ from util_graphs import (
     brute_force_gamma_t,
     connected_graphs,
     random_connected_graph,
+    reference_td_oracle,
 )
 
 
@@ -159,6 +162,13 @@ class TestOracle:
         with pytest.raises(ValueError, match="isolated"):
             td_chromatic_oracle(fam.empty_graph(3))
 
+    def test_default_suite_partition_count(self):
+        # the verify suite calls the oracle on every instance within the cap
+        graphs = [fam.realize(parse_expr(text)) for text in harness.default_suite().instances]
+        small = [g for g in graphs if g.vertex_count <= 10]
+        assert len(small) == 66
+        assert sum(td_chromatic_oracle(g).nodes_explored for g in small) == 115_703
+
 
 class TestClosedFormDeviations:
     """Orders where the built-in path/cycle closed forms disagree with search.
@@ -201,6 +211,17 @@ class TestBudgets:
 @given(connected_graphs(min_vertices=2, max_vertices=8))
 def test_oracle_equivalence(g: Graph):
     assert td_chromatic_number(g).value == td_chromatic_oracle(g).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=8))
+def test_oracle_matches_reference_oracle(g: Graph):
+    fast, ref = td_chromatic_oracle(g), reference_td_oracle(g)
+    assert (fast.value, fast.witness, fast.nodes_explored) == (
+        ref.value,
+        ref.witness,
+        ref.nodes_explored,
+    )
 
 
 @settings(max_examples=60, deadline=None)

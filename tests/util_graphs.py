@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 from hypothesis import strategies as st
 
+from tdcolor.coloring import Coloring, is_td_coloring, normalize
 from tdcolor.graph import Graph
+from tdcolor.solvers import SolveResult
 
 
 def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
@@ -45,6 +48,59 @@ def brute_force_chromatic(g: Graph) -> int:
             if all(assignment[u] != assignment[v] for u, v in edges):
                 return k
     raise AssertionError("unreachable")
+
+
+def reference_td_oracle(g: Graph, cap: int = 10) -> SolveResult:
+    """The partition oracle with every complete partition checked by is_td_coloring.
+
+    Same enumeration as ``td_chromatic_oracle`` (restricted-growth strings,
+    properness filter, prune once a partition has ``best_k`` classes), kept
+    as the reference that its bitmask leaf test is compared against.
+    """
+    n = g.vertex_count
+    if n < 2:
+        raise ValueError("TD-coloring needs at least 2 vertices")
+    if g.has_isolated_vertex():
+        raise ValueError("TD-coloring undefined: graph has an isolated vertex")
+    if n > cap:
+        raise ValueError(f"graph has {n} vertices; oracle cap is {cap}")
+
+    started = time.perf_counter()
+    nbr_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    assign = [0] * n
+    blocks: list[int] = []
+    best_k = n + 1
+    best: tuple[int, ...] | None = None
+    examined = 0
+
+    def recurse(v: int) -> None:
+        nonlocal best_k, best, examined
+        if len(blocks) >= best_k:
+            return  # already no better than the best complete partition
+        if v == n:
+            examined += 1
+            coloring = Coloring(tuple(c + 1 for c in assign))
+            if is_td_coloring(g, coloring):
+                best_k = len(blocks)
+                best = coloring.colors
+            return
+        vbit = 1 << v
+        for b in range(len(blocks)):
+            if not blocks[b] & nbr_mask[v]:
+                assign[v] = b
+                blocks[b] |= vbit
+                recurse(v + 1)
+                blocks[b] ^= vbit
+        blocks.append(vbit)
+        assign[v] = len(blocks) - 1
+        recurse(v + 1)
+        blocks.pop()
+
+    recurse(0)
+    if best is None:
+        raise AssertionError("unreachable: all-singleton classes always dominate here")
+    witness = normalize(Coloring(best))
+    return SolveResult(best_k, witness, examined, time.perf_counter() - started, 1, n)
 
 
 @st.composite

@@ -127,6 +127,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     report = harness.run_suite(config)
+    if report.skipped_cache_lines:
+        print(
+            f"warning: skipped {report.skipped_cache_lines} malformed cache line(s)",
+            file=sys.stderr,
+        )
     sys.stdout.write(report.table)
     return report.exit_code
 

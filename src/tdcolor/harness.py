@@ -98,6 +98,17 @@ def _match_flag(formula_value: int | None, solver_value: int | None) -> str:
     return "confirmed" if formula_value == solver_value else "refuted"
 
 
+def _budget_cut(rec: VerificationRecord) -> bool:
+    """True when the budget cut off the solver or a formula's own solves.
+
+    A formula that applies always has a value, so a tag without a value marks
+    a join formula whose factor solves ran out of budget.
+    """
+    return rec.solver_value is None or (
+        rec.theorem_tag is not None and rec.formula_value is None
+    )
+
+
 def _default_component_solver(
     opts: SolveOptions | None,
 ) -> Callable[[FamilySpec], int | None]:
@@ -191,7 +202,8 @@ def verify_instance(
     """Realize one instance, evaluate formula/solver/oracle, build the record.
 
     Budget exhaustion leaves the affected value absent (``match="unknown"``);
-    solver/oracle disagreement raises :class:`OracleMismatchError`.
+    a join formula cut off that way keeps its tag with no value.
+    Solver/oracle disagreement raises :class:`OracleMismatchError`.
     """
     if isinstance(spec, str):
         spec = parse_expr(spec)
@@ -204,8 +216,10 @@ def verify_instance(
     formula: FormulaResult | None
     try:
         formula = formula_for_spec(spec, component_solver)
+        theorem_tag = formula.theorem_tag if formula is not None else None
     except BudgetExhaustedError:
-        formula = None
+        # only a join formula runs the solver (on its factors)
+        formula, theorem_tag = None, "join"
 
     solver_value: int | None = None
     witness: tuple[int, ...] | None = None
@@ -230,7 +244,7 @@ def verify_instance(
         spec_text=spec_text,
         vertex_count=g.vertex_count,
         formula_value=formula_value,
-        theorem_tag=formula.theorem_tag if formula is not None else None,
+        theorem_tag=theorem_tag,
         solver_value=solver_value,
         oracle_value=oracle_value,
         match=_match_flag(formula_value, solver_value),
@@ -319,12 +333,13 @@ class SuiteReport:
     records: tuple[VerificationRecord, ...]
     table: str
     exit_code: int
+    skipped_cache_lines: int = 0
 
 
 def _exit_code(records: tuple[VerificationRecord, ...]) -> int:
     if any(r.match == "refuted" for r in records):
         return EXIT_REFUTED
-    if any(r.solver_value is None for r in records):
+    if any(_budget_cut(r) for r in records):
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -333,18 +348,23 @@ def _cache_file(cache_dir: str) -> pathlib.Path:
     return pathlib.Path(cache_dir) / "records.jsonl"
 
 
-def _load_cache(cache_dir: str) -> dict[str, VerificationRecord]:
+def _load_cache(cache_dir: str) -> tuple[dict[str, VerificationRecord], int]:
+    """Cached records by key, and the number of malformed lines skipped."""
     path = _cache_file(cache_dir)
     cache: dict[str, VerificationRecord] = {}
+    skipped = 0
     if path.exists():
         for line in path.read_text(encoding="utf-8").splitlines():
             if not line:
                 continue
-            entry = json.loads(line)
-            cache[entry["key"]] = VerificationRecord.from_json(
-                json.dumps(entry["record"])
-            )
-    return cache
+            try:
+                entry = json.loads(line)
+                cache[entry["key"]] = VerificationRecord.from_json(
+                    json.dumps(entry["record"])
+                )
+            except (ValueError, KeyError, TypeError, AttributeError):
+                skipped += 1  # e.g. a line cut short; its instance is recomputed
+    return cache, skipped
 
 
 def _append_cache(cache_dir: str, rows: list[tuple[str, VerificationRecord]]) -> None:
@@ -352,10 +372,14 @@ def _append_cache(cache_dir: str, rows: list[tuple[str, VerificationRecord]]) ->
         return
     path = _cache_file(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(path, "ab+") as fh:
+        if fh.tell():
+            fh.seek(-1, 2)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")  # the last line was cut short
         for key, rec in rows:
-            fh.write(json.dumps({"key": key, "record": json.loads(rec.to_json())}))
-            fh.write("\n")
+            line = json.dumps({"key": key, "record": json.loads(rec.to_json())})
+            fh.write(line.encode("utf-8") + b"\n")
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -363,9 +387,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     Records are keyed by canonical expression text, labeled-graph key, solver
     version and oracle cap; warm cache hits replay the stored record verbatim,
-    so a rerun reproduces the cold-run report byte for byte. A record without
-    a solver value (budget exhausted) is neither stored nor replayed, so a
-    later run with a larger budget solves the instance again.
+    so a rerun reproduces the cold-run report byte for byte. A record cut off
+    by the budget (no solver value, or a join formula without its value) is
+    neither stored nor replayed, so a later run with a larger budget solves
+    the instance again. Malformed cache lines are skipped and counted.
     """
     opts: SolveOptions | None = None
     if config.node_budget is not None or config.time_budget is not None:
@@ -373,7 +398,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             node_budget=config.node_budget, time_budget=config.time_budget
         )
 
-    cache = _load_cache(config.cache_dir) if config.cache_dir else {}
+    cache, skipped = _load_cache(config.cache_dir) if config.cache_dir else ({}, 0)
     memo: dict[FamilySpec, int | None] = {}
     base_solver = _default_component_solver(opts)
 
@@ -392,7 +417,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         graph_key = families.realize(spec).canonical_key()
         key = f"{spec_text}|{graph_key}|{SOLVER_VERSION}|{config.oracle_cap}"
         hit = cache.get(key)
-        if hit is not None and hit.solver_value is not None:
+        if hit is not None and not _budget_cut(hit):
             records[spec_text] = hit
             continue
         rec = verify_instance(
@@ -402,7 +427,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             component_solver=component_solver,
         )
         records[spec_text] = rec
-        if rec.solver_value is not None:
+        if not _budget_cut(rec):
             fresh.append((key, rec))
 
     if config.cache_dir:
@@ -410,7 +435,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     ordered = tuple(records[k] for k in sorted(records))
     table = render_table(ordered)
-    report = SuiteReport(ordered, table, _exit_code(ordered))
+    report = SuiteReport(ordered, table, _exit_code(ordered), skipped)
 
     if config.report_path:
         pathlib.Path(config.report_path).write_text(table, encoding="utf-8")

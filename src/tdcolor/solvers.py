@@ -1,9 +1,12 @@
 """Exact solvers: chromatic number, total domination, and TD-chromatic number.
 
-All searches are deterministic: fixed branch order (descending degree, index
-tie-break), ascending color/vertex choices, and no randomness. Node and time
-budgets abort with :class:`BudgetExhaustedError` rather than returning a
-wrong answer.
+All searches are deterministic, with no randomness. The chromatic search
+branches on the most color-saturated vertex (DSATUR), ties broken by a fixed
+order (descending degree, then index). The total-domination search branches
+on the neighbors of the lowest-index undominated vertex. The TD search colors
+vertices in that fixed order. Colors and vertices are tried in ascending
+order. Node and time budgets abort with :class:`BudgetExhaustedError` rather
+than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ __all__ = [
     "td_chromatic_oracle",
 ]
 
-SOLVER_VERSION = "1"
+SOLVER_VERSION = "2"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -117,10 +120,16 @@ def _neighbor_masks(g: Graph) -> list[int]:
 
 
 def _proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget) -> list[int] | None:
-    """Any proper coloring with colors 1..k, or None. Canonical color order."""
+    """Any proper coloring with colors 1..k, or None. Canonical color order.
+
+    Branches on the uncolored vertex with the most distinct neighbor colors
+    (DSATUR), ties broken by position in ``order``, and fails as soon as that
+    vertex sees all k colors.
+    """
     n = g.vertex_count
     adj = g.adjacency
     color_of = [0] * n
+    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
     result: list[int] | None = None
 
     def extend(depth: int, max_used: int) -> bool:
@@ -128,16 +137,25 @@ def _proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget) -> list
         if depth == n:
             result = color_of[:]
             return True
-        v = order[depth]
-        forbidden = {color_of[u] for u in adj[v] if color_of[u]}
-        limit = min(max_used + 1, k)
-        for c in range(1, limit + 1):
-            if c in forbidden:
+        v, sat = -1, -1
+        for u in order:
+            if not color_of[u] and nbr_colors[u].bit_count() > sat:
+                v, sat = u, nbr_colors[u].bit_count()
+        if sat == k:
+            return False
+        for c in range(1, min(max_used + 1, k) + 1):
+            cbit = 1 << (c - 1)
+            if nbr_colors[v] & cbit:
                 continue
             budget.spend()
             color_of[v] = c
+            changed = [u for u in adj[v] if not color_of[u] and not nbr_colors[u] & cbit]
+            for u in changed:
+                nbr_colors[u] |= cbit
             if extend(depth + 1, max_used if c <= max_used else c):
                 return True
+            for u in changed:
+                nbr_colors[u] ^= cbit
             color_of[v] = 0
         return False
 
@@ -199,39 +217,44 @@ def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], int, int]:
-    """Exact total domination number by increasing-cardinality subset search."""
+    """Exact total domination number by increasing-cardinality search.
+
+    For each target size, branches on the neighbors of the lowest-index
+    undominated vertex (one of them must be in the set); a neighbor refuted
+    for one branch is excluded from its later siblings, so each set is
+    reached at most once.
+    """
     n = g.vertex_count
     nbr_mask = _neighbor_masks(g)
+    nbr_list = [sorted(a) for a in g.adjacency]
     full = (1 << n) - 1
-    # suffix[i]: union of neighborhoods coverable by vertices i..n-1
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | nbr_mask[i]
-
     max_deg = max(len(a) for a in g.adjacency)
     lower = max(2, -(-n // max_deg))
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
-    def extend(start: int, picks_left: int, covered: int) -> bool:
+    def extend(picks_left: int, covered: int, excluded: int) -> bool:
         nonlocal witness
-        if picks_left == 0:
-            if covered == full:
-                witness = tuple(chosen)
-                return True
-            return False
-        if covered | suffix[start] != full:
-            return False  # remaining candidates cannot cover what is missing
-        for v in range(start, n - picks_left + 1):
+        undominated = full & ~covered
+        if not undominated:
+            witness = tuple(sorted(chosen))
+            return True
+        if picks_left * max_deg < undominated.bit_count():
+            return False  # each pick dominates at most max_deg more vertices
+        w = (undominated & -undominated).bit_length() - 1
+        for v in nbr_list[w]:
+            if excluded >> v & 1:
+                continue
             budget.spend()
             chosen.append(v)
-            if extend(v + 1, picks_left - 1, covered | nbr_mask[v]):
+            if extend(picks_left - 1, covered | nbr_mask[v], excluded):
                 return True
             chosen.pop()
+            excluded |= 1 << v
         return False
 
     for size in range(lower, n + 1):
-        if extend(0, size, 0):
+        if extend(size, 0, 0):
             return size, witness, lower, n
     raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
 
@@ -322,24 +345,25 @@ def _td_exact_k(
                     nbr_colors[u] |= cbit
                     sat_changed.append(u)
             w_undo: list[tuple[int, int]] = []
+            # neighbors whose neighborhood just filled must be dominated now;
+            # tested first because the sweep below cannot change the outcome
             ok = True
-            # v now sits outside N(w) for every non-neighbor w: color c can
-            # no longer form a witness class for those vertices
-            for w in non_nbr_list[v]:
-                old = can_witness[w]
-                if old & cbit:
-                    new = old & ~cbit
-                    can_witness[w] = new
-                    w_undo.append((w, old))
-                    if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
-                        ok = False
-                        break
+            for u in v_nbrs:
+                if not uncolored_nbrs[u] and not witness_ok(u):
+                    ok = False
+                    break
             if ok:
-                # neighbors whose neighborhood just filled must be dominated now
-                for u in v_nbrs:
-                    if not uncolored_nbrs[u] and not witness_ok(u):
-                        ok = False
-                        break
+                # v now sits outside N(w) for every non-neighbor w: color c
+                # can no longer form a witness class for those vertices
+                for w in non_nbr_list[v]:
+                    old = can_witness[w]
+                    if old & cbit:
+                        new = old & ~cbit
+                        can_witness[w] = new
+                        w_undo.append((w, old))
+                        if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
+                            ok = False
+                            break
             if ok and extend(depth + 1, max_used if c <= max_used else c):
                 return True
             for w, old in w_undo:

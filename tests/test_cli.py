@@ -147,6 +147,48 @@ class TestVerify:
         assert code == 3
         assert "refuted 1" in out
 
+    def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
+        # within 5000 nodes the solver finishes the join, but the formula's
+        # solve of its factor P(16) does not
+        cut = tmp_path / "cut.json"
+        cut.write_text(
+            json.dumps({"instances": ["join(P(16),K(3))"], "node_budget": 5000}),
+            encoding="utf-8",
+        )
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps({"instances": ["join(P(16),K(3))"]}), encoding="utf-8")
+        cache = str(tmp_path / "cache")
+        code, out, _ = run(capsys, "verify", "--suite", str(cut), "--cache", cache)
+        assert code == 4
+        assert "== join" in out and "(no formula)" not in out
+        assert "unknown 1" in out
+        assert not (tmp_path / "cache" / "records.jsonl").exists()
+        # the cut row was not cached, so the same cache now gives what a run
+        # without a cache gives
+        for extra in (("--cache", cache), ()):
+            code, out, _ = run(capsys, "verify", "--suite", str(full), *extra)
+            assert code == 3
+            assert "join(P(16),K(3))           19       13       5" in out
+            assert "refuted 1" in out
+
+    def test_truncated_cache_line_skipped(self, capsys, tmp_path):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": ["P(4)", "C(6)"]}), encoding="utf-8")
+        argv = ("verify", "--suite", str(suite), "--cache", str(tmp_path / "cache"))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        path = tmp_path / "cache" / "records.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 40])  # cut the last line short
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == "warning: skipped 1 malformed cache line(s)\n"
+        assert "confirmed 2" in out
+        # the recomputed record starts on a line of its own and is replayed
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert json.loads(lines[2])["record"]["spec_text"] in ("P(4)", "C(6)")
+
     def test_unreadable_suite_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", str(tmp_path / "missing.json"))
         assert code == 1

@@ -211,6 +211,20 @@ class TestSuite:
         assert report.records[0].solver_value == 8
         assert report.exit_code == EXIT_OK
 
+    def test_malformed_cache_lines_skipped(self, tmp_path):
+        config = SuiteConfig(instances=("P(4)", "C(6)"), cache_dir=str(tmp_path))
+        cold = run_suite(config)
+        path = tmp_path / "records.jsonl"
+        good = path.read_text(encoding="utf-8")
+        path.write_text(
+            '[1]\n{"key": "x"}\n{"record": {}}\n' + good + '{"key": "y", "rec',
+            encoding="utf-8",
+        )
+        report = run_suite(config)
+        assert report.skipped_cache_lines == 4
+        assert report.records == cold.records  # both rows replayed
+        assert run_suite(dataclasses.replace(config, cache_dir=None)).skipped_cache_lines == 0
+
     def test_cache_key_includes_oracle_cap(self, tmp_path):
         config = SuiteConfig(instances=("P(11)",), cache_dir=str(tmp_path))
         assert run_suite(config).records[0].oracle_value is None

@@ -15,6 +15,7 @@ from tdcolor.graph import Graph
 from tdcolor.solvers import (
     BudgetExhaustedError,
     SolveOptions,
+    _Budget,
     chromatic_number,
     is_total_dominating_set,
     td_chromatic_number,
@@ -27,7 +28,9 @@ from util_graphs import (
     brute_force_gamma_t,
     connected_graphs,
     random_connected_graph,
+    reference_chromatic_search,
     reference_td_oracle,
+    reference_total_dom_search,
 )
 
 
@@ -170,6 +173,34 @@ class TestOracle:
         assert sum(td_chromatic_oracle(g).nodes_explored for g in small) == 115_703
 
 
+class TestSearchNodeTotals:
+    """Node totals of the three searches, each instance solved alone.
+
+    Totals, not rows: a single small graph may take a node or two more than
+    under the static-order searches (corona(C(5),K(1)): 33 -> 35 total
+    domination nodes), while the TD k-loop tree must not change at all.
+    """
+
+    def test_default_suite(self):
+        chi = dom = kloop = 0
+        for text in harness.default_suite().instances:
+            g = fam.realize(parse_expr(text))
+            c = chromatic_number(g).nodes_explored
+            d = total_domination_number(g).nodes_explored
+            chi += c
+            dom += d
+            kloop += td_chromatic_number(g).nodes_explored - c - d
+        # the static-order searches took 157 chromatic and 5,080 domination nodes
+        assert (chi, dom, kloop) == (100, 956, 27_190)
+
+    def test_bounds_total_domination(self):
+        # the benchmark's sparse family members; 3,834,246 nodes by subset order
+        texts = ("P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)")
+        results = [total_domination_number(fam.realize(parse_expr(t))) for t in texts]
+        assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
+        assert sum(r.nodes_explored for r in results) == 51_575
+
+
 class TestClosedFormDeviations:
     """Orders where the built-in path/cycle closed forms disagree with search.
 
@@ -222,6 +253,24 @@ def test_oracle_matches_reference_oracle(g: Graph):
         ref.witness,
         ref.nodes_explored,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_chromatic_matches_reference_search(g: Graph):
+    res = chromatic_number(g)
+    assert res.value == reference_chromatic_search(g, _Budget(None))[0]
+    assert is_proper(g, res.witness)
+    assert res.witness.num_colors == res.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_total_domination_matches_reference_search(g: Graph):
+    res = total_domination_number(g)
+    assert res.value == reference_total_dom_search(g, _Budget(None))[0]
+    assert is_total_dominating_set(g, res.witness)
+    assert len(set(res.witness)) == res.value
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tdcolor.coloring import Coloring, is_td_coloring, normalize
 from tdcolor.graph import Graph
-from tdcolor.solvers import SolveResult
+from tdcolor.solvers import SolveResult, _branch_order, _Budget, _neighbor_masks
 
 
 def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
@@ -101,6 +101,111 @@ def reference_td_oracle(g: Graph, cap: int = 10) -> SolveResult:
         raise AssertionError("unreachable: all-singleton classes always dominate here")
     witness = normalize(Coloring(best))
     return SolveResult(best_k, witness, examined, time.perf_counter() - started, 1, n)
+
+
+def reference_proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget) -> list[int] | None:
+    """Any proper coloring with colors 1..k, or None. Canonical color order.
+
+    Colors vertices in the static ``order``; kept as the reference that the
+    saturation-ordered search is compared against.
+    """
+    n = g.vertex_count
+    adj = g.adjacency
+    color_of = [0] * n
+    result: list[int] | None = None
+
+    def extend(depth: int, max_used: int) -> bool:
+        nonlocal result
+        if depth == n:
+            result = color_of[:]
+            return True
+        v = order[depth]
+        forbidden = {color_of[u] for u in adj[v] if color_of[u]}
+        limit = min(max_used + 1, k)
+        for c in range(1, limit + 1):
+            if c in forbidden:
+                continue
+            budget.spend()
+            color_of[v] = c
+            if extend(depth + 1, max_used if c <= max_used else c):
+                return True
+            color_of[v] = 0
+        return False
+
+    extend(0, 0)
+    return result
+
+
+def reference_chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, int]:
+    """Exact chromatic number: (value, colors, lower bound, upper bound)."""
+    n = g.vertex_count
+    if n == 0:
+        return 0, [], 0, 0
+    order = _branch_order(g)
+    adj = g.adjacency
+
+    greedy = [0] * n
+    for v in order:
+        used = {greedy[u] for u in adj[v] if greedy[u]}
+        c = 1
+        while c in used:
+            c += 1
+        greedy[v] = c
+    ub = max(greedy)
+
+    clique: list[int] = []
+    for v in order:
+        if all(u in adj[v] for u in clique):
+            clique.append(v)
+    lb = max(1, len(clique))
+
+    for k in range(lb, ub):
+        found = reference_proper_exact_k(g, k, order, budget)
+        if found is not None:
+            return k, found, lb, ub
+    return ub, greedy, lb, ub
+
+
+def reference_total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], int, int]:
+    """Exact total domination number by increasing-cardinality subset search.
+
+    Enumerates k-subsets in index order with a suffix-coverage prune; kept as
+    the reference that the undominated-vertex branching is compared against.
+    """
+    n = g.vertex_count
+    nbr_mask = _neighbor_masks(g)
+    full = (1 << n) - 1
+    # suffix[i]: union of neighborhoods coverable by vertices i..n-1
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | nbr_mask[i]
+
+    max_deg = max(len(a) for a in g.adjacency)
+    lower = max(2, -(-n // max_deg))
+    chosen: list[int] = []
+    witness: tuple[int, ...] = ()
+
+    def extend(start: int, picks_left: int, covered: int) -> bool:
+        nonlocal witness
+        if picks_left == 0:
+            if covered == full:
+                witness = tuple(chosen)
+                return True
+            return False
+        if covered | suffix[start] != full:
+            return False  # remaining candidates cannot cover what is missing
+        for v in range(start, n - picks_left + 1):
+            budget.spend()
+            chosen.append(v)
+            if extend(v + 1, picks_left - 1, covered | nbr_mask[v]):
+                return True
+            chosen.pop()
+        return False
+
+    for size in range(lower, n + 1):
+        if extend(0, size, 0):
+            return size, witness, lower, n
+    raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
 
 
 @st.composite

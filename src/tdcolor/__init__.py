@@ -24,7 +24,6 @@ from .harness import (
     VerificationRecord,
     default_suite,
     run_suite,
-    sharpness_check,
     verify_instance,
 )
 from .solvers import (
@@ -61,7 +60,6 @@ __all__ = [
     "VerificationRecord",
     "default_suite",
     "run_suite",
-    "sharpness_check",
     "verify_instance",
     "BudgetExhaustedError",
     "SolveOptions",

@@ -7,6 +7,7 @@ solver/oracle inconsistency, 3 formula refuted, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -112,20 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         updates["report_path"] = args.report
         if config.jsonl_path is None:
             updates["jsonl_path"] = args.report + ".jsonl"
-    if updates:
-        config = harness.SuiteConfig.from_dict(
-            {
-                "instances": list(config.instances),
-                "node_budget": config.node_budget,
-                "time_budget": config.time_budget,
-                "oracle_cap": config.oracle_cap,
-                "cache_dir": config.cache_dir,
-                "report_path": config.report_path,
-                "jsonl_path": config.jsonl_path,
-                "csv_path": config.csv_path,
-                **updates,
-            }
-        )
+    config = dataclasses.replace(config, **updates)
     report = harness.run_suite(config)
     if report.skipped_cache_lines:
         print(

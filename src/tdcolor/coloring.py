@@ -8,8 +8,6 @@ can never witness its own class, because it is not adjacent to itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 from .graph import Graph
 
 __all__ = [
@@ -31,10 +29,6 @@ class Coloring:
         for v, c in enumerate(self.colors):
             if not isinstance(c, int) or isinstance(c, bool) or c < 1:
                 raise ValueError(f"vertex {v} has invalid color {c!r}; colors are integers >= 1")
-
-    @classmethod
-    def from_sequence(cls, colors: Iterable[int]) -> Coloring:
-        return cls(tuple(colors))
 
     @property
     def num_colors(self) -> int:

@@ -11,8 +11,10 @@ Grammar (heads case-insensitive, whitespace insignificant)::
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from . import families
-from .families import FamilySpec
+from .families import FAMILIES, FamilySpec
 
 __all__ = ["ExprSyntaxError", "parse_expr", "pretty"]
 
@@ -25,11 +27,12 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
 
 
-_ATOM_ARITY = {
-    "p": 1, "c": 1, "k": 1, "e": 1, "f": 1, "l": 1, "t": 1, "o": 1,
-    "d": 2, "g": 2,
+# lower-case head -> (constructor, for each field: whether it is an integer)
+_SYNTAX = {
+    family.head.lower(): (cls, tuple(f.type in ("int", int) for f in fields(cls)))
+    for cls, family in FAMILIES.items()
 }
-_OPS = ("corona", "join", "cart")
+_SYNTAX["f"] = (lambda n: families.Friendship(3, n), (True,))
 
 
 class _Parser:
@@ -67,46 +70,17 @@ class _Parser:
 
     def parse(self) -> FamilySpec:
         name, start = self.parse_name()
-        if name in _OPS:
-            self.expect("(")
-            left = self.parse()
-            self.expect(",")
-            right = self.parse()
-            self.expect(")")
-            op = {"corona": families.Corona, "join": families.Join, "cart": families.Cart}
-            return op[name](left, right)
-        if name in _ATOM_ARITY:
-            self.expect("(")
-            first = self.parse_int()
-            if _ATOM_ARITY[name] == 2:
+        if name not in _SYNTAX:
+            raise ExprSyntaxError(f"unknown name {name!r}", start)
+        make, int_fields = _SYNTAX[name]
+        self.expect("(")
+        args = []
+        for i, is_int in enumerate(int_fields):
+            if i:
                 self.expect(",")
-                second = self.parse_int()
-                self.expect(")")
-                return self._atom2(name, first, second)
-            self.expect(")")
-            return self._atom1(name, first)
-        raise ExprSyntaxError(f"unknown name {name!r}", start)
-
-    @staticmethod
-    def _atom1(name: str, n: int) -> FamilySpec:
-        table = {
-            "p": families.Path,
-            "c": families.Cycle,
-            "k": families.Complete,
-            "e": families.Empty,
-            "l": families.Ladder,
-            "t": families.TriChain,
-            "o": families.OrthoChain,
-        }
-        if name == "f":
-            return families.Friendship(3, n)
-        return table[name](n)
-
-    @staticmethod
-    def _atom2(name: str, a: int, b: int) -> FamilySpec:
-        if name == "d":
-            return families.Friendship(a, b)
-        return families.Grid(a, b)
+            args.append(self.parse_int() if is_int else self.parse())
+        self.expect(")")
+        return make(*args)
 
 
 def parse_expr(text: str) -> FamilySpec:
@@ -121,28 +95,10 @@ def parse_expr(text: str) -> FamilySpec:
 
 def pretty(spec: FamilySpec) -> str:
     """Canonical text for a spec; ``parse_expr(pretty(s)) == s``."""
-    if isinstance(spec, families.Path):
-        return f"P({spec.n})"
-    if isinstance(spec, families.Cycle):
-        return f"C({spec.n})"
-    if isinstance(spec, families.Complete):
-        return f"K({spec.n})"
-    if isinstance(spec, families.Empty):
-        return f"E({spec.n})"
-    if isinstance(spec, families.Friendship):
-        return f"F({spec.n})" if spec.q == 3 else f"D({spec.q},{spec.n})"
-    if isinstance(spec, families.Ladder):
-        return f"L({spec.n})"
-    if isinstance(spec, families.Grid):
-        return f"G({spec.m},{spec.n})"
-    if isinstance(spec, families.TriChain):
-        return f"T({spec.n})"
-    if isinstance(spec, families.OrthoChain):
-        return f"O({spec.n})"
-    if isinstance(spec, families.Corona):
-        return f"corona({pretty(spec.left)},{pretty(spec.right)})"
-    if isinstance(spec, families.Join):
-        return f"join({pretty(spec.left)},{pretty(spec.right)})"
-    if isinstance(spec, families.Cart):
-        return f"cart({pretty(spec.left)},{pretty(spec.right)})"
-    raise TypeError(f"not a family spec: {spec!r}")
+    family = FAMILIES.get(type(spec))
+    if family is None:
+        raise TypeError(f"not a family spec: {spec!r}")
+    if type(spec) is families.Friendship and spec.q == 3:
+        return f"F({spec.n})"
+    args = (pretty(v) if type(v) in FAMILIES else str(v) for v in vars(spec).values())
+    return f"{family.head}({','.join(args)})"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .graph import Graph
 
@@ -21,7 +21,8 @@ __all__ = [
     "Join",
     "Cart",
     "FamilySpec",
-    "basic_family",
+    "Family",
+    "FAMILIES",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -181,23 +182,6 @@ def empty_graph(n: int) -> Graph:
     return Graph.from_edges(n, [])
 
 
-_BASIC = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "empty": empty_graph,
-}
-
-
-def basic_family(kind: str, n: int) -> Graph:
-    """Build one of the base families: path, cycle, complete or empty."""
-    try:
-        builder = _BASIC[kind]
-    except KeyError:
-        raise ValueError(f"unknown family kind {kind!r}") from None
-    return builder(n)
-
-
 def corona(g: Graph, h: Graph) -> Graph:
     """Corona product: one copy of h per vertex of g, fully joined to it.
 
@@ -287,30 +271,35 @@ def chain_cactus(kind: str, n: int) -> Graph:
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
+class Family(NamedTuple):
+    """How one spec class is written and built."""
+
+    head: str  # expression head, e.g. "P" or "corona"
+    build: Callable[..., Graph]  # the spec's fields in order, sub-specs realized
+
+
+# the one place that knows each family; the parser and pretty read it too
+FAMILIES: dict[type, Family] = {
+    Path: Family("P", path_graph),
+    Cycle: Family("C", cycle_graph),
+    Complete: Family("K", complete_graph),
+    Empty: Family("E", empty_graph),
+    Friendship: Family("D", friendship_family),
+    Ladder: Family("L", lambda n: grid(2, n)),
+    Grid: Family("G", grid),
+    TriChain: Family("T", lambda n: chain_cactus("triangular", n)),
+    OrthoChain: Family("O", lambda n: chain_cactus("ortho", n)),
+    Corona: Family("corona", corona),
+    Join: Family("join", join),
+    Cart: Family("cart", cartesian_product),
+}
+
+
 def realize(spec: FamilySpec) -> Graph:
     """Build the labeled graph for a family spec; deterministic."""
-    if isinstance(spec, Path):
-        return path_graph(spec.n)
-    if isinstance(spec, Cycle):
-        return cycle_graph(spec.n)
-    if isinstance(spec, Complete):
-        return complete_graph(spec.n)
-    if isinstance(spec, Empty):
-        return empty_graph(spec.n)
-    if isinstance(spec, Friendship):
-        return friendship_family(spec.q, spec.n)
-    if isinstance(spec, Ladder):
-        return grid(2, spec.n)
-    if isinstance(spec, Grid):
-        return grid(spec.m, spec.n)
-    if isinstance(spec, TriChain):
-        return chain_cactus("triangular", spec.n)
-    if isinstance(spec, OrthoChain):
-        return chain_cactus("ortho", spec.n)
-    if isinstance(spec, Corona):
-        return corona(realize(spec.left), realize(spec.right))
-    if isinstance(spec, Join):
-        return join(realize(spec.left), realize(spec.right))
-    if isinstance(spec, Cart):
-        return cartesian_product(realize(spec.left), realize(spec.right))
-    raise TypeError(f"not a family spec: {spec!r}")
+    family = FAMILIES.get(type(spec))
+    if family is None:
+        raise TypeError(f"not a family spec: {spec!r}")
+    return family.build(
+        *(realize(v) if type(v) in FAMILIES else v for v in vars(spec).values())
+    )

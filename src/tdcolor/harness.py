@@ -9,6 +9,7 @@ outcome (``match = "refuted"``).
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 from dataclasses import dataclass
@@ -32,7 +33,6 @@ __all__ = [
     "formula_for_spec",
     "verify_instance",
     "run_suite",
-    "sharpness_check",
     "render_table",
     "render_csv",
 ]
@@ -65,31 +65,26 @@ class VerificationRecord:
     elapsed: float
     witness: tuple[int, ...] | None
 
+    def to_dict(self) -> dict:
+        # json writes the witness tuple as a list
+        return {"schema_version": SCHEMA_VERSION, **vars(self)}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "spec_text": self.spec_text,
-                "vertex_count": self.vertex_count,
-                "formula_value": self.formula_value,
-                "theorem_tag": self.theorem_tag,
-                "solver_value": self.solver_value,
-                "oracle_value": self.oracle_value,
-                "match": self.match,
-                "elapsed": self.elapsed,
-                "witness": list(self.witness) if self.witness is not None else None,
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, line: str) -> "VerificationRecord":
-        data = json.loads(line)
+    def from_dict(cls, data: dict) -> "VerificationRecord":
+        data = {**data}
         if data.pop("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported record schema version")
         witness = data.pop("witness")
         return cls(
             witness=tuple(witness) if witness is not None else None, **data
         )
+
+    @classmethod
+    def from_json(cls, line: str) -> "VerificationRecord":
+        return cls.from_dict(json.loads(line))
 
 
 def _match_flag(formula_value: int | None, solver_value: int | None) -> str:
@@ -109,9 +104,10 @@ def _budget_cut(rec: VerificationRecord) -> bool:
     )
 
 
-def _default_component_solver(
-    opts: SolveOptions | None,
-) -> Callable[[FamilySpec], int | None]:
+ComponentSolver = Callable[[FamilySpec], int | None]
+
+
+def _default_component_solver(opts: SolveOptions | None) -> ComponentSolver:
     def solve(spec: FamilySpec) -> int | None:
         g = families.realize(spec)
         if g.vertex_count < 2 or g.has_isolated_vertex() or not g.is_connected():
@@ -121,9 +117,38 @@ def _default_component_solver(
     return solve
 
 
+def _join_formula(
+    spec: families.Join, component_solver: ComponentSolver | None
+) -> FormulaResult | None:
+    solve = component_solver or _default_component_solver(None)
+    a = solve(spec.left)
+    b = solve(spec.right)
+    if a is None or b is None or a < 2 or b < 2:
+        return None
+    return formulas.formula_join(a, b)
+
+
+# spec class -> rule; a family without a closed form has no entry
+_FORMULAS: dict[type, Callable[..., FormulaResult | None]] = {
+    families.Path: lambda s, _: formulas.formula_path(s.n) if s.n >= 2 else None,
+    families.Cycle: lambda s, _: formulas.formula_cycle(s.n),
+    families.Friendship: lambda s, _: (
+        formulas.formula_friendship(s.q, s.n) if s.q in (3, 4, 5) and s.n >= 2 else None
+    ),
+    families.Ladder: lambda s, _: formulas.formula_ladder(s.n) if s.n >= 2 else None,
+    families.Grid: lambda s, _: (
+        formulas.formula_grid(s.m, s.n) if s.m >= 2 and s.n >= 2 else None
+    ),
+    families.TriChain: lambda s, _: formulas.formula_chain_cactus("triangular", s.n),
+    families.OrthoChain: lambda s, _: formulas.formula_chain_cactus("ortho", s.n),
+    families.Corona: lambda s, _: _corona_formula(s),
+    families.Join: _join_formula,
+}
+
+
 def formula_for_spec(
     spec: FamilySpec,
-    component_solver: Callable[[FamilySpec], int | None] | None = None,
+    component_solver: ComponentSolver | None = None,
 ) -> FormulaResult | None:
     """Closed-form value for an instance, or None when no formula applies.
 
@@ -132,34 +157,8 @@ def formula_for_spec(
     budgets). The dispatcher never guesses: parameters outside a formula's
     domain yield None.
     """
-    if isinstance(spec, families.Path):
-        return formulas.formula_path(spec.n) if spec.n >= 2 else None
-    if isinstance(spec, families.Cycle):
-        return formulas.formula_cycle(spec.n)
-    if isinstance(spec, families.Friendship):
-        if spec.q in (3, 4, 5) and spec.n >= 2:
-            return formulas.formula_friendship(spec.q, spec.n)
-        return None
-    if isinstance(spec, families.Ladder):
-        return formulas.formula_ladder(spec.n) if spec.n >= 2 else None
-    if isinstance(spec, families.Grid):
-        if spec.m >= 2 and spec.n >= 2:
-            return formulas.formula_grid(spec.m, spec.n)
-        return None
-    if isinstance(spec, families.TriChain):
-        return formulas.formula_chain_cactus("triangular", spec.n)
-    if isinstance(spec, families.OrthoChain):
-        return formulas.formula_chain_cactus("ortho", spec.n)
-    if isinstance(spec, families.Corona):
-        return _corona_formula(spec)
-    if isinstance(spec, families.Join):
-        solve = component_solver or _default_component_solver(None)
-        a = solve(spec.left)
-        b = solve(spec.right)
-        if a is None or b is None or a < 2 or b < 2:
-            return None
-        return formulas.formula_join(a, b)
-    return None
+    rule = _FORMULAS.get(type(spec))
+    return rule(spec, component_solver) if rule is not None else None
 
 
 # the two corona instances claimed to meet the |V(G)| + |V(H)| bound exactly
@@ -174,7 +173,7 @@ def _corona_formula(spec: families.Corona) -> FormulaResult | None:
     if sharp is not None:
         return FormulaResult("exact", "corona-sharpness", value=sharp)
     left, right = spec.left, spec.right
-    if isinstance(right, families.Complete) and right.n == 1:
+    if right == families.Complete(1):
         if isinstance(left, families.Path) and left.n >= 2:
             return formulas.formula_corona("path-pendant", n=left.n)
         if isinstance(left, families.Cycle):
@@ -197,7 +196,7 @@ def verify_instance(
     spec: FamilySpec | str,
     opts: SolveOptions | None = None,
     oracle_cap: int = 10,
-    component_solver: Callable[[FamilySpec], int | None] | None = None,
+    component_solver: ComponentSolver | None = None,
 ) -> VerificationRecord:
     """Realize one instance, evaluate formula/solver/oracle, build the record.
 
@@ -207,12 +206,26 @@ def verify_instance(
     """
     if isinstance(spec, str):
         spec = parse_expr(spec)
-    spec_text = pretty(spec)
-    started = time.perf_counter()
-    g = families.realize(spec)
+    return _verify(
+        spec,
+        pretty(spec),
+        families.realize(spec),
+        opts,
+        oracle_cap,
+        component_solver or _default_component_solver(opts),
+    )
 
-    if component_solver is None:
-        component_solver = _default_component_solver(opts)
+
+def _verify(
+    spec: FamilySpec,
+    spec_text: str,
+    g: Graph,
+    opts: SolveOptions | None,
+    oracle_cap: int,
+    component_solver: ComponentSolver,
+) -> VerificationRecord:
+    """:func:`verify_instance` on an instance already parsed and realized."""
+    started = time.perf_counter()
     formula: FormulaResult | None
     try:
         formula = formula_for_spec(spec, component_solver)
@@ -348,10 +361,13 @@ def _cache_file(cache_dir: str) -> pathlib.Path:
     return pathlib.Path(cache_dir) / "records.jsonl"
 
 
-def _load_cache(cache_dir: str) -> tuple[dict[str, VerificationRecord], int]:
-    """Cached records by key, and the number of malformed lines skipped."""
+def _load_cache(
+    cache_dir: str,
+) -> tuple[dict[str, VerificationRecord], list[str], int]:
+    """Cached records by key, the valid lines, and how many lines were skipped."""
     path = _cache_file(cache_dir)
     cache: dict[str, VerificationRecord] = {}
+    valid: list[str] = []
     skipped = 0
     if path.exists():
         for line in path.read_text(encoding="utf-8").splitlines():
@@ -359,27 +375,21 @@ def _load_cache(cache_dir: str) -> tuple[dict[str, VerificationRecord], int]:
                 continue
             try:
                 entry = json.loads(line)
-                cache[entry["key"]] = VerificationRecord.from_json(
-                    json.dumps(entry["record"])
-                )
+                cache[entry["key"]] = VerificationRecord.from_dict(entry["record"])
             except (ValueError, KeyError, TypeError, AttributeError):
                 skipped += 1  # e.g. a line cut short; its instance is recomputed
-    return cache, skipped
+                continue
+            valid.append(line)
+    return cache, valid, skipped
 
 
-def _append_cache(cache_dir: str, rows: list[tuple[str, VerificationRecord]]) -> None:
-    if not rows:
-        return
+def _write_cache(cache_dir: str, lines: list[str]) -> None:
+    """Replace the cache file atomically with ``lines``."""
     path = _cache_file(cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "ab+") as fh:
-        if fh.tell():
-            fh.seek(-1, 2)
-            if fh.read(1) != b"\n":
-                fh.write(b"\n")  # the last line was cut short
-        for key, rec in rows:
-            line = json.dumps({"key": key, "record": json.loads(rec.to_json())})
-            fh.write(line.encode("utf-8") + b"\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -390,7 +400,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     so a rerun reproduces the cold-run report byte for byte. A record cut off
     by the budget (no solver value, or a join formula without its value) is
     neither stored nor replayed, so a later run with a larger budget solves
-    the instance again. Malformed cache lines are skipped and counted.
+    the instance again. Malformed cache lines are skipped, counted and
+    dropped: the cache file is rewritten atomically from its valid lines
+    plus the fresh records. A join factor's solve runs once per suite, also
+    when it runs out of budget.
     """
     opts: SolveOptions | None = None
     if config.node_budget is not None or config.time_budget is not None:
@@ -398,40 +411,44 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             node_budget=config.node_budget, time_budget=config.time_budget
         )
 
-    cache, skipped = _load_cache(config.cache_dir) if config.cache_dir else ({}, 0)
-    memo: dict[FamilySpec, int | None] = {}
+    cache, valid, skipped = (
+        _load_cache(config.cache_dir) if config.cache_dir else ({}, [], 0)
+    )
+    memo: dict[FamilySpec, int | None | BudgetExhaustedError] = {}
     base_solver = _default_component_solver(opts)
 
     def component_solver(spec: FamilySpec) -> int | None:
         if spec not in memo:
-            memo[spec] = base_solver(spec)
-        return memo[spec]
+            try:
+                memo[spec] = base_solver(spec)
+            except BudgetExhaustedError as exc:
+                memo[spec] = exc  # a factor out of budget stays out of budget
+        value = memo[spec]
+        if isinstance(value, BudgetExhaustedError):
+            raise value.with_traceback(None)
+        return value
 
     records: dict[str, VerificationRecord] = {}
-    fresh: list[tuple[str, VerificationRecord]] = []
+    fresh: list[str] = []
     for text in config.instances:
         spec = parse_expr(text)
         spec_text = pretty(spec)
         if spec_text in records:
             continue
-        graph_key = families.realize(spec).canonical_key()
-        key = f"{spec_text}|{graph_key}|{SOLVER_VERSION}|{config.oracle_cap}"
+        g = families.realize(spec)
+        key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
         hit = cache.get(key)
         if hit is not None and not _budget_cut(hit):
             records[spec_text] = hit
             continue
-        rec = verify_instance(
-            spec,
-            opts=opts,
-            oracle_cap=config.oracle_cap,
-            component_solver=component_solver,
-        )
+        rec = _verify(spec, spec_text, g, opts, config.oracle_cap, component_solver)
         records[spec_text] = rec
         if not _budget_cut(rec):
-            fresh.append((key, rec))
+            fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))
 
-    if config.cache_dir:
-        _append_cache(config.cache_dir, fresh)
+    if config.cache_dir and (skipped or fresh):
+        # malformed lines are dropped, so later runs do not warn again
+        _write_cache(config.cache_dir, valid + fresh)
 
     ordered = tuple(records[k] for k in sorted(records))
     table = render_table(ordered)
@@ -445,15 +462,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     if config.csv_path:
         pathlib.Path(config.csv_path).write_text(render_csv(ordered), encoding="utf-8")
     return report
-
-
-def sharpness_check(opts: SolveOptions | None = None) -> list[VerificationRecord]:
-    """Solve the coronas claimed to meet the |V(G)| + |V(H)| bound exactly.
-
-    Returns the two sharpness rows plus a pendant-corona consistency row.
-    """
-    rows = ["corona(C(4),K(2))", "corona(K(2),K(3))", "corona(P(2),K(1))"]
-    return [verify_instance(text, opts=opts) for text in rows]
 
 
 def _fmt(value: int | None) -> str:

@@ -184,10 +184,15 @@ class TestVerify:
         assert code == 0
         assert err == "warning: skipped 1 malformed cache line(s)\n"
         assert "confirmed 2" in out
-        # the recomputed record starts on a line of its own and is replayed
+        # the cut line is dropped: the valid line stays byte for byte and the
+        # recomputed record follows it
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 3
-        assert json.loads(lines[2])["record"]["spec_text"] in ("P(4)", "C(6)")
+        assert len(lines) == 2
+        assert lines[0].encode() == data.splitlines()[0]
+        assert json.loads(lines[1])["record"]["spec_text"] in ("P(4)", "C(6)")
+        # so the next run warns no more and replays both rows as they were
+        code, again, err = run(capsys, *argv)
+        assert (code, err, again) == (0, "", out)
 
     def test_unreadable_suite_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", str(tmp_path / "missing.json"))

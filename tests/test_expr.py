@@ -65,6 +65,32 @@ class TestErrors:
         with pytest.raises(ValueError, match="cycle order"):
             parse_expr("C(2)")
 
+    @pytest.mark.parametrize(
+        "text,message,offset",
+        [
+            ("P(2,3)", "expected ')'", 3),
+            ("G(2)", "expected ','", 3),
+            ("corona(P(2))", "expected ','", 11),
+            ("join(3,P(2))", "expected a family or operator name", 5),
+            ("F(2,3)", "expected ')'", 3),
+            ("D(3)", "expected ','", 3),
+            ("corona(P(2),K(1),K(1))", "expected ')'", 16),
+            ("P(x)", "expected an integer", 2),
+            ("W(3)", "unknown name 'w'", 0),
+            ("P", "expected '('", 1),
+        ],
+    )
+    def test_message_and_offset(self, text, message, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"{message} at offset {offset}"
+        assert err.value.offset == offset
+
+
+def test_pretty_rejects_non_spec():
+    with pytest.raises(TypeError, match="not a family spec"):
+        pretty(3)
+
 
 def specs(max_depth: int = 2):
     atoms = st.one_of(

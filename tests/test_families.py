@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import typing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,20 +13,16 @@ from tdcolor import families as fam
 
 class TestBasicFamilies:
     def test_path_counts(self):
-        g = fam.basic_family("path", 4)
+        g = fam.path_graph(4)
         assert (g.vertex_count, g.edge_count) == (4, 3)
 
     def test_cycle_counts(self):
-        g = fam.basic_family("cycle", 5)
+        g = fam.cycle_graph(5)
         assert (g.vertex_count, g.edge_count) == (5, 5)
 
     def test_cycle_too_small(self):
         with pytest.raises(ValueError):
-            fam.basic_family("cycle", 2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            fam.basic_family("wheel", 4)
+            fam.cycle_graph(2)
 
     def test_complete_counts(self):
         g = fam.complete_graph(5)
@@ -178,6 +176,44 @@ class TestRealize:
             fam.Grid(0, 3)
         with pytest.raises(ValueError):
             fam.Friendship(3, 0)
+
+    def test_every_spec_class_has_a_table_entry(self):
+        assert set(typing.get_args(fam.FamilySpec)) == set(fam.FAMILIES)
+        heads = [family.head.lower() for family in fam.FAMILIES.values()]
+        assert len(set(heads)) == len(heads)
+
+    def test_non_spec_rejected(self):
+        with pytest.raises(TypeError, match="not a family spec"):
+            fam.realize("x")
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (fam.Path(5), lambda: fam.path_graph(5)),
+            (fam.Cycle(5), lambda: fam.cycle_graph(5)),
+            (fam.Complete(4), lambda: fam.complete_graph(4)),
+            (fam.Empty(3), lambda: fam.empty_graph(3)),
+            (fam.Friendship(4, 2), lambda: fam.friendship_family(4, 2)),
+            (fam.Ladder(3), lambda: fam.grid(2, 3)),
+            (fam.Grid(3, 2), lambda: fam.grid(3, 2)),
+            (fam.TriChain(2), lambda: fam.chain_cactus("triangular", 2)),
+            (fam.OrthoChain(2), lambda: fam.chain_cactus("ortho", 2)),
+            (
+                fam.Corona(fam.Cycle(3), fam.Empty(2)),
+                lambda: fam.corona(fam.cycle_graph(3), fam.empty_graph(2)),
+            ),
+            (
+                fam.Join(fam.Path(2), fam.Complete(3)),
+                lambda: fam.join(fam.path_graph(2), fam.complete_graph(3)),
+            ),
+            (
+                fam.Cart(fam.Cycle(3), fam.Ladder(2)),
+                lambda: fam.cartesian_product(fam.cycle_graph(3), fam.grid(2, 2)),
+            ),
+        ],
+    )
+    def test_realize_equals_builder(self, spec, expected):
+        assert fam.realize(spec) == expected()
 
 
 @given(st.integers(1, 6), st.integers(0, 4))

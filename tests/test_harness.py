@@ -21,7 +21,6 @@ from tdcolor.harness import (
     formula_for_spec,
     render_csv,
     run_suite,
-    sharpness_check,
     verify_instance,
 )
 from tdcolor.solvers import SolveOptions
@@ -189,6 +188,15 @@ class TestSuite:
         report = run_suite(config)
         assert report.records[0].solver_value == 3
 
+    def test_cache_keeps_old_lines_and_adds_fresh_ones(self, tmp_path):
+        run_suite(SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path)))
+        path = tmp_path / "records.jsonl"
+        first = path.read_bytes()
+        run_suite(SuiteConfig(instances=("P(4)", "C(6)"), cache_dir=str(tmp_path)))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2 and lines[0] == first
+        assert [f.name for f in tmp_path.iterdir()] == ["records.jsonl"]
+
     def test_unknown_not_cached(self, tmp_path):
         config = SuiteConfig(instances=("P(12)",), node_budget=10, cache_dir=str(tmp_path))
         assert run_suite(config).exit_code == EXIT_BUDGET
@@ -224,6 +232,27 @@ class TestSuite:
         assert report.skipped_cache_lines == 4
         assert report.records == cold.records  # both rows replayed
         assert run_suite(dataclasses.replace(config, cache_dir=None)).skipped_cache_lines == 0
+        # the malformed lines were dropped and the valid ones kept as they were
+        assert path.read_text(encoding="utf-8") == good
+        assert run_suite(config).skipped_cache_lines == 0
+
+    def test_budget_cut_factor_solved_once(self, tmp_path, monkeypatch):
+        solved: list[int] = []
+        td_chromatic_number = solvers.td_chromatic_number
+
+        def counting(g, opts=None):
+            solved.append(g.vertex_count)
+            return td_chromatic_number(g, opts)
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", counting)
+        texts = ("join(P(16),K(3))", "join(P(16),P(3))", "join(P(16),C(5))")
+        config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
+        report = run_suite(config)
+        # P(16) runs out of budget once; the three joins reuse that outcome
+        assert solved == [16, 19, 19, 21]
+        assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
+        assert report.exit_code == EXIT_BUDGET
+        assert not (tmp_path / "records.jsonl").exists()
 
     def test_cache_key_includes_oracle_cap(self, tmp_path):
         config = SuiteConfig(instances=("P(11)",), cache_dir=str(tmp_path))
@@ -261,7 +290,8 @@ class TestSuite:
 
 class TestSharpness:
     def test_rows(self):
-        rows = {r.spec_text: r for r in sharpness_check()}
+        texts = ["corona(C(4),K(2))", "corona(K(2),K(3))", "corona(P(2),K(1))"]
+        rows = {r.spec_text: r for r in map(verify_instance, texts)}
         c4k2 = rows["corona(C(4),K(2))"]
         k2k3 = rows["corona(K(2),K(3))"]
         assert (c4k2.solver_value, c4k2.formula_value, c4k2.match) == (6, 6, "confirmed")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcolor import families as fam
 from tdcolor import harness
@@ -301,3 +302,20 @@ def test_witness_color_relabeling_keeps_verdict(g: Graph):
     assert isinstance(witness, Coloring)
     shifted = Coloring(tuple(c + 3 for c in witness.colors))
     assert is_td_coloring(g, shifted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=8), st.randoms(use_true_random=False))
+def test_values_invariant_under_vertex_relabeling(g: Graph, rng: random.Random):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    h = Graph.from_edges(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges()])
+    td = td_chromatic_number(h)
+    chi = chromatic_number(h)
+    dom = total_domination_number(h)
+    assert td.value == td_chromatic_number(g).value
+    assert chi.value == chromatic_number(g).value
+    assert dom.value == total_domination_number(g).value
+    assert is_td_coloring(h, td.witness) and td.witness.num_colors == td.value
+    assert is_proper(h, chi.witness) and chi.witness.num_colors == chi.value
+    assert is_total_dominating_set(h, dom.witness) and len(set(dom.witness)) == dom.value

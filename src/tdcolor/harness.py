@@ -370,10 +370,11 @@ def _load_cache(
     valid: list[str] = []
     skipped = 0
     if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line:
+        for raw in path.read_bytes().splitlines():
+            if not raw:
                 continue
             try:
+                line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
                 entry = json.loads(line)
                 cache[entry["key"]] = VerificationRecord.from_dict(entry["record"])
             except (ValueError, KeyError, TypeError, AttributeError):

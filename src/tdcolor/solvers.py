@@ -4,9 +4,12 @@ All searches are deterministic, with no randomness. The chromatic search
 branches on the most color-saturated vertex (DSATUR), ties broken by a fixed
 order (descending degree, then index). The total-domination search branches
 on the neighbors of the lowest-index undominated vertex. The TD search colors
-vertices in that fixed order. Colors and vertices are tried in ascending
-order. Node and time budgets abort with :class:`BudgetExhaustedError` rather
-than returning a wrong answer.
+vertices in that fixed order, and cuts a branch once the colors not used yet
+cannot dominate the vertices that only they can still dominate: each such
+color's class dominates only neighbors of one distinct uncolored vertex.
+Colors and vertices are tried in ascending order. Node and time budgets
+abort with :class:`BudgetExhaustedError` rather than returning a wrong
+answer.
 """
 
 from __future__ import annotations
@@ -292,6 +295,17 @@ def _td_exact_k(
     and on domination feasibility: ``can_witness[w]`` tracks the colors whose
     class has no member outside N(w); once it empties, or once N(w) is fully
     colored without a complete class inside it, no completion can dominate w.
+
+    Then prunes on domination capacity. A vertex is *needy* when no color
+    used so far can still be its witness class, so one of the k - max_used
+    colors not used yet must be. Each of those colors ends up with a class of
+    uncolored vertices; pick one member u of each, distinct because classes
+    are disjoint. The class lies inside N(u), so it dominates only needy
+    vertices in N(u). Hence the needy count is at most the sum of the
+    k - max_used largest ``|N(u) & needy|`` over uncolored u (tested first
+    against (k - max_used) * max degree). A branch that fails this has no
+    k-coloring, and the search order is unchanged, so the first coloring
+    found is the same as without the bound.
     """
     n = g.vertex_count
     if k > n:
@@ -302,6 +316,7 @@ def _td_exact_k(
     nbr_colors = [0] * n  # colors present in N(v), uncolored v only
     can_witness = [all_colors] * n
     uncolored_nbrs = [len(nbr_list[v]) for v in range(n)]
+    max_deg = max(uncolored_nbrs)
     result: list[int] | None = None
 
     def witness_ok(w: int) -> bool:
@@ -315,7 +330,8 @@ def _td_exact_k(
             cand -= low
         return False
 
-    def extend(depth: int, max_used: int) -> bool:
+    def extend(depth: int, max_used: int, needy: int) -> bool:
+        # needy: vertices w with can_witness[w] & colors 1..max_used == 0
         nonlocal result
         if depth == n:
             if max_used == k:
@@ -338,6 +354,10 @@ def _td_exact_k(
             budget.spend()
             color_of[v] = c
             class_mask[c] |= vbit
+            used_after = max_used if c <= max_used else c
+            used_bits = (1 << used_after) - 1
+            # a new color's class {v} lies inside N(w) exactly for w in N(v)
+            needy_after = needy if c <= max_used else needy & ~nbr_mask[v]
             sat_changed: list[int] = []
             for u in v_nbrs:
                 uncolored_nbrs[u] -= 1
@@ -364,7 +384,22 @@ def _td_exact_k(
                         if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
                             ok = False
                             break
-            if ok and extend(depth + 1, max_used if c <= max_used else c):
+                        if not new & used_bits:
+                            needy_after |= 1 << w
+            if ok and needy_after:
+                # each unused color dominates needy vertices around one
+                # distinct uncolored vertex only
+                free = k - used_after
+                short = needy_after.bit_count()
+                if short > free * max_deg:
+                    ok = False
+                else:
+                    gains = sorted(
+                        ((nbr_mask[u] & needy_after).bit_count() for u in order[depth + 1 :]),
+                        reverse=True,
+                    )
+                    ok = sum(gains[:free]) >= short
+            if ok and extend(depth + 1, used_after, needy_after):
                 return True
             for w, old in w_undo:
                 can_witness[w] = old
@@ -376,7 +411,7 @@ def _td_exact_k(
             color_of[v] = 0
         return False
 
-    extend(0, 0)
+    extend(0, 0, (1 << n) - 1)
     return result
 
 

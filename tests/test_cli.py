@@ -149,14 +149,14 @@ class TestVerify:
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
         # within 5000 nodes the solver finishes the join, but the formula's
-        # solve of its factor P(16) does not
+        # solve of its factor P(30) does not
         cut = tmp_path / "cut.json"
         cut.write_text(
-            json.dumps({"instances": ["join(P(16),K(3))"], "node_budget": 5000}),
+            json.dumps({"instances": ["join(P(30),K(3))"], "node_budget": 5000}),
             encoding="utf-8",
         )
         full = tmp_path / "full.json"
-        full.write_text(json.dumps({"instances": ["join(P(16),K(3))"]}), encoding="utf-8")
+        full.write_text(json.dumps({"instances": ["join(P(30),K(3))"]}), encoding="utf-8")
         cache = str(tmp_path / "cache")
         code, out, _ = run(capsys, "verify", "--suite", str(cut), "--cache", cache)
         assert code == 4
@@ -168,7 +168,7 @@ class TestVerify:
         for extra in (("--cache", cache), ()):
             code, out, _ = run(capsys, "verify", "--suite", str(full), *extra)
             assert code == 3
-            assert "join(P(16),K(3))           19       13       5" in out
+            assert "join(P(30),K(3))           33       21       5" in out
             assert "refuted 1" in out
 
     def test_truncated_cache_line_skipped(self, capsys, tmp_path):

@@ -236,6 +236,17 @@ class TestSuite:
         assert path.read_text(encoding="utf-8") == good
         assert run_suite(config).skipped_cache_lines == 0
 
+    def test_non_utf8_cache_line_skipped(self, tmp_path):
+        config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))
+        cold = run_suite(config)
+        path = tmp_path / "records.jsonl"
+        good = path.read_bytes()
+        path.write_bytes(b"\xff\xfe garbage\n" + good)
+        report = run_suite(config)
+        assert report.skipped_cache_lines == 1
+        assert report.records == cold.records  # the valid row replayed
+        assert path.read_bytes() == good
+
     def test_budget_cut_factor_solved_once(self, tmp_path, monkeypatch):
         solved: list[int] = []
         td_chromatic_number = solvers.td_chromatic_number
@@ -245,11 +256,11 @@ class TestSuite:
             return td_chromatic_number(g, opts)
 
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
-        texts = ("join(P(16),K(3))", "join(P(16),P(3))", "join(P(16),C(5))")
+        texts = ("join(P(30),K(3))", "join(P(30),P(3))", "join(P(30),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # P(16) runs out of budget once; the three joins reuse that outcome
-        assert solved == [16, 19, 19, 21]
+        # P(30) runs out of budget once; the three joins reuse that outcome
+        assert solved == [30, 33, 33, 35]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcolor import families as fam
-from tdcolor import harness
+from tdcolor import harness, solvers
 from tdcolor.coloring import Coloring, is_proper, is_td_coloring
 from tdcolor.expr import parse_expr
 from tdcolor.graph import Graph
@@ -30,6 +31,7 @@ from util_graphs import (
     connected_graphs,
     random_connected_graph,
     reference_chromatic_search,
+    reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
 )
@@ -140,6 +142,26 @@ class TestTdChromaticNumber:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert td_chromatic_number(g).value == 4
 
+    def test_graph_that_broke_an_invalid_bound(self):
+        # a witness-family bound that added one color for G - S gave 5 here
+        edges = [(0, 5), (1, 2), (1, 6), (2, 4), (2, 7), (3, 5), (3, 7), (4, 5), (4, 6), (5, 6)]
+        g = Graph.from_edges(8, edges)
+        res = td_chromatic_number(g)
+        assert res.value == 4
+        assert is_td_coloring(g, res.witness)
+        assert td_chromatic_oracle(g).value == 4
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("P(30)", 18), ("C(30)", 18), ("L(12)", 10), ("G(4,6)", 10), ("G(5,5)", 11)],
+    )
+    def test_past_the_old_frontier(self, text, expected):
+        # values agree with an independent witness-family search
+        g = fam.realize(parse_expr(text))
+        res = td_chromatic_number(g, SolveOptions(node_budget=200_000))
+        assert res.value == expected
+        assert is_td_coloring(g, res.witness)
+
 
 class TestOracle:
     @pytest.mark.parametrize(
@@ -179,7 +201,8 @@ class TestSearchNodeTotals:
 
     Totals, not rows: a single small graph may take a node or two more than
     under the static-order searches (corona(C(5),K(1)): 33 -> 35 total
-    domination nodes), while the TD k-loop tree must not change at all.
+    domination nodes). The TD k-loop tree may only lose subtrees that hold no
+    k-coloring, so no instance's k-loop count rises.
     """
 
     def test_default_suite(self):
@@ -191,8 +214,9 @@ class TestSearchNodeTotals:
             chi += c
             dom += d
             kloop += td_chromatic_number(g).nodes_explored - c - d
-        # the static-order searches took 157 chromatic and 5,080 domination nodes
-        assert (chi, dom, kloop) == (100, 956, 27_190)
+        # the static-order searches took 157 chromatic and 5,080 domination
+        # nodes; the k-loop took 27,190 without the domination-capacity bound
+        assert (chi, dom, kloop) == (100, 956, 3_170)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order
@@ -254,6 +278,16 @@ def test_oracle_matches_reference_oracle(g: Graph):
         ref.witness,
         ref.nodes_explored,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_td_matches_reference_k_loop(g: Graph):
+    res = td_chromatic_number(g)
+    with mock.patch.object(solvers, "_td_exact_k", reference_td_exact_k):
+        ref = td_chromatic_number(g)
+    assert (res.value, res.witness) == (ref.value, ref.witness)
+    assert res.nodes_explored <= ref.nodes_explored
 
 
 @settings(max_examples=60, deadline=None)

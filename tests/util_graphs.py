@@ -208,6 +208,109 @@ def reference_total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[in
     raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
 
 
+def reference_td_exact_k(
+    g: Graph,
+    k: int,
+    order: list[int],
+    nbr_mask: list[int],
+    nbr_list: list[list[int]],
+    non_nbr_list: list[list[int]],
+    budget: _Budget,
+) -> list[int] | None:
+    """Search for a total dominator coloring with exactly k classes.
+
+    The k-loop search without the domination-capacity bound: properness,
+    canonical color order and the per-vertex ``can_witness`` feasibility
+    prunes only. Kept as the reference that the bounded search's value,
+    witness and node count are compared against.
+    """
+    n = g.vertex_count
+    if k > n:
+        return None
+    all_colors = (1 << k) - 1  # bit c-1 stands for color c
+    color_of = [0] * n
+    class_mask = [0] * (k + 1)  # indexed by 1-based color
+    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
+    can_witness = [all_colors] * n
+    uncolored_nbrs = [len(nbr_list[v]) for v in range(n)]
+    result: list[int] | None = None
+
+    def witness_ok(w: int) -> bool:
+        # some candidate color already has a member inside N(w)
+        cand = can_witness[w]
+        nb = nbr_mask[w]
+        while cand:
+            low = cand & -cand
+            if class_mask[low.bit_length()] & nb:
+                return True
+            cand -= low
+        return False
+
+    def extend(depth: int, max_used: int) -> bool:
+        nonlocal result
+        if depth == n:
+            if max_used == k:
+                result = color_of[:]
+                return True
+            return False
+        v = order[depth]
+        vbit = 1 << v
+        remaining_after = n - depth - 1
+        if k - max_used > remaining_after + 1:
+            return False
+        must_new = k - max_used == remaining_after + 1
+        start_c = max_used + 1 if must_new else 1
+        limit = min(max_used + 1, k)
+        v_nbrs = nbr_list[v]
+        for c in range(start_c, limit + 1):
+            cbit = 1 << (c - 1)
+            if nbr_colors[v] & cbit:
+                continue
+            budget.spend()
+            color_of[v] = c
+            class_mask[c] |= vbit
+            sat_changed: list[int] = []
+            for u in v_nbrs:
+                uncolored_nbrs[u] -= 1
+                if not color_of[u] and not nbr_colors[u] & cbit:
+                    nbr_colors[u] |= cbit
+                    sat_changed.append(u)
+            w_undo: list[tuple[int, int]] = []
+            # neighbors whose neighborhood just filled must be dominated now;
+            # tested first because the sweep below cannot change the outcome
+            ok = True
+            for u in v_nbrs:
+                if not uncolored_nbrs[u] and not witness_ok(u):
+                    ok = False
+                    break
+            if ok:
+                # v now sits outside N(w) for every non-neighbor w: color c
+                # can no longer form a witness class for those vertices
+                for w in non_nbr_list[v]:
+                    old = can_witness[w]
+                    if old & cbit:
+                        new = old & ~cbit
+                        can_witness[w] = new
+                        w_undo.append((w, old))
+                        if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
+                            ok = False
+                            break
+            if ok and extend(depth + 1, max_used if c <= max_used else c):
+                return True
+            for w, old in w_undo:
+                can_witness[w] = old
+            for u in sat_changed:
+                nbr_colors[u] ^= cbit
+            for u in v_nbrs:
+                uncolored_nbrs[u] += 1
+            class_mask[c] ^= vbit
+            color_of[v] = 0
+        return False
+
+    extend(0, 0)
+    return result
+
+
 @st.composite
 def graphs(draw, min_vertices: int = 0, max_vertices: int = 8):
     """Arbitrary simple graphs."""

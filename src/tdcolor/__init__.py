@@ -2,8 +2,8 @@
 
 Builds the studied graph families, computes chromatic / total domination /
 TD-chromatic numbers exactly with re-checkable witnesses, evaluates the
-closed-form values for each family, and verifies formula against solver
-(and brute-force oracle) instance by instance.
+closed-form value of an instance from one spec-keyed table of formulas, and
+verifies formula against solver (and brute-force oracle) instance by instance.
 """
 
 from .coloring import (
@@ -15,7 +15,7 @@ from .coloring import (
 )
 from .expr import ExprSyntaxError, parse_expr, pretty
 from .families import FamilySpec, realize
-from .formulas import FormulaResult, td_chromatic_bounds
+from .formulas import FormulaResult, formula_for_spec, td_chromatic_bounds
 from .graph import DimacsError, Graph
 from .harness import (
     OracleMismatchError,
@@ -51,6 +51,7 @@ __all__ = [
     "FamilySpec",
     "realize",
     "FormulaResult",
+    "formula_for_spec",
     "td_chromatic_bounds",
     "DimacsError",
     "Graph",

@@ -85,7 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     spec = parse_expr(args.expr)
-    result = harness.formula_for_spec(spec)
+    result = harness.formula_for_spec(spec, harness._factor_solver(None))
     if result is None:
         print("no formula applies")
         return 0
@@ -96,8 +96,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = families.realize(parse_expr(args.expr))
-    result = formulas.td_chromatic_bounds(g)
-    print(f"bounds [{result.lo}, {result.hi}]")
+    lo, hi = formulas.td_chromatic_bounds(g)
+    print(f"bounds [{lo}, {hi}]")
     return 0
 
 

@@ -32,7 +32,8 @@ __all__ = [
     "cartesian_product",
     "friendship_family",
     "grid",
-    "chain_cactus",
+    "triangle_chain",
+    "square_chain",
     "realize",
 ]
 
@@ -244,31 +245,36 @@ def grid(m: int, n: int) -> Graph:
     return cartesian_product(path_graph(m), path_graph(n))
 
 
-def chain_cactus(kind: str, n: int) -> Graph:
-    """Chain of n triangles or n squares joined at consecutive cut-vertices.
+def triangle_chain(n: int) -> Graph:
+    """Chain of n triangles joined at consecutive cut-vertices.
 
-    Cut-vertices are labeled 0..n; they are adjacent along the chain. For the
-    square chain, each square i is the 4-cycle (i, x_i, y_i, i+1), so the two
-    cut-vertices of a square are adjacent inside it.
+    Cut-vertices are labeled 0..n and are adjacent along the chain; triangle
+    i is (i, apex_i, i+1) with apex_i = n + 1 + i.
     """
     if n < 1:
         raise ValueError("chain length must be >= 1")
-    edges: list[tuple[int, int]] = [(i, i + 1) for i in range(n)]
-    if kind == "triangular":
-        for i in range(n):
-            apex = n + 1 + i
-            edges.append((i, apex))
-            edges.append((apex, i + 1))
-        return Graph.from_edges(2 * n + 1, edges)
-    if kind == "ortho":
-        for i in range(n):
-            x = n + 1 + 2 * i
-            y = x + 1
-            edges.append((i, x))
-            edges.append((x, y))
-            edges.append((y, i + 1))
-        return Graph.from_edges(3 * n + 1, edges)
-    raise ValueError(f"unknown chain kind {kind!r}")
+    edges = [(i, i + 1) for i in range(n)]
+    for i in range(n):
+        apex = n + 1 + i
+        edges += [(i, apex), (apex, i + 1)]
+    return Graph.from_edges(2 * n + 1, edges)
+
+
+def square_chain(n: int) -> Graph:
+    """Chain of n squares joined at consecutive cut-vertices.
+
+    Cut-vertices are labeled 0..n and are adjacent along the chain; square i
+    is the 4-cycle (i, x_i, y_i, i+1), so the two cut-vertices of a square are
+    adjacent inside it.
+    """
+    if n < 1:
+        raise ValueError("chain length must be >= 1")
+    edges = [(i, i + 1) for i in range(n)]
+    for i in range(n):
+        x = n + 1 + 2 * i
+        y = x + 1
+        edges += [(i, x), (x, y), (y, i + 1)]
+    return Graph.from_edges(3 * n + 1, edges)
 
 
 class Family(NamedTuple):
@@ -287,8 +293,8 @@ FAMILIES: dict[type, Family] = {
     Friendship: Family("D", friendship_family),
     Ladder: Family("L", lambda n: grid(2, n)),
     Grid: Family("G", grid),
-    TriChain: Family("T", lambda n: chain_cactus("triangular", n)),
-    OrthoChain: Family("O", lambda n: chain_cactus("ortho", n)),
+    TriChain: Family("T", triangle_chain),
+    OrthoChain: Family("O", square_chain),
     Corona: Family("corona", corona),
     Join: Family("join", join),
     Cart: Family("cart", cartesian_product),

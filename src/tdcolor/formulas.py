@@ -1,196 +1,161 @@
-"""Closed-form TD-chromatic values and bounds for the supported families."""
+"""Closed-form TD-chromatic values, one rule per spec class, and sandwich bounds.
+
+:func:`formula_for_spec` looks the spec's class up in ``_RULES``. Each rule
+checks its formula's domain once and returns a :class:`FormulaResult`, or None
+outside that domain; a family without a closed form has no entry.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from . import solvers
+from . import families, solvers
+from .families import Complete, Corona, Cycle, Empty, FamilySpec, Friendship, Grid
+from .families import Join, Ladder, OrthoChain, Path, TriChain
 from .graph import Graph
 
-__all__ = [
-    "FormulaResult",
-    "formula_path",
-    "formula_cycle",
-    "formula_corona",
-    "corona_upper_bounds",
-    "formula_join",
-    "formula_friendship",
-    "formula_ladder",
-    "formula_grid",
-    "formula_chain_cactus",
-    "td_chromatic_bounds",
-]
+__all__ = ["FormulaResult", "formula_for_spec", "td_chromatic_bounds"]
 
-_KINDS = ("exact", "upper_bound", "interval")
+# a join factor's TD-chromatic number, or None where TD-coloring is undefined
+FactorValue = Callable[[FamilySpec], int | None]
 
 
 @dataclass(frozen=True)
 class FormulaResult:
-    """A closed-form value: an exact value, an upper bound, or an interval."""
+    """The value a closed form gives, and the theorem it comes from."""
 
-    kind: str
     theorem_tag: str
-    value: int | None = None
-    lo: int | None = None
-    hi: int | None = None
-    bounds: tuple[int, int] | None = None  # both corona upper bounds, when relevant
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind in ("exact", "upper_bound") and self.value is None:
-            raise ValueError(f"{self.kind} result needs a value")
-        if self.kind == "interval":
-            if self.lo is None or self.hi is None:
-                raise ValueError("interval result needs lo and hi")
-            if self.lo > self.hi:
-                raise ValueError("interval must satisfy lo <= hi")
+    value: int
 
 
-def formula_path(n: int) -> FormulaResult:
+def _path_value(n: int) -> int:
     """Paths of order n >= 2: 2*ceil(n/3), minus one when n = 1 (mod 3)."""
-    if n < 2:
-        raise ValueError("path formula needs order >= 2")
-    value = 2 * -(-n // 3) - (1 if n % 3 == 1 else 0)
-    return FormulaResult("exact", "path", value=value)
+    return 2 * -(-n // 3) - (1 if n % 3 == 1 else 0)
 
 
-def formula_cycle(n: int) -> FormulaResult:
-    """Cycles of order n >= 5: 4*floor(n/6) + r, minus one for r in {3, 5}.
-
-    Orders 3 and 4 sit outside that formula's domain; their directly computed
-    values are returned under a separate "cycle-extension" tag.
-    """
-    if n < 3:
-        raise ValueError("cycle formula needs order >= 3")
-    if n == 3:
-        return FormulaResult("exact", "cycle-extension", value=3)
-    if n == 4:
-        return FormulaResult("exact", "cycle-extension", value=2)
-    q, r = divmod(n, 6)
-    value = 4 * q + r - (1 if r in (3, 5) else 0)
-    return FormulaResult("exact", "cycle", value=value)
-
-
-def formula_corona(
-    case: str,
-    *,
-    n: int | None = None,
-    m: int | None = None,
-    graph: Graph | None = None,
-) -> FormulaResult:
-    """Exact corona values: n + 1 pendant-style colors for every case.
-
-    Cases: ``path-pendant`` (path of order n >= 2, one pendant per vertex),
-    ``cycle-pendant`` (cycle of order n >= 3), ``path-empty`` (path of order
-    n >= 2 with m >= 1 independent pendants per vertex), and ``pendant``
-    (an arbitrary connected graph with one pendant per vertex).
-    """
-    if case == "path-pendant":
-        if n is None or n < 2:
-            raise ValueError("path-pendant case needs n >= 2")
-        return FormulaResult("exact", "corona-path-pendant", value=n + 1)
-    if case == "cycle-pendant":
-        if n is None or n < 3:
-            raise ValueError("cycle-pendant case needs n >= 3")
-        return FormulaResult("exact", "corona-cycle-pendant", value=n + 1)
-    if case == "path-empty":
-        if n is None or n < 2:
-            raise ValueError("path-empty case needs n >= 2")
-        if m is None or m < 1:
-            raise ValueError("path-empty case needs m >= 1")
-        return FormulaResult("exact", "corona-path-empty", value=n + 1)
-    if case == "pendant":
-        if graph is None:
-            raise ValueError("pendant case needs the left-factor graph")
-        if not graph.is_connected() or graph.vertex_count < 1:
-            raise ValueError("pendant case needs a connected left factor")
-        return FormulaResult("exact", "corona-pendant", value=graph.vertex_count + 1)
-    raise ValueError(f"unknown corona case {case!r}")
-
-
-def corona_upper_bounds(
-    chi_dt_g: int, n_g: int, chi_dt_h: int, n_h: int
-) -> FormulaResult:
-    """Both corona upper bounds for connected factors; value is their minimum.
-
-    chi(G o H) <= chi_dt(G) + |V(G)| * chi_dt(H) and <= |V(G)| + |V(H)|.
-    """
-    if min(chi_dt_g, n_g, chi_dt_h, n_h) < 1:
-        raise ValueError("all inputs must be >= 1")
-    pair = (chi_dt_g + n_g * chi_dt_h, n_g + n_h)
-    return FormulaResult(
-        "upper_bound", "corona-upper-bounds", value=min(pair), bounds=pair
-    )
-
-
-def formula_join(chi_dt_g: int, chi_dt_h: int) -> FormulaResult:
-    """Claimed join value: the sum of the factors' TD-chromatic numbers."""
-    if chi_dt_g < 2 or chi_dt_h < 2:
-        raise ValueError("join formula needs both component values >= 2")
-    return FormulaResult("exact", "join", value=chi_dt_g + chi_dt_h)
-
-
-def formula_friendship(q: int, n: int) -> FormulaResult:
-    """Blade cycles of length 3, 4 or 5 around one center, n >= 2 blades."""
-    if n < 2:
-        raise ValueError("friendship formula needs n >= 2 blades")
-    if q == 3:
-        return FormulaResult("exact", "friendship-3", value=3)
-    if q == 4:
-        return FormulaResult("exact", "friendship-4", value=n + 2)
-    if q == 5:
-        return FormulaResult("exact", "friendship-5", value=2 * n + 2)
-    raise ValueError(f"no closed form for blade length {q}")
-
-
-def formula_ladder(n: int) -> FormulaResult:
+def _ladder_value(n: int) -> int:
     """Ladders of length n >= 2: n + 1 when n is odd, n when n is even."""
-    if n < 2:
-        raise ValueError("ladder formula needs length >= 2")
-    return FormulaResult("exact", "ladder", value=n + 1 if n % 2 else n)
+    return n + 1 if n % 2 else n
 
 
 def _grid_value(m: int, n: int) -> int:
-    if m % 2 == 0 and n % 2 == 0:
-        return (m // 2) * formula_ladder(n).value
-    if m % 2 == 1 and n % 2 == 0:
-        return (m // 2) * formula_ladder(n).value + formula_path(n).value
-    if m % 2 == 0 and n % 2 == 1:
-        return (n // 2) * formula_ladder(m).value + formula_path(m).value
-    # odd x odd recurses exactly once, into the even x even case
-    return _grid_value(m - 1, n - 1) + formula_path(m + n - 1).value
-
-
-def formula_grid(m: int, n: int) -> FormulaResult:
     """Piecewise grid value built from ladder and path values (m rows, n cols)."""
-    if m < 2 or n < 2:
-        raise ValueError("grid formula needs both dimensions >= 2")
-    return FormulaResult("exact", "grid", value=_grid_value(m, n))
+    if m % 2 == 0 and n % 2 == 0:
+        return (m // 2) * _ladder_value(n)
+    if m % 2 == 1 and n % 2 == 0:
+        return (m // 2) * _ladder_value(n) + _path_value(n)
+    if m % 2 == 0 and n % 2 == 1:
+        return (n // 2) * _ladder_value(m) + _path_value(m)
+    # odd x odd recurses exactly once, into the even x even case
+    return _grid_value(m - 1, n - 1) + _path_value(m + n - 1)
 
 
-def formula_chain_cactus(kind: str, n: int) -> FormulaResult:
-    """Chains of n triangles: 2*ceil(n/2) + 1. Chains of n squares: 2n."""
-    if n < 1:
-        raise ValueError("chain formula needs length >= 1")
-    if kind == "triangular":
-        return FormulaResult("exact", "triangular-chain", value=2 * ((n + 1) // 2) + 1)
-    if kind == "ortho":
-        return FormulaResult("exact", "ortho-chain", value=2 * n)
-    raise ValueError(f"unknown chain kind {kind!r}")
+def _cycle(spec: Cycle, _: FactorValue | None) -> FormulaResult:
+    """Cycles of order n >= 5: 4*floor(n/6) + r, minus one for r in {3, 5}.
+
+    Orders 3 and 4 sit outside that formula's domain; their directly computed
+    values carry a separate "cycle-extension" tag.
+    """
+    if spec.n < 5:
+        return FormulaResult("cycle-extension", {3: 3, 4: 2}[spec.n])
+    q, r = divmod(spec.n, 6)
+    return FormulaResult("cycle", 4 * q + r - (1 if r in (3, 5) else 0))
+
+
+def _friendship(spec: Friendship, _: FactorValue | None) -> FormulaResult | None:
+    """Blade cycles of length 3, 4 or 5 around one center, n >= 2 blades."""
+    value = {3: 3, 4: spec.n + 2, 5: 2 * spec.n + 2}.get(spec.q)
+    if value is None or spec.n < 2:
+        return None
+    return FormulaResult(f"friendship-{spec.q}", value)
+
+
+# the two corona instances claimed to meet the |V(G)| + |V(H)| bound exactly
+_SHARP_CORONAS = {
+    Corona(Cycle(4), Complete(2)): 6,
+    Corona(Complete(2), Complete(3)): 5,
+}
+
+
+def _corona(spec: Corona, _: FactorValue | None) -> FormulaResult | None:
+    """The two sharp instances, and |V(G)| + 1 for each pendant-style case.
+
+    Pendant cases: a path of order n >= 2 or a cycle with one pendant per
+    vertex, a path of order n >= 2 with m >= 1 independent pendants per vertex,
+    and any other connected left factor with one pendant per vertex.
+    """
+    sharp = _SHARP_CORONAS.get(spec)
+    if sharp is not None:
+        return FormulaResult("corona-sharpness", sharp)
+    match spec:
+        case Corona(Path(n), Complete(1)) if n >= 2:
+            tag = "corona-path-pendant"
+        case Corona(Cycle(n), Complete(1)):
+            tag = "corona-cycle-pendant"
+        case Corona(Path(n), Empty(m)) if n >= 2 and m >= 1:
+            tag = "corona-path-empty"
+        case Corona(left, Complete(1)):
+            g = families.realize(left)
+            if g.vertex_count < 1 or not g.is_connected():
+                return None
+            tag, n = "corona-pendant", g.vertex_count
+        case _:
+            return None
+    return FormulaResult(tag, n + 1)
+
+
+def _join(spec: Join, factor_value: FactorValue) -> FormulaResult | None:
+    """Claimed join value: the sum of the factors' TD-chromatic numbers."""
+    a = factor_value(spec.left)
+    b = factor_value(spec.right)
+    return None if a is None or b is None else FormulaResult("join", a + b)
+
+
+# spec class -> rule(spec, factor_value); a family without a closed form has no entry
+_RULES: dict[type, Callable[..., FormulaResult | None]] = {
+    Path: lambda s, _: FormulaResult("path", _path_value(s.n)) if s.n >= 2 else None,
+    Cycle: _cycle,
+    Friendship: _friendship,
+    Ladder: lambda s, _: (
+        FormulaResult("ladder", _ladder_value(s.n)) if s.n >= 2 else None
+    ),
+    Grid: lambda s, _: (
+        FormulaResult("grid", _grid_value(s.m, s.n)) if s.m >= 2 and s.n >= 2 else None
+    ),
+    # chains of n triangles: 2*ceil(n/2) + 1; chains of n squares: 2n
+    TriChain: lambda s, _: FormulaResult("triangular-chain", 2 * ((s.n + 1) // 2) + 1),
+    OrthoChain: lambda s, _: FormulaResult("ortho-chain", 2 * s.n),
+    Corona: _corona,
+    Join: _join,
+}
+
+
+def formula_for_spec(
+    spec: FamilySpec, factor_value: FactorValue | None = None
+) -> FormulaResult | None:
+    """Closed-form value for an instance, or None when no formula applies.
+
+    Join instances need ``factor_value``, which gives each factor's
+    TD-chromatic number (None where it is undefined) and may raise
+    :class:`~tdcolor.solvers.BudgetExhaustedError`. The dispatcher never
+    guesses: parameters outside a formula's domain yield None.
+    """
+    rule = _RULES.get(type(spec))
+    return rule(spec, factor_value) if rule is not None else None
 
 
 def td_chromatic_bounds(
     g: Graph, opts: solvers.SolveOptions | None = None
-) -> FormulaResult:
-    """Interval bounding the TD-chromatic number via exact sub-solvers.
+) -> tuple[int, int]:
+    """``(lo, hi)`` bounding the TD-chromatic number via exact sub-solvers.
 
     Any TD-coloring is proper, so max(total domination number, chromatic
     number) is a lower bound; their sum is an upper bound (private colors for
-    a minimum total dominating set plus a proper coloring of the rest).
+    a minimum total dominating set plus a proper coloring of the rest). A
+    graph with an isolated vertex has no total dominating set, so the
+    total-domination solver raises ValueError on it.
     """
-    if g.has_isolated_vertex():
-        raise ValueError("bounds undefined: graph has an isolated vertex")
     gamma = solvers.total_domination_number(g, opts).value
     chi = solvers.chromatic_number(g, opts).value
-    return FormulaResult("interval", "td-bounds", lo=max(gamma, chi), hi=gamma + chi)
+    return max(gamma, chi), gamma + chi

@@ -1,25 +1,29 @@
 """Verification harness: formula vs. exact solver vs. brute-force oracle.
 
-Each family instance yields one :class:`VerificationRecord`. A disagreement
-between the solver and the oracle is an internal inconsistency and raises;
-a disagreement between a formula and the solver is an honest, reportable
-outcome (``match = "refuted"``).
+Each family instance yields one :class:`VerificationRecord`. The closed form
+comes from :func:`tdcolor.formulas.formula_for_spec`; a join formula's factor
+values come from a memoised exact solve under the run's budgets. A
+disagreement between the solver and the oracle is an internal inconsistency
+and raises; a disagreement between a formula and the solver is an honest,
+reportable outcome (``match = "refuted"``).
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 import os
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Callable
 
-from . import families, formulas, solvers
+from . import families, solvers
 from .coloring import Coloring
 from .expr import parse_expr, pretty
 from .families import FamilySpec
-from .formulas import FormulaResult
+from .formulas import FactorValue, FormulaResult, formula_for_spec
 from .graph import Graph
 from .solvers import SOLVER_VERSION, BudgetExhaustedError, SolveOptions
 
@@ -30,7 +34,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport",
     "default_suite",
-    "formula_for_spec",
     "verify_instance",
     "run_suite",
     "render_table",
@@ -104,99 +107,38 @@ def _budget_cut(rec: VerificationRecord) -> bool:
     )
 
 
-ComponentSolver = Callable[[FamilySpec], int | None]
+def _factor_solver(opts: SolveOptions | None) -> FactorValue:
+    """A join factor's TD-chromatic number, solved once per factor spec.
 
+    None marks a factor where TD-coloring is undefined: fewer than 2
+    vertices, an isolated vertex, or a disconnected graph. A factor out of
+    budget stays out of budget: its BudgetExhaustedError is kept and raised
+    again on every later call.
+    """
+    memo: dict[FamilySpec, int | None | BudgetExhaustedError] = {}
 
-def _default_component_solver(opts: SolveOptions | None) -> ComponentSolver:
     def solve(spec: FamilySpec) -> int | None:
-        g = families.realize(spec)
-        if g.vertex_count < 2 or g.has_isolated_vertex() or not g.is_connected():
-            return None
-        return solvers.td_chromatic_number(g, opts).value
+        if spec not in memo:
+            g = families.realize(spec)
+            if g.vertex_count < 2 or g.has_isolated_vertex() or not g.is_connected():
+                memo[spec] = None
+            else:
+                try:
+                    memo[spec] = solvers.td_chromatic_number(g, opts).value
+                except BudgetExhaustedError as exc:
+                    memo[spec] = exc
+        value = memo[spec]
+        if isinstance(value, BudgetExhaustedError):
+            raise value.with_traceback(None)
+        return value
 
     return solve
-
-
-def _join_formula(
-    spec: families.Join, component_solver: ComponentSolver | None
-) -> FormulaResult | None:
-    solve = component_solver or _default_component_solver(None)
-    a = solve(spec.left)
-    b = solve(spec.right)
-    if a is None or b is None or a < 2 or b < 2:
-        return None
-    return formulas.formula_join(a, b)
-
-
-# spec class -> rule; a family without a closed form has no entry
-_FORMULAS: dict[type, Callable[..., FormulaResult | None]] = {
-    families.Path: lambda s, _: formulas.formula_path(s.n) if s.n >= 2 else None,
-    families.Cycle: lambda s, _: formulas.formula_cycle(s.n),
-    families.Friendship: lambda s, _: (
-        formulas.formula_friendship(s.q, s.n) if s.q in (3, 4, 5) and s.n >= 2 else None
-    ),
-    families.Ladder: lambda s, _: formulas.formula_ladder(s.n) if s.n >= 2 else None,
-    families.Grid: lambda s, _: (
-        formulas.formula_grid(s.m, s.n) if s.m >= 2 and s.n >= 2 else None
-    ),
-    families.TriChain: lambda s, _: formulas.formula_chain_cactus("triangular", s.n),
-    families.OrthoChain: lambda s, _: formulas.formula_chain_cactus("ortho", s.n),
-    families.Corona: lambda s, _: _corona_formula(s),
-    families.Join: _join_formula,
-}
-
-
-def formula_for_spec(
-    spec: FamilySpec,
-    component_solver: ComponentSolver | None = None,
-) -> FormulaResult | None:
-    """Closed-form value for an instance, or None when no formula applies.
-
-    Join instances need the factors' TD-chromatic numbers;
-    ``component_solver`` supplies them (defaults to solving exactly without
-    budgets). The dispatcher never guesses: parameters outside a formula's
-    domain yield None.
-    """
-    rule = _FORMULAS.get(type(spec))
-    return rule(spec, component_solver) if rule is not None else None
-
-
-# the two corona instances claimed to meet the |V(G)| + |V(H)| bound exactly
-_SHARP_CORONAS = {
-    families.Corona(families.Cycle(4), families.Complete(2)): 6,
-    families.Corona(families.Complete(2), families.Complete(3)): 5,
-}
-
-
-def _corona_formula(spec: families.Corona) -> FormulaResult | None:
-    sharp = _SHARP_CORONAS.get(spec)
-    if sharp is not None:
-        return FormulaResult("exact", "corona-sharpness", value=sharp)
-    left, right = spec.left, spec.right
-    if right == families.Complete(1):
-        if isinstance(left, families.Path) and left.n >= 2:
-            return formulas.formula_corona("path-pendant", n=left.n)
-        if isinstance(left, families.Cycle):
-            return formulas.formula_corona("cycle-pendant", n=left.n)
-        lg = families.realize(left)
-        if lg.vertex_count >= 1 and lg.is_connected():
-            return formulas.formula_corona("pendant", graph=lg)
-        return None
-    if (
-        isinstance(left, families.Path)
-        and left.n >= 2
-        and isinstance(right, families.Empty)
-        and right.n >= 1
-    ):
-        return formulas.formula_corona("path-empty", n=left.n, m=right.n)
-    return None
 
 
 def verify_instance(
     spec: FamilySpec | str,
     opts: SolveOptions | None = None,
     oracle_cap: int = 10,
-    component_solver: ComponentSolver | None = None,
 ) -> VerificationRecord:
     """Realize one instance, evaluate formula/solver/oracle, build the record.
 
@@ -212,7 +154,7 @@ def verify_instance(
         families.realize(spec),
         opts,
         oracle_cap,
-        component_solver or _default_component_solver(opts),
+        _factor_solver(opts),
     )
 
 
@@ -222,13 +164,13 @@ def _verify(
     g: Graph,
     opts: SolveOptions | None,
     oracle_cap: int,
-    component_solver: ComponentSolver,
+    factor_value: FactorValue,
 ) -> VerificationRecord:
     """:func:`verify_instance` on an instance already parsed and realized."""
     started = time.perf_counter()
     formula: FormulaResult | None
     try:
-        formula = formula_for_spec(spec, component_solver)
+        formula = formula_for_spec(spec, factor_value)
         theorem_tag = formula.theorem_tag if formula is not None else None
     except BudgetExhaustedError:
         # only a join formula runs the solver (on its factors)
@@ -304,24 +246,17 @@ class SuiteConfig:
             raise ValueError("suite needs at least one instance")
         if self.oracle_cap < 2:
             raise ValueError("oracle cap must be >= 2")
-        if self.node_budget is not None and self.node_budget <= 0:
-            raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        self._solve_options()  # SolveOptions validates the budgets
+
+    def _solve_options(self) -> SolveOptions | None:
+        """The budgets every solve of the suite runs under; None when unbounded."""
+        if self.node_budget is None and self.time_budget is None:
+            return None
+        return SolveOptions(node_budget=self.node_budget, time_budget=self.time_budget)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        known = {
-            "instances",
-            "node_budget",
-            "time_budget",
-            "oracle_cap",
-            "cache_dir",
-            "report_path",
-            "jsonl_path",
-            "csv_path",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
         if "instances" in data:
@@ -403,53 +338,38 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     neither stored nor replayed, so a later run with a larger budget solves
     the instance again. Malformed cache lines are skipped, counted and
     dropped: the cache file is rewritten atomically from its valid lines
-    plus the fresh records. A join factor's solve runs once per suite, also
-    when it runs out of budget.
+    plus the fresh records, also when an instance raises part way through
+    the suite. A join factor's solve runs once per suite, also when it runs
+    out of budget.
     """
-    opts: SolveOptions | None = None
-    if config.node_budget is not None or config.time_budget is not None:
-        opts = SolveOptions(
-            node_budget=config.node_budget, time_budget=config.time_budget
-        )
-
+    opts = config._solve_options()
     cache, valid, skipped = (
         _load_cache(config.cache_dir) if config.cache_dir else ({}, [], 0)
     )
-    memo: dict[FamilySpec, int | None | BudgetExhaustedError] = {}
-    base_solver = _default_component_solver(opts)
-
-    def component_solver(spec: FamilySpec) -> int | None:
-        if spec not in memo:
-            try:
-                memo[spec] = base_solver(spec)
-            except BudgetExhaustedError as exc:
-                memo[spec] = exc  # a factor out of budget stays out of budget
-        value = memo[spec]
-        if isinstance(value, BudgetExhaustedError):
-            raise value.with_traceback(None)
-        return value
+    factor_value = _factor_solver(opts)
 
     records: dict[str, VerificationRecord] = {}
     fresh: list[str] = []
-    for text in config.instances:
-        spec = parse_expr(text)
-        spec_text = pretty(spec)
-        if spec_text in records:
-            continue
-        g = families.realize(spec)
-        key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
-        hit = cache.get(key)
-        if hit is not None and not _budget_cut(hit):
-            records[spec_text] = hit
-            continue
-        rec = _verify(spec, spec_text, g, opts, config.oracle_cap, component_solver)
-        records[spec_text] = rec
-        if not _budget_cut(rec):
-            fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))
-
-    if config.cache_dir and (skipped or fresh):
-        # malformed lines are dropped, so later runs do not warn again
-        _write_cache(config.cache_dir, valid + fresh)
+    try:
+        for text in config.instances:
+            spec = parse_expr(text)
+            spec_text = pretty(spec)
+            if spec_text in records:
+                continue
+            g = families.realize(spec)
+            key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
+            hit = cache.get(key)
+            if hit is not None and not _budget_cut(hit):
+                records[spec_text] = hit
+                continue
+            rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value)
+            records[spec_text] = rec
+            if not _budget_cut(rec):
+                fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))
+    finally:
+        if config.cache_dir and (skipped or fresh):
+            # malformed lines are dropped, so later runs do not warn again
+            _write_cache(config.cache_dir, valid + fresh)
 
     ordered = tuple(records[k] for k in sorted(records))
     table = render_table(ordered)
@@ -496,24 +416,17 @@ def render_table(records: tuple[VerificationRecord, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CSV_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(VerificationRecord) if f.name != "witness"
+)
+
+
 def render_csv(records: tuple[VerificationRecord, ...]) -> str:
-    """CSV with the JSONL fields minus the witness."""
-    out = [
-        "spec_text,vertex_count,formula_value,theorem_tag,solver_value,oracle_value,match,elapsed"
-    ]
+    """CSV with the JSONL fields minus the witness; an absent value is "-"."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
     for rec in records:
-        out.append(
-            ",".join(
-                [
-                    rec.spec_text,
-                    str(rec.vertex_count),
-                    _fmt(rec.formula_value),
-                    rec.theorem_tag or "-",
-                    _fmt(rec.solver_value),
-                    _fmt(rec.oracle_value),
-                    rec.match,
-                    repr(rec.elapsed),
-                ]
-            )
-        )
-    return "\n".join(out) + "\n"
+        row = (getattr(rec, name) for name in _CSV_COLUMNS)
+        writer.writerow("-" if v is None else v for v in row)
+    return buf.getvalue()

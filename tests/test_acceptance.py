@@ -308,3 +308,92 @@ def test_refutation_ledger(suite_run):
         "total 79: confirmed 64, refuted 15, unknown 0\nexit status 3\n"
     )
     assert suite_run.report.exit_code == harness.EXIT_REFUTED
+
+
+# the closed form behind every default-suite row: (theorem tag, formula value)
+FORMULA_LEDGER = {
+    "C(10)": ("cycle", 8),
+    "C(11)": ("cycle", 8),
+    "C(12)": ("cycle", 8),
+    "C(3)": ("cycle-extension", 3),
+    "C(4)": ("cycle-extension", 2),
+    "C(5)": ("cycle", 4),
+    "C(6)": ("cycle", 4),
+    "C(7)": ("cycle", 5),
+    "C(8)": ("cycle", 6),
+    "C(9)": ("cycle", 6),
+    "D(4,2)": ("friendship-4", 4),
+    "D(4,3)": ("friendship-4", 5),
+    "D(5,2)": ("friendship-5", 6),
+    "F(2)": ("friendship-3", 3),
+    "F(3)": ("friendship-3", 3),
+    "F(4)": ("friendship-3", 3),
+    "G(3,3)": ("grid", 6),
+    "G(3,4)": ("grid", 7),
+    "G(4,4)": ("grid", 8),
+    "L(2)": ("ladder", 2),
+    "L(3)": ("ladder", 4),
+    "L(4)": ("ladder", 4),
+    "L(5)": ("ladder", 6),
+    "L(6)": ("ladder", 6),
+    "O(1)": ("ortho-chain", 2),
+    "O(2)": ("ortho-chain", 4),
+    "O(3)": ("ortho-chain", 6),
+    "P(10)": ("path", 7),
+    "P(11)": ("path", 8),
+    "P(12)": ("path", 8),
+    "P(2)": ("path", 2),
+    "P(3)": ("path", 2),
+    "P(4)": ("path", 3),
+    "P(5)": ("path", 4),
+    "P(6)": ("path", 4),
+    "P(7)": ("path", 5),
+    "P(8)": ("path", 6),
+    "P(9)": ("path", 6),
+    "T(1)": ("triangular-chain", 3),
+    "T(2)": ("triangular-chain", 3),
+    "T(3)": ("triangular-chain", 5),
+    "T(4)": ("triangular-chain", 5),
+    "T(5)": ("triangular-chain", 7),
+    "corona(C(3),K(1))": ("corona-cycle-pendant", 4),
+    "corona(C(4),K(1))": ("corona-cycle-pendant", 5),
+    "corona(C(4),K(2))": ("corona-sharpness", 6),
+    "corona(C(5),K(1))": ("corona-cycle-pendant", 6),
+    "corona(F(2),K(1))": ("corona-pendant", 6),
+    "corona(K(2),K(3))": ("corona-sharpness", 5),
+    "corona(K(4),K(1))": ("corona-pendant", 5),
+    "corona(P(2),E(1))": ("corona-path-empty", 3),
+    "corona(P(2),E(2))": ("corona-path-empty", 3),
+    "corona(P(2),E(3))": ("corona-path-empty", 3),
+    "corona(P(2),K(1))": ("corona-path-pendant", 3),
+    "corona(P(3),E(1))": ("corona-path-empty", 4),
+    "corona(P(3),E(2))": ("corona-path-empty", 4),
+    "corona(P(3),E(3))": ("corona-path-empty", 4),
+    "corona(P(3),K(1))": ("corona-path-pendant", 4),
+    "corona(P(4),E(1))": ("corona-path-empty", 5),
+    "corona(P(4),E(2))": ("corona-path-empty", 5),
+    "corona(P(4),E(3))": ("corona-path-empty", 5),
+    "corona(P(4),K(1))": ("corona-path-pendant", 5),
+    "corona(P(5),K(1))": ("corona-path-pendant", 6),
+    "corona(P(6),K(1))": ("corona-path-pendant", 7),
+    "join(C(5),C(5))": ("join", 8),
+    "join(C(5),K(3))": ("join", 7),
+    "join(K(3),K(3))": ("join", 6),
+    "join(P(2),C(5))": ("join", 6),
+    "join(P(2),K(3))": ("join", 5),
+    "join(P(2),P(2))": ("join", 4),
+    "join(P(2),P(3))": ("join", 4),
+    "join(P(2),P(4))": ("join", 5),
+    "join(P(3),C(5))": ("join", 6),
+    "join(P(3),K(3))": ("join", 5),
+    "join(P(3),P(3))": ("join", 4),
+    "join(P(3),P(4))": ("join", 5),
+    "join(P(4),C(5))": ("join", 7),
+    "join(P(4),K(3))": ("join", 6),
+    "join(P(4),P(4))": ("join", 6),
+}
+
+
+def test_formula_ledger(suite_run):
+    got = {r.spec_text: (r.theorem_tag, r.formula_value) for r in suite_run.report.records}
+    assert got == FORMULA_LEDGER

@@ -120,10 +120,10 @@ class TestGrid:
 
 class TestChainCactus:
     def test_single_triangle(self):
-        assert fam.chain_cactus("triangular", 1) == fam.complete_graph(3)
+        assert fam.triangle_chain(1) == fam.complete_graph(3)
 
     def test_two_triangles_share_one_vertex(self):
-        g = fam.chain_cactus("triangular", 2)
+        g = fam.triangle_chain(2)
         f2 = fam.friendship_family(3, 2)
         assert (g.vertex_count, g.edge_count) == (f2.vertex_count, f2.edge_count)
         assert sorted(g.degree(v) for v in range(5)) == sorted(
@@ -131,25 +131,21 @@ class TestChainCactus:
         )
 
     def test_single_square_is_a_4_cycle(self):
-        g = fam.chain_cactus("ortho", 1)
+        g = fam.square_chain(1)
         assert (g.vertex_count, g.edge_count) == (4, 4)
         assert all(g.degree(v) == 2 for v in range(4))
 
     def test_counts(self):
         for n in range(1, 7):
-            t = fam.chain_cactus("triangular", n)
+            t = fam.triangle_chain(n)
             assert (t.vertex_count, t.edge_count) == (2 * n + 1, 3 * n)
-            o = fam.chain_cactus("ortho", n)
+            o = fam.square_chain(n)
             assert (o.vertex_count, o.edge_count) == (3 * n + 1, 4 * n)
 
     def test_cut_vertices_adjacent(self):
-        o = fam.chain_cactus("ortho", 3)
+        o = fam.square_chain(3)
         for i in range(3):
             assert i + 1 in o.neighbors(i)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown chain"):
-            fam.chain_cactus("para", 2)
 
 
 class TestRealize:
@@ -196,8 +192,8 @@ class TestRealize:
             (fam.Friendship(4, 2), lambda: fam.friendship_family(4, 2)),
             (fam.Ladder(3), lambda: fam.grid(2, 3)),
             (fam.Grid(3, 2), lambda: fam.grid(3, 2)),
-            (fam.TriChain(2), lambda: fam.chain_cactus("triangular", 2)),
-            (fam.OrthoChain(2), lambda: fam.chain_cactus("ortho", 2)),
+            (fam.TriChain(2), lambda: fam.triangle_chain(2)),
+            (fam.OrthoChain(2), lambda: fam.square_chain(2)),
             (
                 fam.Corona(fam.Cycle(3), fam.Empty(2)),
                 lambda: fam.corona(fam.cycle_graph(3), fam.empty_graph(2)),

@@ -1,25 +1,26 @@
-"""Closed-form evaluators: frozen values, domains, and cross-identities."""
+"""Closed forms through the spec-keyed table: frozen values, domains, identities."""
 
 from __future__ import annotations
 
 import pytest
 
 from tdcolor import families as fam
-from tdcolor.formulas import (
-    FormulaResult,
-    corona_upper_bounds,
-    formula_chain_cactus,
-    formula_corona,
-    formula_cycle,
-    formula_friendship,
-    formula_grid,
-    formula_join,
-    formula_ladder,
-    formula_path,
-    td_chromatic_bounds,
-)
+from tdcolor.expr import parse_expr
+from tdcolor.formulas import formula_for_spec, td_chromatic_bounds
 
 from util_graphs import brute_force_gamma_t
+
+# factor values for the join rule, None where TD-coloring is undefined
+FACTOR_VALUES = {
+    fam.Complete(1): None,
+    fam.Path(2): 2,
+    fam.Path(3): 2,
+}
+
+
+def formula(spec: fam.FamilySpec) -> tuple[str, int] | None:
+    result = formula_for_spec(spec, FACTOR_VALUES.get)
+    return None if result is None else (result.theorem_tag, result.value)
 
 
 class TestPath:
@@ -28,14 +29,10 @@ class TestPath:
         [(2, 2), (3, 2), (4, 3), (5, 4), (6, 4), (7, 5), (8, 6), (9, 6), (10, 7), (11, 8), (12, 8)],
     )
     def test_values(self, n, expected):
-        result = formula_path(n)
-        assert result.value == expected
-        assert result.kind == "exact"
-        assert result.theorem_tag == "path"
+        assert formula(fam.Path(n)) == ("path", expected)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            formula_path(1)
+        assert formula(fam.Path(1)) is None
 
 
 class TestCycle:
@@ -44,138 +41,120 @@ class TestCycle:
         [(5, 4), (6, 4), (7, 5), (8, 6), (9, 6), (10, 8), (11, 8), (12, 8)],
     )
     def test_values(self, n, expected):
-        result = formula_cycle(n)
-        assert result.value == expected
-        assert result.theorem_tag == "cycle"
+        assert formula(fam.Cycle(n)) == ("cycle", expected)
 
     @pytest.mark.parametrize("n,expected", [(3, 3), (4, 2)])
     def test_small_orders_tagged_extension(self, n, expected):
-        result = formula_cycle(n)
-        assert result.value == expected
-        assert result.theorem_tag == "cycle-extension"
+        assert formula(fam.Cycle(n)) == ("cycle-extension", expected)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            formula_cycle(2)
+            fam.Cycle(2)  # not a spec, so never reaches the table
 
 
 class TestCorona:
     def test_path_pendant(self):
-        assert formula_corona("path-pendant", n=5).value == 6
+        assert formula(fam.Corona(fam.Path(5), fam.Complete(1))) == ("corona-path-pendant", 6)
 
     def test_cycle_pendant(self):
-        assert formula_corona("cycle-pendant", n=3).value == 4
+        assert formula(fam.Corona(fam.Cycle(3), fam.Complete(1))) == ("corona-cycle-pendant", 4)
 
     def test_path_empty(self):
-        assert formula_corona("path-empty", n=4, m=3).value == 5
+        assert formula(fam.Corona(fam.Path(4), fam.Empty(3))) == ("corona-path-empty", 5)
 
     def test_pendant_uses_left_order(self):
-        assert formula_corona("pendant", graph=fam.friendship_family(3, 2)).value == 6
+        assert formula(fam.Corona(fam.Friendship(3, 2), fam.Complete(1))) == ("corona-pendant", 6)
 
     def test_pendant_requires_connected(self):
-        with pytest.raises(ValueError, match="connected"):
-            formula_corona("pendant", graph=fam.empty_graph(3))
+        assert formula(fam.Corona(fam.Empty(3), fam.Complete(1))) is None
 
-    @pytest.mark.parametrize(
-        "case,kwargs",
-        [
-            ("path-pendant", {"n": 1}),
-            ("cycle-pendant", {"n": 2}),
-            ("path-empty", {"n": 2, "m": 0}),
-            ("bogus", {"n": 3}),
-        ],
-    )
-    def test_domain_errors(self, case, kwargs):
-        with pytest.raises(ValueError):
-            formula_corona(case, **kwargs)
+    def test_single_vertex_path_takes_generic_pendant_rule(self):
+        assert formula(fam.Corona(fam.Path(1), fam.Complete(1))) == ("corona-pendant", 2)
 
-
-class TestCoronaUpperBounds:
-    @pytest.mark.parametrize(
-        "args,pair,best",
-        [
-            ((2, 4, 2, 2), (10, 6), 6),
-            ((2, 2, 3, 3), (8, 5), 5),
-            ((2, 2, 2, 2), (6, 4), 4),
-        ],
-    )
-    def test_values(self, args, pair, best):
-        result = corona_upper_bounds(*args)
-        assert result.kind == "upper_bound"
-        assert result.bounds == pair
-        assert result.value == best
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            corona_upper_bounds(0, 1, 1, 1)
+    def test_path_empty_needs_a_pendant(self):
+        assert formula(fam.Corona(fam.Path(2), fam.Empty(0))) is None
 
 
 class TestJoin:
     @pytest.mark.parametrize("a,b,expected", [(2, 2, 4), (3, 2, 5)])
     def test_sum(self, a, b, expected):
-        assert formula_join(a, b).value == expected
+        factors = {fam.Path(3): a, fam.Cycle(4): b}
+        result = formula_for_spec(fam.Join(fam.Path(3), fam.Cycle(4)), factors.get)
+        assert (result.theorem_tag, result.value) == ("join", expected)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            formula_join(1, 2)
+        assert formula(fam.Join(fam.Complete(1), fam.Path(2))) is None
 
 
 class TestFriendship:
     @pytest.mark.parametrize("q,n,expected", [(3, 5, 3), (4, 3, 5), (5, 2, 6)])
     def test_values(self, q, n, expected):
-        assert formula_friendship(q, n).value == expected
+        assert formula(fam.Friendship(q, n)) == (f"friendship-{q}", expected)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            formula_friendship(6, 2)
-        with pytest.raises(ValueError):
-            formula_friendship(3, 1)
+        assert formula(fam.Friendship(6, 2)) is None
+        assert formula(fam.Friendship(3, 1)) is None
 
 
 class TestLadderAndGrid:
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 4), (5, 6), (6, 6)])
     def test_ladder(self, n, expected):
-        assert formula_ladder(n).value == expected
+        assert formula(fam.Ladder(n)) == ("ladder", expected)
 
     @pytest.mark.parametrize(
         "m,n,expected", [(4, 4, 8), (5, 4, 11), (3, 3, 6), (2, 2, 2), (3, 4, 7), (2, 5, 6)]
     )
     def test_grid(self, m, n, expected):
-        assert formula_grid(m, n).value == expected
+        assert formula(fam.Grid(m, n)) == ("grid", expected)
 
     def test_ladder_equals_two_row_grid(self):
         for n in range(2, 12):
-            assert formula_ladder(n).value == formula_grid(2, n).value
+            assert formula(fam.Ladder(n))[1] == formula(fam.Grid(2, n))[1]
 
     def test_domains(self):
-        with pytest.raises(ValueError):
-            formula_ladder(1)
-        with pytest.raises(ValueError):
-            formula_grid(1, 3)
+        assert formula(fam.Ladder(1)) is None
+        assert formula(fam.Grid(1, 3)) is None
 
 
 class TestChainCactus:
+    CHAINS = {"triangular": fam.TriChain, "ortho": fam.OrthoChain}
+
     @pytest.mark.parametrize(
         "kind,n,expected",
         [("triangular", 4, 5), ("triangular", 7, 9), ("triangular", 1, 3), ("ortho", 1, 2), ("ortho", 5, 10)],
     )
     def test_values(self, kind, n, expected):
-        assert formula_chain_cactus(kind, n).value == expected
+        assert formula(self.CHAINS[kind](n)) == (f"{kind}-chain", expected)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            formula_chain_cactus("triangular", 0)
-        with pytest.raises(ValueError):
-            formula_chain_cactus("hex", 2)
+            fam.TriChain(0)  # not a spec, so never reaches the table
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P(1)",
+        "D(6,2)",
+        "F(1)",
+        "corona(E(3),K(1))",
+        "corona(C(5),K(2))",
+        "join(K(1),P(3))",
+        "cart(P(3),P(3))",
+        "K(5)",
+    ],
+)
+def test_outside_every_domain(text):
+    assert formula(parse_expr(text)) is None
 
 
 class TestMonotonicity:
     def test_path_values_non_decreasing(self):
-        values = [formula_path(n).value for n in range(2, 40)]
+        values = [formula(fam.Path(n))[1] for n in range(2, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_cycle_values_non_decreasing_from_5(self):
-        values = [formula_cycle(n).value for n in range(5, 40)]
+        values = [formula(fam.Cycle(n))[1] for n in range(5, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -183,32 +162,14 @@ class TestBoundsInterval:
     def test_cycle6(self):
         g = fam.cycle_graph(6)
         assert brute_force_gamma_t(g) == 4
-        result = td_chromatic_bounds(g)
-        assert (result.lo, result.hi) == (4, 6)
-        assert result.kind == "interval"
+        assert td_chromatic_bounds(g) == (4, 6)
 
     def test_complete4(self):
-        result = td_chromatic_bounds(fam.complete_graph(4))
-        assert (result.lo, result.hi) == (4, 6)
+        assert td_chromatic_bounds(fam.complete_graph(4)) == (4, 6)
 
     def test_path2(self):
-        result = td_chromatic_bounds(fam.path_graph(2))
-        assert (result.lo, result.hi) == (2, 4)
+        assert td_chromatic_bounds(fam.path_graph(2)) == (2, 4)
 
     def test_isolated_rejected(self):
         with pytest.raises(ValueError, match="isolated"):
             td_chromatic_bounds(fam.empty_graph(2))
-
-
-class TestFormulaResultValidation:
-    def test_interval_needs_lo_le_hi(self):
-        with pytest.raises(ValueError):
-            FormulaResult("interval", "x", lo=3, hi=2)
-
-    def test_exact_needs_value(self):
-        with pytest.raises(ValueError):
-            FormulaResult("exact", "x")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            FormulaResult("approx", "x", value=1)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
 
 from tdcolor import families as fam
 from tdcolor import harness, solvers
-from tdcolor.formulas import corona_upper_bounds
+from tdcolor.formulas import formula_for_spec
 from tdcolor.harness import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -18,7 +20,6 @@ from tdcolor.harness import (
     SuiteConfig,
     VerificationRecord,
     default_suite,
-    formula_for_spec,
     render_csv,
     run_suite,
     verify_instance,
@@ -51,11 +52,13 @@ class TestFormulaDispatch:
         assert formula_for_spec(fam.Corona(fam.Empty(3), fam.Complete(1))) is None
 
     def test_join_uses_component_values(self):
-        result = formula_for_spec(fam.Join(fam.Path(3), fam.Complete(3)))
+        spec = fam.Join(fam.Path(3), fam.Complete(3))
+        result = formula_for_spec(spec, harness._factor_solver(None))
         assert (result.value, result.theorem_tag) == (5, "join")
 
     def test_join_with_undefined_component(self):
-        assert formula_for_spec(fam.Join(fam.Complete(1), fam.Path(3))) is None
+        spec = fam.Join(fam.Complete(1), fam.Path(3))
+        assert formula_for_spec(spec, harness._factor_solver(None)) is None
 
     def test_friendship_out_of_domain(self):
         assert formula_for_spec(fam.Friendship(6, 2)) is None
@@ -283,6 +286,25 @@ class TestSuite:
         assert lines[0].startswith("spec_text,")
         assert len(lines) == 2
 
+    def test_csv_round_trip_with_commas(self):
+        texts = ("G(3,3)", "join(P(2),P(3))", "P(4)")
+        report = run_suite(SuiteConfig(instances=texts))
+        rows = list(csv.DictReader(io.StringIO(render_csv(report.records))))
+        assert sorted(row["spec_text"] for row in rows) == sorted(texts)
+        assert all(len(row) == 8 and None not in row for row in rows)
+
+    def test_solved_rows_cached_when_a_later_instance_raises(self, tmp_path, monkeypatch):
+        with pytest.raises(ValueError):
+            run_suite(SuiteConfig(instances=("P(4)", "C(5)", "E(3)"), cache_dir=str(tmp_path)))
+        assert len((tmp_path / "records.jsonl").read_text(encoding="utf-8").splitlines()) == 2
+
+        def boom(*args, **kwargs):
+            raise AssertionError("solver called on a warm cache")
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", boom)
+        report = run_suite(SuiteConfig(instances=("P(4)", "C(5)"), cache_dir=str(tmp_path)))
+        assert [r.solver_value for r in report.records] == [4, 3]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(instances=())
@@ -290,6 +312,11 @@ class TestSuite:
             SuiteConfig(instances=("P(4)",), oracle_cap=1)
         with pytest.raises(ValueError, match="unknown suite config"):
             SuiteConfig.from_dict({"instances": ["P(4)"], "bogus": 1})
+
+    @pytest.mark.parametrize("key", ["node_budget", "time_budget"])
+    def test_budget_validation(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be positive$"):
+            SuiteConfig.from_dict({"instances": ["P(4)"], key: 0})
 
     def test_default_suite_contents(self):
         config = default_suite()
@@ -326,6 +353,6 @@ class TestCoronaBoundInequalities:
         h = fam.realize(right)
         chi_g = solvers.td_chromatic_number(g).value
         chi_h = solvers.td_chromatic_number(h).value
-        bounds = corona_upper_bounds(chi_g, g.vertex_count, chi_h, h.vertex_count)
         value = solvers.td_chromatic_number(fam.corona(g, h)).value
-        assert value <= min(bounds.bounds)
+        assert value <= chi_g + g.vertex_count * chi_h
+        assert value <= g.vertex_count + h.vertex_count

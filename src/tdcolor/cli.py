@@ -85,7 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     spec = parse_expr(args.expr)
-    result = harness.formula_for_spec(spec, harness._factor_solver(None))
+    result = harness.formula_for_spec(spec, harness._factor_solver(_opts_from_args(args)))
     if result is None:
         print("no formula applies")
         return 0
@@ -150,6 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_formula = sub.add_parser("formula", help="evaluate the matching closed form")
     p_formula.add_argument("expr")
+    p_formula.add_argument("--budget", type=int, metavar="N", help="node budget per join factor")
     p_formula.set_defaults(func=_cmd_formula)
 
     p_bounds = sub.add_parser("bounds", help="domination/chromatic interval")

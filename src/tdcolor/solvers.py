@@ -453,16 +453,22 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
 
 
 def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
-    """Brute-force TD-chromatic number by full set-partition enumeration.
+    """Brute-force TD-chromatic number by set-partition enumeration.
 
-    Enumerates restricted-growth strings filtered to proper partitions and
-    returns the minimum class count. A complete partition is tested on its
-    class bitmasks: every vertex needs a class with no member outside its
-    neighborhood. Each new best partition is re-checked with the coloring
+    Enumerates restricted-growth strings over the vertices in index order,
+    filtered to proper partitions, and returns the minimum class count. A
+    partial partition is cut once some vertex w has all of N(w) placed and
+    no block inside N(w): every vertex still to come lies outside N(w), so
+    no block can come to lie inside it. The cut drops only subtrees with no
+    TD partition and keeps the enumeration order, so the value and witness
+    are those of the full enumeration. A complete partition is still tested
+    on its class bitmasks (every vertex needs a class with no member outside
+    its neighborhood), because a later vertex can join a block that passed
+    the cut. Each new best partition is re-checked with the coloring
     checker before it is kept, so the witness passes the public checker.
-    Deliberately shares no search machinery with :func:`td_chromatic_number`;
-    intended as an independent correctness oracle for graphs of at most
-    ``cap`` vertices.
+    Deliberately shares no search machinery with the k-loop of
+    :func:`td_chromatic_number`; intended as an independent correctness
+    oracle for graphs of at most ``cap`` vertices.
     """
     n = g.vertex_count
     if n < 2:
@@ -475,6 +481,10 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     started = time.perf_counter()
     nbr_mask = _neighbor_masks(g)
     outside = [~m for m in nbr_mask]  # class b lies inside N(v) iff b & outside[v] == 0
+    # closed_at[i]: outside masks of the vertices whose highest-index neighbor is i
+    closed_at: list[list[int]] = [[] for _ in range(n)]
+    for w in range(n):
+        closed_at[nbr_mask[w].bit_length() - 1].append(outside[w])
     assign = [0] * n
     blocks: list[int] = []
     best_k = n + 1
@@ -485,6 +495,15 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
         nonlocal best_k, best, examined
         if len(blocks) >= best_k:
             return  # already no better than the best complete partition
+        if v:
+            # N(w) was completed by v - 1; later vertices lie outside it,
+            # so a block inside N(w) must exist already
+            for out in closed_at[v - 1]:
+                for b in blocks:
+                    if not b & out:
+                        break
+                else:
+                    return
         if v == n:
             examined += 1
             for out in outside:

@@ -99,6 +99,23 @@ class TestFormula:
         assert code == 0
         assert "value 5" in out
 
+    def test_join_factor_within_budget(self, capsys):
+        code, out, _ = run(capsys, "formula", "join(P(3),K(3))", "--budget", "5000")
+        assert code == 0
+        assert "value 5" in out
+
+    def test_join_factor_budget_exhausted_exit_four(self, capsys):
+        code, out, err = run(capsys, "formula", "join(P(30),K(3))", "--budget", "5000")
+        assert code == 4
+        assert out == ""
+        assert "error: node budget exhausted" in err
+
+    def test_zero_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "formula", "G(3,3)", "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert "error: node_budget must be positive" in err
+
 
 class TestBounds:
     def test_cycle6(self, capsys):

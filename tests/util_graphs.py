@@ -54,8 +54,9 @@ def reference_td_oracle(g: Graph, cap: int = 10) -> SolveResult:
     """The partition oracle with every complete partition checked by is_td_coloring.
 
     Same enumeration as ``td_chromatic_oracle`` (restricted-growth strings,
-    properness filter, prune once a partition has ``best_k`` classes), kept
-    as the reference that its bitmask leaf test is compared against.
+    properness filter, prune once a partition has ``best_k`` classes), but
+    without its closed-neighborhood cut. Kept as the reference that the
+    oracle's value, witness and partition count are compared against.
     """
     n = g.vertex_count
     if n < 2:

@@ -1,7 +1,9 @@
 """Command-line front end: build graphs, run solvers, evaluate formulas, verify.
 
 Exit codes: 0 success / all confirmed, 1 usage or I/O error, 2 internal
-solver/oracle inconsistency, 3 formula refuted, 4 budget exhausted.
+solver/oracle inconsistency, 3 formula refuted, 4 budget exhausted or a
+search too deep for Python's recursion limit (no answer is implied either
+way).
 """
 
 from __future__ import annotations
@@ -179,6 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         return harness.EXIT_USAGE
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return harness.EXIT_BUDGET
+    except RecursionError:
+        # the searches recurse once per vertex or pick; an explicit stack would lift this
+        print("error: search too deep for the recursion limit; no answer", file=sys.stderr)
         return harness.EXIT_BUDGET
     except harness.OracleMismatchError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -2,14 +2,18 @@
 
 All searches are deterministic, with no randomness. The chromatic search
 branches on the most color-saturated vertex (DSATUR), ties broken by a fixed
-order (descending degree, then index). The total-domination search branches
-on the neighbors of the lowest-index undominated vertex. The TD search colors
-vertices in that fixed order, and cuts a branch once the colors not used yet
-cannot dominate the vertices that only they can still dominate: each such
-color's class dominates only neighbors of one distinct uncolored vertex.
-Colors and vertices are tried in ascending order. Node and time budgets
-abort with :class:`BudgetExhaustedError` rather than returning a wrong
-answer.
+order (descending degree, then index), and starts from the largest of
+several greedy cliques. The total-domination search branches on the
+neighbors of the lowest-index undominated vertex, and cuts a branch once the
+picks left cannot reach the undominated vertices: each pick u dominates only
+N(u). The TD search colors vertices in that fixed tie-break order, and cuts
+a branch once the colors not used yet cannot dominate the vertices that only
+they can still dominate: each such color's class dominates only neighbors of
+one distinct uncolored vertex. Every bound cuts only subtrees with no
+solution and leaves the search order alone, so it changes no value or
+witness. Colors and vertices are tried in ascending order. Node and time
+budgets abort with :class:`BudgetExhaustedError` rather than returning a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -167,7 +171,15 @@ def _proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget) -> list
 
 
 def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, int]:
-    """Exact chromatic number: (value, colors, lower bound, upper bound)."""
+    """Exact chromatic number: (value, colors, lower bound, upper bound).
+
+    The upper bound is a greedy coloring in branch order. The lower bound is
+    the largest of several greedy cliques on the neighbor bitmasks: one in
+    branch order, and one grown from each vertex by adding the lowest-index
+    common neighbor each time. Any clique needs as many colors as it has
+    vertices, so every k below the bound is UNSAT, and skipping those rounds
+    leaves the first feasible k and its coloring unchanged.
+    """
     n = g.vertex_count
     if n == 0:
         return 0, [], 0, 0
@@ -183,11 +195,20 @@ def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, i
         greedy[v] = c
     ub = max(greedy)
 
-    clique: list[int] = []
+    # greedy cliques: one in branch order, and one grown from each vertex by
+    # adding the lowest-index common neighbor; the largest is the lower bound
+    nbr_mask = _neighbor_masks(g)
+    clique = lb = 0
     for v in order:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    lb = max(1, len(clique))
+        if not clique & ~nbr_mask[v]:
+            clique |= 1 << v
+            lb += 1
+    for v in range(n):
+        cand, size = nbr_mask[v], 1
+        while cand:
+            cand &= nbr_mask[(cand & -cand).bit_length() - 1]
+            size += 1
+        lb = max(lb, size)
 
     for k in range(lb, ub):
         found = _proper_exact_k(g, k, order, budget)
@@ -226,13 +247,30 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
     undominated vertex (one of them must be in the set); a neighbor refuted
     for one branch is excluded from its later siblings, so each set is
     reached at most once.
+
+    Packing bound: each remaining pick is a distinct vertex u that is not
+    excluded, and it dominates nothing outside N(u). So a branch is cut when
+    the ``picks_left`` largest counts of undominated vertices in N(u), over
+    the non-excluded u, sum to less than the undominated count (tested after
+    the cheaper ``picks_left`` times the maximum degree). The size loop starts
+    at the root case: the fewest picks whose largest degrees sum to at least
+    n, never below ceil(n / max degree). Both cut only subtrees that hold no
+    total dominating set of the target size, and the branch order is
+    unchanged, so the first set found is the same as without them.
     """
     n = g.vertex_count
     nbr_mask = _neighbor_masks(g)
     nbr_list = [sorted(a) for a in g.adjacency]
     full = (1 << n) - 1
-    max_deg = max(len(a) for a in g.adjacency)
-    lower = max(2, -(-n // max_deg))
+    degrees = sorted((len(a) for a in g.adjacency), reverse=True)
+    max_deg = degrees[0]
+    # the root case of the packing bound below: s picks dominate at most the
+    # sum of the s largest degrees
+    lower, reach = 0, 0
+    while reach < n:
+        reach += degrees[lower]
+        lower += 1
+    lower = max(2, lower)
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
@@ -242,8 +280,16 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
         if not undominated:
             witness = tuple(sorted(chosen))
             return True
-        if picks_left * max_deg < undominated.bit_count():
+        short = undominated.bit_count()
+        if picks_left * max_deg < short:
             return False  # each pick dominates at most max_deg more vertices
+        # each pick is a distinct non-excluded u and dominates only N(u)
+        gains = sorted(
+            ((nbr_mask[u] & undominated).bit_count() for u in range(n) if not excluded >> u & 1),
+            reverse=True,
+        )
+        if sum(gains[:picks_left]) < short:
+            return False
         w = (undominated & -undominated).bit_length() - 1
         for v in nbr_list[w]:
             if excluded >> v & 1:

@@ -69,6 +69,21 @@ class TestSolve:
         assert out == ""
         assert "error: node_budget must be positive" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("C(1501)",),
+            ("C(1501)", "--what", "chromatic"),
+            ("P(3000)", "--what", "totaldom"),
+        ],
+    )
+    def test_search_past_recursion_limit_exit_four(self, capsys, argv):
+        # the searches recurse once per vertex or pick; no traceback, no answer
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 4
+        assert out == ""
+        assert err == "error: search too deep for the recursion limit; no answer\n"
+
     def test_dimacs_input(self, capsys, tmp_path):
         path = tmp_path / "g.col"
         path.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n", encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tdcolor import families as fam
 from tdcolor import harness, solvers
-from tdcolor.coloring import Coloring, is_proper, is_td_coloring
+from tdcolor.coloring import Coloring, is_proper, is_td_coloring, normalize
 from tdcolor.expr import parse_expr
 from tdcolor.graph import Graph
 from tdcolor.solvers import (
@@ -29,8 +29,11 @@ from util_graphs import (
     brute_force_chromatic,
     brute_force_gamma_t,
     connected_graphs,
+    graphs,
     random_connected_graph,
     reference_chromatic_search,
+    reference_degree_bound_dom_search,
+    reference_order_clique_chromatic_search,
     reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
@@ -99,6 +102,17 @@ class TestTotalDominationNumber:
         for _ in range(30):
             g = random_connected_graph(rng, lo=2, hi=8)
             assert total_domination_number(g).value == brute_force_gamma_t(g)
+
+    def test_degree_sum_start_and_packing_cut(self):
+        # degrees 4, 2, 2, ...: 4 + 2 + 2 < 9, so the search starts at 4, one
+        # above ceil(9 / 4) = 3; with the packing cut the tree falls from 55
+        # nodes to 17
+        g = fam.realize(parse_expr("D(5,2)"))
+        res = total_domination_number(g)
+        assert (res.value, res.lower_bound_used, res.witness) == (5, 4, (0, 1, 2, 5, 6))
+        assert res.nodes_explored == 17
+        ref = reference_degree_bound_dom_search(g, _Budget(None))
+        assert (ref[0], ref[1], ref[2]) == (5, (0, 1, 2, 5, 6), 3)
 
 
 class TestTdChromaticNumber:
@@ -234,15 +248,17 @@ class TestSearchNodeTotals:
             dom += d
             kloop += td_chromatic_number(g).nodes_explored - c - d
         # the static-order searches took 157 chromatic and 5,080 domination
-        # nodes; the k-loop took 27,190 without the domination-capacity bound
-        assert (chi, dom, kloop) == (100, 956, 3_170)
+        # nodes; the k-loop took 27,190 without the domination-capacity bound;
+        # without the clique-per-vertex and packing bounds, 100 and 956
+        assert (chi, dom, kloop) == (86, 553, 3_170)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order
+        # and 51,575 with only the picks-left-times-max-degree prune
         texts = ("P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)")
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in texts]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
-        assert sum(r.nodes_explored for r in results) == 51_575
+        assert sum(r.nodes_explored for r in results) == 1_768
 
 
 class TestClosedFormDeviations:
@@ -322,6 +338,31 @@ def test_total_domination_matches_reference_search(g: Graph):
     assert res.value == reference_total_dom_search(g, _Budget(None))[0]
     assert is_total_dominating_set(g, res.witness)
     assert len(set(res.witness)) == res.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_vertices=0, max_vertices=12))
+def test_chromatic_matches_order_clique_search(g: Graph):
+    # the larger clique bound may only skip UNSAT rounds
+    res = chromatic_number(g)
+    budget = _Budget(None)
+    value, colors, lb, ub = reference_order_clique_chromatic_search(g, budget)
+    assert (res.value, res.witness) == (value, normalize(Coloring(tuple(colors))))
+    assert res.nodes_explored <= budget.nodes
+    assert res.lower_bound_used >= lb
+    assert res.upper_bound_used == ub
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=12))
+def test_total_domination_matches_degree_bound_search(g: Graph):
+    # the packing cut and the degree-sum start drop only subtrees with no set
+    res = total_domination_number(g)
+    budget = _Budget(None)
+    value, witness, lb, ub = reference_degree_bound_dom_search(g, budget)
+    assert (res.value, res.witness) == (value, witness)
+    assert res.nodes_explored <= budget.nodes
+    assert lb <= res.lower_bound_used <= res.value
 
 
 @settings(max_examples=60, deadline=None)

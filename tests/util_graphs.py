@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from tdcolor.coloring import Coloring, is_td_coloring, normalize
 from tdcolor.graph import Graph
-from tdcolor.solvers import SolveResult, _branch_order, _Budget, _neighbor_masks
+from tdcolor.solvers import (
+    SolveResult,
+    _branch_order,
+    _Budget,
+    _neighbor_masks,
+    _proper_exact_k,
+)
 
 
 def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
@@ -205,6 +211,88 @@ def reference_total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[in
 
     for size in range(lower, n + 1):
         if extend(0, size, 0):
+            return size, witness, lower, n
+    raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
+
+
+def reference_order_clique_chromatic_search(
+    g: Graph, budget: _Budget
+) -> tuple[int, list[int], int, int]:
+    """Exact chromatic number: (value, colors, lower bound, upper bound).
+
+    The DSATUR search with only the greedy clique in branch order as its
+    lower bound. Kept as the reference that the best-of-cliques bound's
+    value, witness, node count and lower bound are compared against.
+    """
+    n = g.vertex_count
+    if n == 0:
+        return 0, [], 0, 0
+    order = _branch_order(g)
+    adj = g.adjacency
+
+    greedy = [0] * n
+    for v in order:
+        used = {greedy[u] for u in adj[v] if greedy[u]}
+        c = 1
+        while c in used:
+            c += 1
+        greedy[v] = c
+    ub = max(greedy)
+
+    clique: list[int] = []
+    for v in order:
+        if all(u in adj[v] for u in clique):
+            clique.append(v)
+    lb = max(1, len(clique))
+
+    for k in range(lb, ub):
+        found = _proper_exact_k(g, k, order, budget)
+        if found is not None:
+            return k, found, lb, ub
+    return ub, greedy, lb, ub
+
+
+def reference_degree_bound_dom_search(
+    g: Graph, budget: _Budget
+) -> tuple[int, tuple[int, ...], int, int]:
+    """Exact total domination number by increasing-cardinality search.
+
+    The undominated-vertex branching with only the "picks left times the
+    maximum degree" prune, started at ceil(n / max degree). Kept as the
+    reference that the packing-bound search's value, witness and node count
+    are compared against.
+    """
+    n = g.vertex_count
+    nbr_mask = _neighbor_masks(g)
+    nbr_list = [sorted(a) for a in g.adjacency]
+    full = (1 << n) - 1
+    max_deg = max(len(a) for a in g.adjacency)
+    lower = max(2, -(-n // max_deg))
+    chosen: list[int] = []
+    witness: tuple[int, ...] = ()
+
+    def extend(picks_left: int, covered: int, excluded: int) -> bool:
+        nonlocal witness
+        undominated = full & ~covered
+        if not undominated:
+            witness = tuple(sorted(chosen))
+            return True
+        if picks_left * max_deg < undominated.bit_count():
+            return False  # each pick dominates at most max_deg more vertices
+        w = (undominated & -undominated).bit_length() - 1
+        for v in nbr_list[w]:
+            if excluded >> v & 1:
+                continue
+            budget.spend()
+            chosen.append(v)
+            if extend(picks_left - 1, covered | nbr_mask[v], excluded):
+                return True
+            chosen.pop()
+            excluded |= 1 << v
+        return False
+
+    for size in range(lower, n + 1):
+        if extend(size, 0, 0):
             return size, witness, lower, n
     raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
 

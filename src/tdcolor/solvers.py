@@ -6,14 +6,16 @@ order (descending degree, then index), and starts from the largest of
 several greedy cliques. The total-domination search branches on the
 neighbors of the lowest-index undominated vertex, and cuts a branch once the
 picks left cannot reach the undominated vertices: each pick u dominates only
-N(u). The TD search colors vertices in that fixed tie-break order, and cuts
-a branch once the colors not used yet cannot dominate the vertices that only
-they can still dominate: each such color's class dominates only neighbors of
-one distinct uncolored vertex. Every bound cuts only subtrees with no
-solution and leaves the search order alone, so it changes no value or
-witness. Colors and vertices are tried in ascending order. Node and time
-budgets abort with :class:`BudgetExhaustedError` rather than returning a
-wrong answer.
+N(u). The TD search colors vertices in that fixed tie-break order and keeps
+two bitmasks per color: its class, and the vertices whose neighborhood holds
+the whole class. It cuts a branch once a vertex with a fully colored
+neighborhood has no class inside it, or once the colors not used yet cannot
+dominate the vertices that only they can still dominate: each such color's
+class dominates only neighbors of one distinct uncolored vertex. Every bound
+cuts only subtrees with no solution and leaves the search order alone, so it
+changes no value or witness. Colors and vertices are tried in ascending
+order. Node and time budgets abort with :class:`BudgetExhaustedError` rather
+than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -120,6 +122,21 @@ def _neighbor_masks(g: Graph) -> list[int]:
             m |= 1 << u
         masks[v] = m
     return masks
+
+
+def _can_cover(need: int, picks: int, gains: Iterable[int], max_deg: int) -> bool:
+    """False when no ``picks`` candidate sets, each used once, can cover ``need``.
+
+    ``gains`` holds each candidate's count of vertices in ``need``, and
+    ``max_deg`` bounds every count. A counting test against ``|need|``:
+    first ``picks`` times ``max_deg``, then the sum of the ``picks`` largest
+    gains. ``gains`` is read only when the first test passes, so a generator
+    costs little then. True does not promise a cover.
+    """
+    short = need.bit_count()
+    if picks * max_deg < short:
+        return False
+    return sum(sorted(gains, reverse=True)[:picks]) >= short
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +279,10 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
     nbr_mask = _neighbor_masks(g)
     nbr_list = [sorted(a) for a in g.adjacency]
     full = (1 << n) - 1
-    degrees = sorted((len(a) for a in g.adjacency), reverse=True)
-    max_deg = degrees[0]
-    # the root case of the packing bound below: s picks dominate at most the
-    # sum of the s largest degrees
-    lower, reach = 0, 0
-    while reach < n:
-        reach += degrees[lower]
-        lower += 1
-    lower = max(2, lower)
+    degrees = [len(a) for a in g.adjacency]
+    max_deg = max(degrees)
+    # the root case of the packing bound below
+    lower = next(p for p in range(2, n + 1) if _can_cover(full, p, degrees, max_deg))
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
@@ -280,15 +292,11 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
         if not undominated:
             witness = tuple(sorted(chosen))
             return True
-        short = undominated.bit_count()
-        if picks_left * max_deg < short:
-            return False  # each pick dominates at most max_deg more vertices
         # each pick is a distinct non-excluded u and dominates only N(u)
-        gains = sorted(
-            ((nbr_mask[u] & undominated).bit_count() for u in range(n) if not excluded >> u & 1),
-            reverse=True,
+        gains = (
+            (nbr_mask[u] & undominated).bit_count() for u in range(n) if not excluded >> u & 1
         )
-        if sum(gains[:picks_left]) < short:
+        if not _can_cover(undominated, picks_left, gains, max_deg):
             return False
         w = (undominated & -undominated).bit_length() - 1
         for v in nbr_list[w]:
@@ -330,131 +338,101 @@ def _td_exact_k(
     k: int,
     order: list[int],
     nbr_mask: list[int],
-    nbr_list: list[list[int]],
-    non_nbr_list: list[list[int]],
+    filled: list[int],
     budget: _Budget,
 ) -> list[int] | None:
     """Search for a total dominator coloring with exactly k classes.
 
     Branches vertex by vertex in the fixed order with a canonical color order
-    (at most one color beyond the maximum used so far). Prunes on properness
-    and on domination feasibility: ``can_witness[w]`` tracks the colors whose
-    class has no member outside N(w); once it empties, or once N(w) is fully
-    colored without a complete class inside it, no completion can dominate w.
+    (at most one color beyond the maximum used so far). The state is one
+    bitmask pair per color: ``class_mask[c]`` holds the class, and ``dom[c]``
+    the common neighbors of its members, that is the vertices w whose N(w)
+    contains the whole class, so the class can still be w's witness. Color c
+    is allowed on v when its class misses N(v). A new color's ``dom`` is
+    N(v); a reused color's shrinks to ``dom[c] & N(v)``.
 
-    Then prunes on domination capacity. A vertex is *needy* when no color
-    used so far can still be its witness class, so one of the k - max_used
-    colors not used yet must be. Each of those colors ends up with a class of
-    uncolored vertices; pick one member u of each, distinct because classes
-    are disjoint. The class lies inside N(u), so it dominates only needy
-    vertices in N(u). Hence the needy count is at most the sum of the
-    k - max_used largest ``|N(u) & needy|`` over uncolored u (tested first
-    against (k - max_used) * max degree). A branch that fails this has no
-    k-coloring, and the search order is unchanged, so the first coloring
-    found is the same as without the bound.
+    A vertex is *needy* when it lies in no used color's ``dom``. A new color
+    removes N(v) from the needy set; a reused color adds the vertices that
+    just left its ``dom`` and lie in no other used one. Classes only grow, so
+    a class can come to lie inside N(w) only as a new color on an uncolored
+    vertex of N(w). A needy vertex whose neighborhood is fully colored
+    (``filled[depth]``, fixed by the static order) can thus never be
+    dominated, and the branch is cut.
+
+    Then prunes on domination capacity. One of the k - max_used colors not
+    used yet must dominate each needy vertex. Each of those colors ends up
+    with a class of uncolored vertices; pick one member u of each, distinct
+    because classes are disjoint. The class lies inside N(u), so it
+    dominates only needy vertices in N(u). Hence the needy count is at most
+    the sum of the k - max_used largest ``|N(u) & needy|`` over uncolored u.
+
+    Both cuts drop only subtrees with no k-coloring, and the search order is
+    fixed, so the first coloring found does not depend on them. The tree is
+    also that of a per-vertex formulation which keeps, for each w, the colors
+    ``can_witness[w]`` whose class has no member outside N(w): for a used
+    color c, c is in ``can_witness[w]`` exactly when w is in ``dom[c]``, so
+    its test that some such class meets N(w) holds exactly when w is not
+    needy; and its cut on an empty ``can_witness[w]`` means all k colors are
+    used with w needy, where the capacity bound cuts too. Each node is cut by
+    the same predicate after the same node count.
     """
     n = g.vertex_count
     if k > n:
         return None
-    all_colors = (1 << k) - 1  # bit c-1 stands for color c
-    color_of = [0] * n
+    max_deg = max(m.bit_count() for m in nbr_mask)
     class_mask = [0] * (k + 1)  # indexed by 1-based color
-    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
-    can_witness = [all_colors] * n
-    uncolored_nbrs = [len(nbr_list[v]) for v in range(n)]
-    max_deg = max(uncolored_nbrs)
+    dom = [0] * (k + 1)
     result: list[int] | None = None
 
-    def witness_ok(w: int) -> bool:
-        # some candidate color already has a member inside N(w)
-        cand = can_witness[w]
-        nb = nbr_mask[w]
-        while cand:
-            low = cand & -cand
-            if class_mask[low.bit_length()] & nb:
-                return True
-            cand -= low
-        return False
-
     def extend(depth: int, max_used: int, needy: int) -> bool:
-        # needy: vertices w with can_witness[w] & colors 1..max_used == 0
+        # needy: vertices in no dom[c] for c in 1..max_used
         nonlocal result
         if depth == n:
             if max_used == k:
-                result = color_of[:]
+                result = [
+                    next(c for c in range(1, k + 1) if class_mask[c] >> v & 1) for v in range(n)
+                ]
                 return True
             return False
         v = order[depth]
-        vbit = 1 << v
+        nbrs = nbr_mask[v]
         remaining_after = n - depth - 1
         if k - max_used > remaining_after + 1:
             return False
         must_new = k - max_used == remaining_after + 1
         start_c = max_used + 1 if must_new else 1
-        limit = min(max_used + 1, k)
-        v_nbrs = nbr_list[v]
-        for c in range(start_c, limit + 1):
-            cbit = 1 << (c - 1)
-            if nbr_colors[v] & cbit:
+        for c in range(start_c, min(max_used + 1, k) + 1):
+            if class_mask[c] & nbrs:
                 continue
             budget.spend()
-            color_of[v] = c
-            class_mask[c] |= vbit
-            used_after = max_used if c <= max_used else c
-            used_bits = (1 << used_after) - 1
-            # a new color's class {v} lies inside N(w) exactly for w in N(v)
-            needy_after = needy if c <= max_used else needy & ~nbr_mask[v]
-            sat_changed: list[int] = []
-            for u in v_nbrs:
-                uncolored_nbrs[u] -= 1
-                if not color_of[u] and not nbr_colors[u] & cbit:
-                    nbr_colors[u] |= cbit
-                    sat_changed.append(u)
-            w_undo: list[tuple[int, int]] = []
-            # neighbors whose neighborhood just filled must be dominated now;
-            # tested first because the sweep below cannot change the outcome
-            ok = True
-            for u in v_nbrs:
-                if not uncolored_nbrs[u] and not witness_ok(u):
-                    ok = False
-                    break
-            if ok:
-                # v now sits outside N(w) for every non-neighbor w: color c
-                # can no longer form a witness class for those vertices
-                for w in non_nbr_list[v]:
-                    old = can_witness[w]
-                    if old & cbit:
-                        new = old & ~cbit
-                        can_witness[w] = new
-                        w_undo.append((w, old))
-                        if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
-                            ok = False
-                            break
-                        if not new & used_bits:
-                            needy_after |= 1 << w
-            if ok and needy_after:
-                # each unused color dominates needy vertices around one
-                # distinct uncolored vertex only
-                free = k - used_after
-                short = needy_after.bit_count()
-                if short > free * max_deg:
-                    ok = False
-                else:
-                    gains = sorted(
-                        ((nbr_mask[u] & needy_after).bit_count() for u in order[depth + 1 :]),
-                        reverse=True,
-                    )
-                    ok = sum(gains[:free]) >= short
+            old_dom = dom[c]
+            if c > max_used:
+                used_after = c
+                dom[c] = nbrs
+                needy_after = needy & ~nbrs
+            else:
+                used_after = max_used
+                dom[c] = old_dom & nbrs
+                left = old_dom & ~nbrs
+                for other in dom[1 : max_used + 1]:  # dom[c] is disjoint from left
+                    left &= ~other
+                needy_after = needy | left
+            class_mask[c] |= 1 << v
+            # a filled needy vertex can never be dominated; each unused color
+            # dominates needy vertices around one distinct uncolored vertex only
+            ok = not needy_after or (
+                not needy_after & filled[depth]
+                and _can_cover(
+                    needy_after,
+                    k - used_after,
+                    ((nbr_mask[u] & needy_after).bit_count() for u in order[depth + 1 :]),
+                    max_deg,
+                )
+            )
             if ok and extend(depth + 1, used_after, needy_after):
                 return True
-            for w, old in w_undo:
-                can_witness[w] = old
-            for u in sat_changed:
-                nbr_colors[u] ^= cbit
-            for u in v_nbrs:
-                uncolored_nbrs[u] += 1
-            class_mask[c] ^= vbit
-            color_of[v] = 0
+            class_mask[c] ^= 1 << v
+            dom[c] = old_dom
         return False
 
     extend(0, 0, (1 << n) - 1)
@@ -483,13 +461,16 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
 
     order = _branch_order(g)
     nbr_mask = _neighbor_masks(g)
-    nbr_list = [sorted(g.adjacency[v]) for v in range(n)]
-    non_nbr_list = [
-        [w for w in range(n) if not (nbr_mask[v] >> w) & 1] for v in range(n)
-    ]
+    # filled[d]: vertices whose whole neighborhood is colored after depth d
+    depth_of = {v: d for d, v in enumerate(order)}
+    filled = [0] * n
+    for w in range(n):
+        filled[max(depth_of[u] for u in g.adjacency[w])] |= 1 << w
+    for d in range(1, n):
+        filled[d] |= filled[d - 1]
 
     for k in range(lower, upper + 1):
-        found = _td_exact_k(g, k, order, nbr_mask, nbr_list, non_nbr_list, budget)
+        found = _td_exact_k(g, k, order, nbr_mask, filled, budget)
         if found is not None:
             witness = normalize(Coloring(tuple(found)))
             if not is_td_coloring(g, witness):

@@ -31,12 +31,14 @@ from util_graphs import (
     connected_graphs,
     graphs,
     random_connected_graph,
+    reference_capacity_td_exact_k,
     reference_chromatic_search,
     reference_degree_bound_dom_search,
     reference_order_clique_chromatic_search,
     reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
+    with_neighbor_lists,
 )
 
 
@@ -316,10 +318,20 @@ def test_oracle_matches_reference_oracle(g: Graph):
 @given(connected_graphs(min_vertices=2, max_vertices=10))
 def test_td_matches_reference_k_loop(g: Graph):
     res = td_chromatic_number(g)
-    with mock.patch.object(solvers, "_td_exact_k", reference_td_exact_k):
+    with mock.patch.object(solvers, "_td_exact_k", with_neighbor_lists(reference_td_exact_k)):
         ref = td_chromatic_number(g)
     assert (res.value, res.witness) == (ref.value, ref.witness)
     assert res.nodes_explored <= ref.nodes_explored
+    # the per-vertex design this search replaced visits the same tree
+    with mock.patch.object(
+        solvers, "_td_exact_k", with_neighbor_lists(reference_capacity_td_exact_k)
+    ):
+        cap = td_chromatic_number(g)
+    assert (res.value, res.witness, res.nodes_explored) == (
+        cap.value,
+        cap.witness,
+        cap.nodes_explored,
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -400,6 +400,159 @@ def reference_td_exact_k(
     return result
 
 
+def reference_capacity_td_exact_k(
+    g: Graph,
+    k: int,
+    order: list[int],
+    nbr_mask: list[int],
+    nbr_list: list[list[int]],
+    non_nbr_list: list[list[int]],
+    budget: _Budget,
+) -> list[int] | None:
+    """Search for a total dominator coloring with exactly k classes.
+
+    Branches vertex by vertex in the fixed order with a canonical color order
+    (at most one color beyond the maximum used so far). Prunes on properness
+    and on domination feasibility: ``can_witness[w]`` tracks the colors whose
+    class has no member outside N(w); once it empties, or once N(w) is fully
+    colored without a complete class inside it, no completion can dominate w.
+
+    Then prunes on domination capacity. A vertex is *needy* when no color
+    used so far can still be its witness class, so one of the k - max_used
+    colors not used yet must be. Each of those colors ends up with a class of
+    uncolored vertices; pick one member u of each, distinct because classes
+    are disjoint. The class lies inside N(u), so it dominates only needy
+    vertices in N(u). Hence the needy count is at most the sum of the
+    k - max_used largest ``|N(u) & needy|`` over uncolored u (tested first
+    against (k - max_used) * max degree). A branch that fails this has no
+    k-coloring, and the search order is unchanged, so the first coloring
+    found is the same as without the bound.
+
+    Kept as the reference that the per-color bitmask search's value, witness
+    and node count are compared against.
+    """
+    n = g.vertex_count
+    if k > n:
+        return None
+    all_colors = (1 << k) - 1  # bit c-1 stands for color c
+    color_of = [0] * n
+    class_mask = [0] * (k + 1)  # indexed by 1-based color
+    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
+    can_witness = [all_colors] * n
+    uncolored_nbrs = [len(nbr_list[v]) for v in range(n)]
+    max_deg = max(uncolored_nbrs)
+    result: list[int] | None = None
+
+    def witness_ok(w: int) -> bool:
+        # some candidate color already has a member inside N(w)
+        cand = can_witness[w]
+        nb = nbr_mask[w]
+        while cand:
+            low = cand & -cand
+            if class_mask[low.bit_length()] & nb:
+                return True
+            cand -= low
+        return False
+
+    def extend(depth: int, max_used: int, needy: int) -> bool:
+        # needy: vertices w with can_witness[w] & colors 1..max_used == 0
+        nonlocal result
+        if depth == n:
+            if max_used == k:
+                result = color_of[:]
+                return True
+            return False
+        v = order[depth]
+        vbit = 1 << v
+        remaining_after = n - depth - 1
+        if k - max_used > remaining_after + 1:
+            return False
+        must_new = k - max_used == remaining_after + 1
+        start_c = max_used + 1 if must_new else 1
+        limit = min(max_used + 1, k)
+        v_nbrs = nbr_list[v]
+        for c in range(start_c, limit + 1):
+            cbit = 1 << (c - 1)
+            if nbr_colors[v] & cbit:
+                continue
+            budget.spend()
+            color_of[v] = c
+            class_mask[c] |= vbit
+            used_after = max_used if c <= max_used else c
+            used_bits = (1 << used_after) - 1
+            # a new color's class {v} lies inside N(w) exactly for w in N(v)
+            needy_after = needy if c <= max_used else needy & ~nbr_mask[v]
+            sat_changed: list[int] = []
+            for u in v_nbrs:
+                uncolored_nbrs[u] -= 1
+                if not color_of[u] and not nbr_colors[u] & cbit:
+                    nbr_colors[u] |= cbit
+                    sat_changed.append(u)
+            w_undo: list[tuple[int, int]] = []
+            # neighbors whose neighborhood just filled must be dominated now;
+            # tested first because the sweep below cannot change the outcome
+            ok = True
+            for u in v_nbrs:
+                if not uncolored_nbrs[u] and not witness_ok(u):
+                    ok = False
+                    break
+            if ok:
+                # v now sits outside N(w) for every non-neighbor w: color c
+                # can no longer form a witness class for those vertices
+                for w in non_nbr_list[v]:
+                    old = can_witness[w]
+                    if old & cbit:
+                        new = old & ~cbit
+                        can_witness[w] = new
+                        w_undo.append((w, old))
+                        if not new or (not uncolored_nbrs[w] and not witness_ok(w)):
+                            ok = False
+                            break
+                        if not new & used_bits:
+                            needy_after |= 1 << w
+            if ok and needy_after:
+                # each unused color dominates needy vertices around one
+                # distinct uncolored vertex only
+                free = k - used_after
+                short = needy_after.bit_count()
+                if short > free * max_deg:
+                    ok = False
+                else:
+                    gains = sorted(
+                        ((nbr_mask[u] & needy_after).bit_count() for u in order[depth + 1 :]),
+                        reverse=True,
+                    )
+                    ok = sum(gains[:free]) >= short
+            if ok and extend(depth + 1, used_after, needy_after):
+                return True
+            for w, old in w_undo:
+                can_witness[w] = old
+            for u in sat_changed:
+                nbr_colors[u] ^= cbit
+            for u in v_nbrs:
+                uncolored_nbrs[u] += 1
+            class_mask[c] ^= vbit
+            color_of[v] = 0
+        return False
+
+    extend(0, 0, (1 << n) - 1)
+    return result
+
+
+def with_neighbor_lists(td_exact_k):
+    """Adapt a k-loop that takes neighbor lists to ``solvers._td_exact_k``'s signature."""
+
+    def adapted(g, k, order, nbr_mask, filled, budget):
+        n = g.vertex_count
+        nbr_list = [sorted(g.adjacency[v]) for v in range(n)]
+        non_nbr_list = [
+            [w for w in range(n) if not (nbr_mask[v] >> w) & 1] for v in range(n)
+        ]
+        return td_exact_k(g, k, order, nbr_mask, nbr_list, non_nbr_list, budget)
+
+    return adapted
+
+
 @st.composite
 def graphs(draw, min_vertices: int = 0, max_vertices: int = 8):
     """Arbitrary simple graphs."""

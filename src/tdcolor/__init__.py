@@ -8,7 +8,6 @@ verifies formula against solver (and brute-force oracle) instance by instance.
 
 from .coloring import (
     Coloring,
-    dominated_class_witness,
     is_proper,
     is_td_coloring,
     normalize,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coloring",
-    "dominated_class_witness",
     "is_proper",
     "is_td_coloring",
     "normalize",

@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import families, formulas, harness, solvers
-from .coloring import Coloring, is_proper, is_td_coloring
 from .expr import ExprSyntaxError, parse_expr
 from .graph import DimacsError, Graph
 from .solvers import BudgetExhaustedError, SolveOptions
@@ -43,24 +42,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+# --what choice -> solver name, looked up on `solvers` at call time so that
+# patches and tracers see the call. Each solver re-checks its witness with
+# the public checker before it returns.
+_SOLVERS = {
+    "tdchromatic": "td_chromatic_number",
+    "chromatic": "chromatic_number",
+    "totaldom": "total_domination_number",
+}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    opts = _opts_from_args(args)
-    if args.what == "tdchromatic":
-        res = solvers.td_chromatic_number(g, opts)
-        witness = list(res.witness.colors)
-        if not is_td_coloring(g, Coloring(tuple(witness))):
-            raise RuntimeError("witness failed re-verification")
-    elif args.what == "chromatic":
-        res = solvers.chromatic_number(g, opts)
-        witness = list(res.witness.colors)
-        if not is_proper(g, Coloring(tuple(witness))):
-            raise RuntimeError("witness failed re-verification")
-    else:
-        res = solvers.total_domination_number(g, opts)
-        witness = list(res.witness)
-        if not solvers.is_total_dominating_set(g, witness):
-            raise RuntimeError("witness failed re-verification")
+    res = getattr(solvers, _SOLVERS[args.what])(g, _opts_from_args(args))
+    witness = list(getattr(res.witness, "colors", res.witness))
     if args.json:
         print(
             json.dumps(
@@ -143,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--dimacs", metavar="FILE")
     p_solve.add_argument(
         "--what",
-        choices=("tdchromatic", "chromatic", "totaldom"),
+        choices=tuple(_SOLVERS),
         default="tdchromatic",
     )
     p_solve.add_argument("--budget", type=int, metavar="N", help="node budget")

@@ -14,7 +14,6 @@ __all__ = [
     "Coloring",
     "normalize",
     "is_proper",
-    "dominated_class_witness",
     "is_td_coloring",
 ]
 
@@ -67,22 +66,6 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     _check_sized(g, coloring)
     colors = coloring.colors
     return all(colors[u] != colors[v] for u, v in g.edges())
-
-
-def dominated_class_witness(g: Graph, coloring: Coloring, v: int) -> int | None:
-    """Smallest color whose entire class lies inside the neighborhood of ``v``.
-
-    Returns None when no class qualifies. Requires a proper coloring.
-    """
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range 0..{g.vertex_count - 1}")
-    if not is_proper(g, coloring):
-        raise ValueError("coloring is not proper")
-    nbrs = g.adjacency[v]
-    for color, members in coloring.classes().items():
-        if members <= nbrs:
-            return color
-    return None
 
 
 def is_td_coloring(g: Graph, coloring: Coloring) -> bool:

@@ -2,7 +2,7 @@
 
 Each family instance yields one :class:`VerificationRecord`. The closed form
 comes from :func:`tdcolor.formulas.formula_for_spec`; a join formula's factor
-values come from a memoised exact solve under the run's budgets. A
+values come from a memoised exact solve under the run's node budget. A
 disagreement between the solver and the oracle is an internal inconsistency
 and raises; a disagreement between a formula and the solver is an honest,
 reportable outcome (``match = "refuted"``).
@@ -228,13 +228,28 @@ def _default_instances() -> tuple[str, ...]:
     return tuple(items)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# SuiteConfig field annotation -> (test of the JSON value, what the test wants)
+_JSON_FIELD_TYPES = {
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v),
+        "a list of strings",
+    ),
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Instance list, budgets, oracle cap and output paths for a suite run."""
+    """Instance list, node budget, oracle cap and output paths for a suite run."""
 
     instances: tuple[str, ...]
     node_budget: int | None = 10**8
-    time_budget: float | None = None
     oracle_cap: int = 10
     cache_dir: str | None = None
     report_path: str | None = None
@@ -246,24 +261,27 @@ class SuiteConfig:
             raise ValueError("suite needs at least one instance")
         if self.oracle_cap < 2:
             raise ValueError("oracle cap must be >= 2")
-        self._solve_options()  # SolveOptions validates the budgets
+        self._solve_options()  # SolveOptions validates the node budget
 
-    def _solve_options(self) -> SolveOptions | None:
-        """The budgets every solve of the suite runs under; None when unbounded."""
-        if self.node_budget is None and self.time_budget is None:
-            return None
-        return SolveOptions(node_budget=self.node_budget, time_budget=self.time_budget)
+    def _solve_options(self) -> SolveOptions:
+        """The node budget every solve of the suite runs under."""
+        return SolveOptions(node_budget=self.node_budget)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SuiteConfig":
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    def from_dict(cls, data: object) -> "SuiteConfig":
+        """Config from a parsed JSON suite file; ValueError on a bad key or type."""
+        if not isinstance(data, dict):
+            raise ValueError("suite config must be a JSON object")
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
-        if "instances" in data:
-            data = dict(data, instances=tuple(data["instances"]))
-        else:
-            data = dict(data, instances=_default_instances())
-        return cls(**data)
+        for key, value in data.items():
+            accepts, expected = _JSON_FIELD_TYPES[fields[key]]
+            if not accepts(value):
+                raise ValueError(f"suite config key {key!r} must be {expected}, got {value!r}")
+        instances = data.get("instances", _default_instances())
+        return cls(**dict(data, instances=tuple(instances)))
 
     @classmethod
     def from_json_file(cls, path: str) -> "SuiteConfig":

@@ -14,8 +14,8 @@ dominate the vertices that only they can still dominate: each such color's
 class dominates only neighbors of one distinct uncolored vertex. Every bound
 cuts only subtrees with no solution and leaves the search order alone, so it
 changes no value or witness. Colors and vertices are tried in ascending
-order. Node and time budgets abort with :class:`BudgetExhaustedError` rather
-than returning a wrong answer.
+order. A node budget, the only limit on a search, aborts with
+:class:`BudgetExhaustedError` rather than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -43,26 +43,22 @@ SOLVER_VERSION = "2"
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Search aborted by a node or time budget; no answer is implied."""
+    """Search aborted by its node budget; no answer is implied."""
 
-    def __init__(self, message: str, nodes_explored: int, elapsed: float) -> None:
+    def __init__(self, message: str, nodes_explored: int) -> None:
         super().__init__(message)
         self.nodes_explored = nodes_explored
-        self.elapsed = elapsed
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Optional search budgets shared by all phases of one solve call."""
+    """Optional node budget shared by all phases of one solve call."""
 
     node_budget: int | None = None
-    time_budget: float | None = None
 
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,28 +78,19 @@ class SolveResult:
 
 
 class _Budget:
-    """Cumulative node counter with optional node/time limits."""
+    """Cumulative node counter with an optional node budget."""
 
-    __slots__ = ("node_budget", "deadline", "nodes", "started")
+    __slots__ = ("node_budget", "nodes", "started")
 
     def __init__(self, opts: SolveOptions | None) -> None:
         self.node_budget = opts.node_budget if opts else None
         self.started = time.perf_counter()
-        self.deadline = (
-            self.started + opts.time_budget if opts and opts.time_budget else None
-        )
         self.nodes = 0
 
     def spend(self) -> None:
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExhaustedError("node budget exhausted", self.nodes, self.elapsed())
-        if (
-            self.deadline is not None
-            and self.nodes & 1023 == 0
-            and time.perf_counter() > self.deadline
-        ):
-            raise BudgetExhaustedError("time budget exhausted", self.nodes, self.elapsed())
+            raise BudgetExhaustedError("node budget exhausted", self.nodes)
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started

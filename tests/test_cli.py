@@ -6,6 +6,14 @@ import json
 
 import pytest
 
+from tdcolor import (
+    Coloring,
+    is_proper,
+    is_td_coloring,
+    is_total_dominating_set,
+    parse_expr,
+    realize,
+)
 from tdcolor.cli import main
 
 
@@ -57,6 +65,23 @@ class TestSolve:
         assert data["value"] == 3
         assert data["what"] == "tdchromatic"
         assert len(data["witness"]) == 4
+
+    @pytest.mark.parametrize(
+        "what, expr, value, checks, size",
+        [
+            ("tdchromatic", "P(7)", 5, lambda g, w: is_td_coloring(g, Coloring(w)), set),
+            ("chromatic", "C(9)", 3, lambda g, w: is_proper(g, Coloring(w)), set),
+            ("totaldom", "C(6)", 4, is_total_dominating_set, tuple),
+        ],
+    )
+    def test_json_witness_rechecks(self, capsys, what, expr, value, checks, size):
+        code, out, _ = run(capsys, "solve", expr, "--what", what, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["what"], data["value"]) == (what, value)
+        witness = tuple(data["witness"])
+        assert checks(realize(parse_expr(expr)), witness)
+        assert len(size(witness)) == value  # classes of a coloring, members of a set
 
     def test_budget_exhausted_exit_four(self, capsys):
         code, _, err = run(capsys, "solve", "G(4,4)", "--budget", "10")
@@ -229,6 +254,36 @@ class TestVerify:
     def test_unreadable_suite_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", str(tmp_path / "missing.json"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"instances": ["P(4)"], "node_budget": "100"},
+            {"instances": ["P(4)"], "oracle_cap": "10"},
+            {"instances": [4]},
+            {"instances": ["P(4)"], "cache_dir": 5},
+            [{"a": 1}],
+            {"instances": ["P(4)"], "node_budget": True},
+            {"instances": "P(4)"},
+        ],
+        ids=[
+            "node_budget-string",
+            "oracle_cap-string",
+            "instance-integer",
+            "cache_dir-integer",
+            "top-level-list",
+            "node_budget-boolean",
+            "instances-string",
+        ],
+    )
+    def test_badly_typed_suite_exit_one(self, capsys, tmp_path, config):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--suite", str(suite))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: suite config")
+        assert "Traceback" not in err
 
 
 class TestUsage:

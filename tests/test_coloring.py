@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tdcolor import families as fam
 from tdcolor.coloring import (
     Coloring,
-    dominated_class_witness,
     is_proper,
     is_td_coloring,
     normalize,
@@ -37,25 +36,6 @@ class TestIsProper:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
             is_proper(fam.path_graph(3), col(1, 2))
-
-
-class TestWitness:
-    def test_path3_endpoint(self):
-        assert dominated_class_witness(fam.path_graph(3), col(1, 2, 1), 0) == 2
-
-    def test_path4_no_witness(self):
-        assert dominated_class_witness(fam.path_graph(4), col(1, 2, 1, 2), 0) is None
-
-    def test_triangle_smallest_color(self):
-        assert dominated_class_witness(fam.complete_graph(3), col(1, 2, 3), 0) == 2
-
-    def test_improper_rejected(self):
-        with pytest.raises(ValueError, match="not proper"):
-            dominated_class_witness(fam.path_graph(2), col(1, 1), 0)
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            dominated_class_witness(fam.path_graph(2), col(1, 2), 2)
 
 
 class TestIsTdColoring:

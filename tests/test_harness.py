@@ -312,8 +312,11 @@ class TestSuite:
             SuiteConfig(instances=("P(4)",), oracle_cap=1)
         with pytest.raises(ValueError, match="unknown suite config"):
             SuiteConfig.from_dict({"instances": ["P(4)"], "bogus": 1})
+        # a wall-clock budget is not an option: a file that sets one fails, not runs unlimited
+        with pytest.raises(ValueError, match="unknown suite config"):
+            SuiteConfig.from_dict({"instances": ["P(4)"], "time_budget": 5})
 
-    @pytest.mark.parametrize("key", ["node_budget", "time_budget"])
+    @pytest.mark.parametrize("key", ["node_budget"])
     def test_budget_validation(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be positive$"):
             SuiteConfig.from_dict({"instances": ["P(4)"], key: 0})

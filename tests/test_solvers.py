@@ -287,10 +287,6 @@ class TestBudgets:
             td_chromatic_number(fam.grid(4, 4), SolveOptions(node_budget=50))
         assert err.value.nodes_explored > 50 - 1
 
-    def test_time_budget_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(time_budget=0)
-
     def test_node_budget_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(node_budget=-1)

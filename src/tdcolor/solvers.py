@@ -11,10 +11,13 @@ two bitmasks per color: its class, and the vertices whose neighborhood holds
 the whole class. It cuts a branch once a vertex with a fully colored
 neighborhood has no class inside it, or once the colors not used yet cannot
 dominate the vertices that only they can still dominate: each such color's
-class dominates only neighbors of one distinct uncolored vertex. Every bound
-cuts only subtrees with no solution and leaves the search order alone, so it
-changes no value or witness. Colors and vertices are tried in ascending
-order. A node budget, the only limit on a search, aborts with
+class dominates only neighbors of one distinct uncolored vertex. Both
+searches share one covering test, :func:`_can_cover`: a count against the
+maximum degree, an open packing (vertices whose available neighborhoods are
+disjoint each need a pick of their own) and a sum of the largest gains.
+Every bound cuts only subtrees with no solution and leaves the search order
+alone, so it changes no value or witness. Colors and vertices are tried in
+ascending order. A node budget, the only limit on a search, aborts with
 :class:`BudgetExhaustedError` rather than returning a wrong answer.
 """
 
@@ -111,19 +114,72 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _can_cover(need: int, picks: int, gains: Iterable[int], max_deg: int) -> bool:
-    """False when no ``picks`` candidate sets, each used once, can cover ``need``.
+def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: int) -> bool:
+    """False when no ``picks`` distinct vertices u of ``avail`` can cover ``need``.
 
-    ``gains`` holds each candidate's count of vertices in ``need``, and
-    ``max_deg`` bounds every count. A counting test against ``|need|``:
-    first ``picks`` times ``max_deg``, then the sum of the ``picks`` largest
-    gains. ``gains`` is read only when the first test passes, so a generator
-    costs little then. True does not promise a cover.
+    A pick u covers only N(u), at most ``max_deg`` vertices, so a vertex w
+    of ``need`` is covered only by a pick in its region N(w) & ``avail``.
+    Three tests, each run only when the cheaper one before it passes:
+
+    1. ``picks`` times ``max_deg`` is below |need|;
+    2. an open packing (Henning and Slater, 1999): taking the vertices of
+       ``need`` by ascending region size, ties by index, keep each region
+       that misses every region kept so far. Kept regions are disjoint and
+       each needs a pick of its own, so more of them than ``picks`` (or an
+       empty one) cannot be covered;
+    3. the most the picks can gain falls short of |need|. A pick u gains
+       |N(u) & need|, and one pick lies in each kept region, so the picks
+       gain at most the best gain in each kept region plus the largest gains
+       of the other vertices for the picks left. This sum is never above the
+       ``picks`` largest gains, so the test cuts whatever that sum cuts.
+
+    The gains are counted only when the first two tests pass. True does not
+    promise a cover.
     """
     short = need.bit_count()
     if picks * max_deg < short:
         return False
-    return sum(sorted(gains, reverse=True)[:picks]) >= short
+    regions = []
+    reach = 0  # the vertices with a positive gain
+    rest = need
+    while rest:
+        low = rest & -rest
+        region = nbr_mask[low.bit_length() - 1] & avail
+        regions.append(region)
+        reach |= region
+        rest ^= low
+    regions.sort(key=int.bit_count)  # stable, so ties stay in index order
+    kept = []
+    packed = 0
+    for region in regions:
+        if not region & packed:
+            if not region or len(kept) == picks:
+                return False
+            kept.append(region)
+            packed |= region
+    total = 0
+    for region in kept:
+        best = 0
+        while region:
+            low = region & -region
+            gain = (nbr_mask[low.bit_length() - 1] & need).bit_count()
+            if gain > best:
+                best, best_bit = gain, low
+            region ^= low
+        total += best
+        if total >= short:
+            return True
+        reach ^= best_bit
+    free = picks - len(kept)
+    if total + free * max_deg < short:
+        return False
+    gains = []
+    while reach:
+        low = reach & -reach
+        gains.append((nbr_mask[low.bit_length() - 1] & need).bit_count())
+        reach ^= low
+    gains.sort(reverse=True)
+    return total + sum(gains[:free]) >= short
 
 
 # ---------------------------------------------------------------------------
@@ -254,22 +310,24 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
 
     Packing bound: each remaining pick is a distinct vertex u that is not
     excluded, and it dominates nothing outside N(u). So a branch is cut when
-    the ``picks_left`` largest counts of undominated vertices in N(u), over
-    the non-excluded u, sum to less than the undominated count (tested after
-    the cheaper ``picks_left`` times the maximum degree). The size loop starts
-    at the root case: the fewest picks whose largest degrees sum to at least
-    n, never below ceil(n / max degree). Both cut only subtrees that hold no
-    total dominating set of the target size, and the branch order is
-    unchanged, so the first set found is the same as without them.
+    :func:`_can_cover` shows that ``picks_left`` such picks cannot dominate
+    the undominated vertices: too many of them for the maximum degree, more
+    of them with disjoint non-excluded neighborhoods than picks left (each
+    needs a pick of its own), or more of them than the best gains of such
+    picks can reach. The size loop starts at the root case, with every
+    vertex available: the fewest picks that pass the same test, so never
+    below a greedy open packing of G or ceil(n / max degree). Both cut only
+    subtrees that hold no total dominating set of the target size, and the
+    branch order is unchanged, so the first set found is the same as
+    without them.
     """
     n = g.vertex_count
     nbr_mask = _neighbor_masks(g)
     nbr_list = [sorted(a) for a in g.adjacency]
     full = (1 << n) - 1
-    degrees = [len(a) for a in g.adjacency]
-    max_deg = max(degrees)
+    max_deg = max(len(a) for a in g.adjacency)
     # the root case of the packing bound below
-    lower = next(p for p in range(2, n + 1) if _can_cover(full, p, degrees, max_deg))
+    lower = next(p for p in range(2, n + 1) if _can_cover(full, p, full, nbr_mask, max_deg))
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
@@ -280,10 +338,7 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
             witness = tuple(sorted(chosen))
             return True
         # each pick is a distinct non-excluded u and dominates only N(u)
-        gains = (
-            (nbr_mask[u] & undominated).bit_count() for u in range(n) if not excluded >> u & 1
-        )
-        if not _can_cover(undominated, picks_left, gains, max_deg):
+        if not _can_cover(undominated, picks_left, full & ~excluded, nbr_mask, max_deg):
             return False
         w = (undominated & -undominated).bit_length() - 1
         for v in nbr_list[w]:
@@ -350,23 +405,26 @@ def _td_exact_k(
     used yet must dominate each needy vertex. Each of those colors ends up
     with a class of uncolored vertices; pick one member u of each, distinct
     because classes are disjoint. The class lies inside N(u), so it
-    dominates only needy vertices in N(u). Hence the needy count is at most
-    the sum of the k - max_used largest ``|N(u) & needy|`` over uncolored u.
+    dominates only needy vertices in N(u), and a class that dominates a
+    needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
+    the k - max_used unused colors as picks and the uncolored vertices
+    (``uncolored[depth]``) as the available ones: it cuts when too many
+    needy vertices remain for the maximum degree, when more needy vertices
+    than unused colors have pairwise disjoint uncolored neighborhoods (an
+    open packing, each needing a class of its own), or when the largest
+    ``|N(u) & needy|`` gains cannot reach the needy count.
 
     Both cuts drop only subtrees with no k-coloring, and the search order is
-    fixed, so the first coloring found does not depend on them. The tree is
-    also that of a per-vertex formulation which keeps, for each w, the colors
-    ``can_witness[w]`` whose class has no member outside N(w): for a used
-    color c, c is in ``can_witness[w]`` exactly when w is in ``dom[c]``, so
-    its test that some such class meets N(w) holds exactly when w is not
-    needy; and its cut on an empty ``can_witness[w]`` means all k colors are
-    used with w needy, where the capacity bound cuts too. Each node is cut by
-    the same predicate after the same node count.
+    fixed, so the first coloring found does not depend on them.
     """
     n = g.vertex_count
     if k > n:
         return None
     max_deg = max(m.bit_count() for m in nbr_mask)
+    # uncolored[d]: the vertices after depth d in the order
+    uncolored = [0] * n
+    for d in range(n - 2, -1, -1):
+        uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
     class_mask = [0] * (k + 1)  # indexed by 1-based color
     dom = [0] * (k + 1)
     result: list[int] | None = None
@@ -409,12 +467,7 @@ def _td_exact_k(
             # dominates needy vertices around one distinct uncolored vertex only
             ok = not needy_after or (
                 not needy_after & filled[depth]
-                and _can_cover(
-                    needy_after,
-                    k - used_after,
-                    ((nbr_mask[u] & needy_after).bit_count() for u in order[depth + 1 :]),
-                    max_deg,
-                )
+                and _can_cover(needy_after, k - used_after, uncolored[depth], nbr_mask, max_deg)
             )
             if ok and extend(depth + 1, used_after, needy_after):
                 return True

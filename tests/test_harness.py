@@ -259,11 +259,13 @@ class TestSuite:
             return td_chromatic_number(g, opts)
 
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
-        texts = ("join(P(30),K(3))", "join(P(30),P(3))", "join(P(30),C(5))")
+        texts = ("join(T(16),K(3))", "join(T(16),P(3))", "join(T(16),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # P(30) runs out of budget once; the three joins reuse that outcome
-        assert solved == [30, 33, 33, 35]
+        # T(16) (33 vertices, 8,827 nodes) runs out of budget once; the three
+        # joins (42-51 nodes each) reuse that outcome. P(30) served here until
+        # the open-packing bound solved it in 1,497 nodes
+        assert solved == [33, 36, 36, 38]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()

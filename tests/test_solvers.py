@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
@@ -18,6 +19,8 @@ from tdcolor.solvers import (
     BudgetExhaustedError,
     SolveOptions,
     _Budget,
+    _can_cover,
+    _neighbor_masks,
     chromatic_number,
     is_total_dominating_set,
     td_chromatic_number,
@@ -34,6 +37,8 @@ from util_graphs import (
     reference_capacity_td_exact_k,
     reference_chromatic_search,
     reference_degree_bound_dom_search,
+    reference_gain_sum_can_cover,
+    reference_gain_sum_dom_search,
     reference_order_clique_chromatic_search,
     reference_td_exact_k,
     reference_td_oracle,
@@ -108,11 +113,11 @@ class TestTotalDominationNumber:
     def test_degree_sum_start_and_packing_cut(self):
         # degrees 4, 2, 2, ...: 4 + 2 + 2 < 9, so the search starts at 4, one
         # above ceil(9 / 4) = 3; with the packing cut the tree falls from 55
-        # nodes to 17
+        # nodes to 17, and to 13 with the open-packing test
         g = fam.realize(parse_expr("D(5,2)"))
         res = total_domination_number(g)
         assert (res.value, res.lower_bound_used, res.witness) == (5, 4, (0, 1, 2, 5, 6))
-        assert res.nodes_explored == 17
+        assert res.nodes_explored == 13
         ref = reference_degree_bound_dom_search(g, _Budget(None))
         assert (ref[0], ref[1], ref[2]) == (5, (0, 1, 2, 5, 6), 3)
 
@@ -177,6 +182,52 @@ class TestTdChromaticNumber:
         res = td_chromatic_number(g, SolveOptions(node_budget=200_000))
         assert res.value == expected
         assert is_td_coloring(g, res.witness)
+
+    @pytest.mark.parametrize(
+        "text,expected", [("P(60)", 32), ("L(16)", 14), ("G(4,8)", 14), ("T(20)", 16)]
+    )
+    def test_past_the_capacity_frontier(self, text, expected):
+        # regression pins resting on one method, the k-loop: no second method
+        # reaches these orders yet. With the sum-of-gains capacity bound, P(60),
+        # L(16) and G(4,8) were cut off at 1M nodes and T(20) took 910,551;
+        # the open-packing test solves each in under 30k
+        g = fam.realize(parse_expr(text))
+        res = td_chromatic_number(g, SolveOptions(node_budget=50_000))
+        assert res.value == expected
+        assert is_td_coloring(g, res.witness)
+        assert res.witness.num_colors == expected
+
+
+class TestCanCover:
+    """The covering test shared by the total-domination search and the k-loop."""
+
+    def test_open_packing_cut(self):
+        # path 0-1-2-3-4, need {0, 2, 3, 4}, two picks: vertices 1 and 3 gain
+        # two each, enough for the sum-of-gains test, but the regions N(0) =
+        # {1}, N(4) = {3} and N(3) = {2, 4} are disjoint and need three picks
+        g = fam.path_graph(5)
+        nbr_mask, need, full = _neighbor_masks(g), 0b11101, 0b11111
+        gains = [(m & need).bit_count() for m in nbr_mask]
+        assert reference_gain_sum_can_cover(need, 2, gains, 2)
+        assert not _can_cover(need, 2, full, nbr_mask, 2)
+        assert _can_cover(need, 3, full, nbr_mask, 2)
+
+    def test_region_best_gain_cut(self):
+        # a triangle 0-1-2 and an edge 3-4, need {0, 1, 2, 3}, two picks: the
+        # three triangle vertices gain two each, enough for the sum-of-gains
+        # test; the regions {4} and {1, 2} pass the packing test, but one pick
+        # must be 4, which gains one, and the other gains at most two
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        nbr_mask, need, full = _neighbor_masks(g), 0b01111, 0b11111
+        gains = [(m & need).bit_count() for m in nbr_mask]
+        assert reference_gain_sum_can_cover(need, 2, gains, 2)
+        assert not _can_cover(need, 2, full, nbr_mask, 2)
+        assert _can_cover(need, 3, full, nbr_mask, 2)
+
+    def test_uncoverable_vertex_cut(self):
+        # vertex 0's only neighbor is not available
+        nbr_mask = _neighbor_masks(fam.path_graph(3))
+        assert not _can_cover(0b001, 2, 0b101, nbr_mask, 2)
 
 
 class TestOracle:
@@ -251,16 +302,19 @@ class TestSearchNodeTotals:
             kloop += td_chromatic_number(g).nodes_explored - c - d
         # the static-order searches took 157 chromatic and 5,080 domination
         # nodes; the k-loop took 27,190 without the domination-capacity bound;
-        # without the clique-per-vertex and packing bounds, 100 and 956
-        assert (chi, dom, kloop) == (86, 553, 3_170)
+        # without the clique-per-vertex and packing bounds, 100 and 956; with
+        # the sum-of-gains covering test in place of the open-packing one,
+        # 553 domination and 3,170 k-loop nodes
+        assert (chi, dom, kloop) == (86, 352, 2_875)
 
     def test_bounds_total_domination(self):
-        # the benchmark's sparse family members; 3,834,246 nodes by subset order
-        # and 51,575 with only the picks-left-times-max-degree prune
+        # the benchmark's sparse family members; 3,834,246 nodes by subset order,
+        # 51,575 with only the picks-left-times-max-degree prune and 1,768 with
+        # the sum-of-gains covering test in place of the open-packing one
         texts = ("P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)")
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in texts]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
-        assert sum(r.nodes_explored for r in results) == 1_768
+        assert sum(r.nodes_explored for r in results) == 197
 
 
 class TestClosedFormDeviations:
@@ -318,16 +372,14 @@ def test_td_matches_reference_k_loop(g: Graph):
         ref = td_chromatic_number(g)
     assert (res.value, res.witness) == (ref.value, ref.witness)
     assert res.nodes_explored <= ref.nodes_explored
-    # the per-vertex design this search replaced visits the same tree
+    # the per-vertex design with the sum-of-gains capacity bound; the
+    # open-packing test cuts at least what that bound cut
     with mock.patch.object(
         solvers, "_td_exact_k", with_neighbor_lists(reference_capacity_td_exact_k)
     ):
         cap = td_chromatic_number(g)
-    assert (res.value, res.witness, res.nodes_explored) == (
-        cap.value,
-        cap.witness,
-        cap.nodes_explored,
-    )
+    assert (res.value, res.witness) == (cap.value, cap.witness)
+    assert res.nodes_explored <= cap.nodes_explored
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,6 +423,42 @@ def test_total_domination_matches_degree_bound_search(g: Graph):
     assert (res.value, res.witness) == (value, witness)
     assert res.nodes_explored <= budget.nodes
     assert lb <= res.lower_bound_used <= res.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=12))
+def test_total_domination_matches_gain_sum_search(g: Graph):
+    # the open-packing test cuts at least what the sum-of-gains test cut
+    res = total_domination_number(g)
+    budget = _Budget(None)
+    value, witness, lb, _ = reference_gain_sum_dom_search(g, budget)
+    assert (res.value, res.witness) == (value, witness)
+    assert res.nodes_explored <= budget.nodes
+    assert lb <= res.lower_bound_used <= res.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_vertices=1, max_vertices=7), st.data())
+def test_can_cover_is_sound_and_no_weaker(g: Graph, data: st.DataObject):
+    n = g.vertex_count
+    full = (1 << n) - 1
+    need = data.draw(st.integers(1, full))
+    avail = data.draw(st.integers(0, full))
+    picks = data.draw(st.integers(0, n))
+    nbr_mask = _neighbor_masks(g)
+    max_deg = max(m.bit_count() for m in nbr_mask)
+    verdict = _can_cover(need, picks, avail, nbr_mask, max_deg)
+    gains = [(nbr_mask[u] & need).bit_count() for u in range(n) if avail >> u & 1]
+    if not reference_gain_sum_can_cover(need, picks, gains, max_deg):
+        assert not verdict
+    if not verdict:  # no picks vertices of avail cover need
+        members = [u for u in range(n) if avail >> u & 1]
+        for size in range(picks + 1):
+            for chosen in itertools.combinations(members, size):
+                covered = 0
+                for u in chosen:
+                    covered |= nbr_mask[u]
+                assert need & ~covered
 
 
 @settings(max_examples=60, deadline=None)

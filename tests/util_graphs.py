@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -279,6 +280,93 @@ def reference_degree_bound_dom_search(
             return True
         if picks_left * max_deg < undominated.bit_count():
             return False  # each pick dominates at most max_deg more vertices
+        w = (undominated & -undominated).bit_length() - 1
+        for v in nbr_list[w]:
+            if excluded >> v & 1:
+                continue
+            budget.spend()
+            chosen.append(v)
+            if extend(picks_left - 1, covered | nbr_mask[v], excluded):
+                return True
+            chosen.pop()
+            excluded |= 1 << v
+        return False
+
+    for size in range(lower, n + 1):
+        if extend(size, 0, 0):
+            return size, witness, lower, n
+    raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
+
+
+def reference_gain_sum_can_cover(
+    need: int, picks: int, gains: Iterable[int], max_deg: int
+) -> bool:
+    """False when no ``picks`` candidate sets, each used once, can cover ``need``.
+
+    ``gains`` holds each candidate's count of vertices in ``need``, and
+    ``max_deg`` bounds every count. A counting test against ``|need|``:
+    first ``picks`` times ``max_deg``, then the sum of the ``picks`` largest
+    gains. ``gains`` is read only when the first test passes, so a generator
+    costs little then. True does not promise a cover.
+
+    Kept, with :func:`reference_gain_sum_dom_search`, as the sum-of-gains
+    test that the open-packing test of ``solvers._can_cover`` must cut at
+    least as hard as.
+    """
+    short = need.bit_count()
+    if picks * max_deg < short:
+        return False
+    return sum(sorted(gains, reverse=True)[:picks]) >= short
+
+
+def reference_gain_sum_dom_search(
+    g: Graph, budget: _Budget
+) -> tuple[int, tuple[int, ...], int, int]:
+    """Exact total domination number by increasing-cardinality search.
+
+    For each target size, branches on the neighbors of the lowest-index
+    undominated vertex (one of them must be in the set); a neighbor refuted
+    for one branch is excluded from its later siblings, so each set is
+    reached at most once.
+
+    Packing bound: each remaining pick is a distinct vertex u that is not
+    excluded, and it dominates nothing outside N(u). So a branch is cut when
+    the ``picks_left`` largest counts of undominated vertices in N(u), over
+    the non-excluded u, sum to less than the undominated count (tested after
+    the cheaper ``picks_left`` times the maximum degree). The size loop starts
+    at the root case: the fewest picks whose largest degrees sum to at least
+    n, never below ceil(n / max degree). Both cut only subtrees that hold no
+    total dominating set of the target size, and the branch order is
+    unchanged, so the first set found is the same as without them.
+
+    Kept as the reference that the open-packing search's value, witness and
+    node count are compared against.
+    """
+    n = g.vertex_count
+    nbr_mask = _neighbor_masks(g)
+    nbr_list = [sorted(a) for a in g.adjacency]
+    full = (1 << n) - 1
+    degrees = [len(a) for a in g.adjacency]
+    max_deg = max(degrees)
+    # the root case of the packing bound below
+    lower = next(
+        p for p in range(2, n + 1) if reference_gain_sum_can_cover(full, p, degrees, max_deg)
+    )
+    chosen: list[int] = []
+    witness: tuple[int, ...] = ()
+
+    def extend(picks_left: int, covered: int, excluded: int) -> bool:
+        nonlocal witness
+        undominated = full & ~covered
+        if not undominated:
+            witness = tuple(sorted(chosen))
+            return True
+        # each pick is a distinct non-excluded u and dominates only N(u)
+        gains = (
+            (nbr_mask[u] & undominated).bit_count() for u in range(n) if not excluded >> u & 1
+        )
+        if not reference_gain_sum_can_cover(undominated, picks_left, gains, max_deg):
+            return False
         w = (undominated & -undominated).bit_length() - 1
         for v in nbr_list[w]:
             if excluded >> v & 1:

@@ -16,9 +16,13 @@ searches share one covering test, :func:`_can_cover`: a count against the
 maximum degree, an open packing (vertices whose available neighborhoods are
 disjoint each need a pick of their own) and a sum of the largest gains.
 Every bound cuts only subtrees with no solution and leaves the search order
-alone, so it changes no value or witness. Colors and vertices are tried in
-ascending order. A node budget, the only limit on a search, aborts with
-:class:`BudgetExhaustedError` rather than returning a wrong answer.
+alone, so it changes no value or witness. The chromatic search tries colors
+in ascending order. The TD search tries a new color first, then the used
+colors by descending index: a new color's class is one vertex, which
+dominates its whole neighborhood. The color order moves only the round that
+finds a coloring, and with it the witness. A node budget, the only limit on
+a search, aborts with :class:`BudgetExhaustedError` rather than returning a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ __all__ = [
     "td_chromatic_oracle",
 ]
 
-SOLVER_VERSION = "2"
+SOLVER_VERSION = "3"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -386,12 +390,15 @@ def _td_exact_k(
     """Search for a total dominator coloring with exactly k classes.
 
     Branches vertex by vertex in the fixed order with a canonical color order
-    (at most one color beyond the maximum used so far). The state is one
-    bitmask pair per color: ``class_mask[c]`` holds the class, and ``dom[c]``
-    the common neighbors of its members, that is the vertices w whose N(w)
-    contains the whole class, so the class can still be w's witness. Color c
-    is allowed on v when its class misses N(v). A new color's ``dom`` is
-    N(v); a reused color's shrinks to ``dom[c] & N(v)``.
+    (at most one color beyond the maximum used so far), trying the new color
+    first and then the used colors by descending index. A new color's class
+    {v} lies inside N(w) for every w in N(v); small classes like it are what
+    a TD-coloring needs. The state is one bitmask pair per color:
+    ``class_mask[c]`` holds the class, and ``dom[c]`` the common neighbors of
+    its members, that is the vertices w whose N(w) contains the whole class,
+    so the class can still be w's witness. Color c is allowed on v when its
+    class misses N(v). A new color's ``dom`` is N(v); a reused color's
+    shrinks to ``dom[c] & N(v)``.
 
     A vertex is *needy* when it lies in no used color's ``dom``. A new color
     removes N(v) from the needy set; a reused color adds the vertices that
@@ -415,7 +422,10 @@ def _td_exact_k(
     ``|N(u) & needy|`` gains cannot reach the needy count.
 
     Both cuts drop only subtrees with no k-coloring, and the search order is
-    fixed, so the first coloring found does not depend on them.
+    fixed, so the first coloring found does not depend on them. No state
+    carries from one sibling to the next and every cut reads only the
+    current node, so a round with no k-coloring visits the same nodes in any
+    color order; the color order moves only the round that finds a coloring.
     """
     n = g.vertex_count
     if k > n:
@@ -446,7 +456,7 @@ def _td_exact_k(
             return False
         must_new = k - max_used == remaining_after + 1
         start_c = max_used + 1 if must_new else 1
-        for c in range(start_c, min(max_used + 1, k) + 1):
+        for c in range(min(max_used + 1, k), start_c - 1, -1):
             if class_mask[c] & nbrs:
                 continue
             budget.spend()

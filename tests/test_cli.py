@@ -145,8 +145,8 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # T(16) takes 8,827 nodes, more than the budget
-        code, out, err = run(capsys, "formula", "join(T(16),K(3))", "--budget", "5000")
+        # T(20) takes 18,030 nodes, more than the budget
+        code, out, err = run(capsys, "formula", "join(T(20),K(3))", "--budget", "5000")
         assert code == 4
         assert out == ""
         assert "error: node budget exhausted" in err
@@ -206,16 +206,16 @@ class TestVerify:
         assert "refuted 1" in out
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
-        # within 5000 nodes the solver finishes the join (42 nodes), but the
-        # formula's solve of its factor T(16) (8,827 nodes) does not; P(30)
-        # served here until the open-packing bound solved it in 1,497 nodes
+        # within 5000 nodes the solver finishes the join (50 nodes), but the
+        # formula's solve of its factor T(20) (18,030 nodes) does not; T(16)
+        # served here until the new-color-first order solved it in 2,614 nodes
         cut = tmp_path / "cut.json"
         cut.write_text(
-            json.dumps({"instances": ["join(T(16),K(3))"], "node_budget": 5000}),
+            json.dumps({"instances": ["join(T(20),K(3))"], "node_budget": 5000}),
             encoding="utf-8",
         )
         full = tmp_path / "full.json"
-        full.write_text(json.dumps({"instances": ["join(T(16),K(3))"]}), encoding="utf-8")
+        full.write_text(json.dumps({"instances": ["join(T(20),K(3))"]}), encoding="utf-8")
         cache = str(tmp_path / "cache")
         code, out, _ = run(capsys, "verify", "--suite", str(cut), "--cache", cache)
         assert code == 4
@@ -227,7 +227,7 @@ class TestVerify:
         for extra in (("--cache", cache), ()):
             code, out, _ = run(capsys, "verify", "--suite", str(full), *extra)
             assert code == 3
-            assert "join(T(16),K(3))           36       16       6" in out
+            assert "join(T(20),K(3))           44       19       6" in out
             assert "refuted 1" in out
 
     def test_truncated_cache_line_skipped(self, capsys, tmp_path):

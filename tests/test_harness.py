@@ -222,6 +222,33 @@ class TestSuite:
         assert report.records[0].solver_value == 8
         assert report.exit_code == EXIT_OK
 
+    def test_older_solver_version_is_a_miss(self, tmp_path, monkeypatch):
+        # version "2" tried colors in ascending order and gave C(6) the witness
+        # (1, 2, 1, 2, 3, 4); a line keyed under "2" must not replay it
+        config = SuiteConfig(instances=("C(6)",), cache_dir=str(tmp_path))
+        run_suite(config)
+        path = tmp_path / "records.jsonl"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        prefix, version, cap = entry["key"].rsplit("|", 2)
+        assert version == solvers.SOLVER_VERSION == "3"
+        entry["key"] = f"{prefix}|2|{cap}"
+        entry["record"]["witness"] = [1, 2, 1, 2, 3, 4]
+        old = json.dumps(entry)
+        path.write_text(old + "\n", encoding="utf-8")
+        solved: list[int] = []
+        td_chromatic_number = solvers.td_chromatic_number
+
+        def counting(g, opts=None):
+            solved.append(g.vertex_count)
+            return td_chromatic_number(g, opts)
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", counting)
+        report = run_suite(config)
+        assert solved == [6]
+        assert report.records[0].witness == (1, 2, 3, 4, 3, 4)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == old and len(lines) == 2
+
     def test_malformed_cache_lines_skipped(self, tmp_path):
         config = SuiteConfig(instances=("P(4)", "C(6)"), cache_dir=str(tmp_path))
         cold = run_suite(config)
@@ -259,13 +286,13 @@ class TestSuite:
             return td_chromatic_number(g, opts)
 
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
-        texts = ("join(T(16),K(3))", "join(T(16),P(3))", "join(T(16),C(5))")
+        texts = ("join(T(20),K(3))", "join(T(20),P(3))", "join(T(20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # T(16) (33 vertices, 8,827 nodes) runs out of budget once; the three
-        # joins (42-51 nodes each) reuse that outcome. P(30) served here until
-        # the open-packing bound solved it in 1,497 nodes
-        assert solved == [33, 36, 36, 38]
+        # T(20) (41 vertices, 18,030 nodes) runs out of budget once; the three
+        # joins (50-128 nodes each) reuse that outcome. T(16) served here until
+        # the new-color-first order solved it in 2,614 nodes
+        assert solved == [41, 44, 44, 46]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()

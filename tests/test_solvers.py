@@ -34,6 +34,7 @@ from util_graphs import (
     connected_graphs,
     graphs,
     random_connected_graph,
+    reference_ascending_td_exact_k,
     reference_capacity_td_exact_k,
     reference_chromatic_search,
     reference_degree_bound_dom_search,
@@ -184,13 +185,15 @@ class TestTdChromaticNumber:
         assert is_td_coloring(g, res.witness)
 
     @pytest.mark.parametrize(
-        "text,expected", [("P(60)", 32), ("L(16)", 14), ("G(4,8)", 14), ("T(20)", 16)]
+        "text,expected",
+        [("P(60)", 32), ("L(16)", 14), ("G(4,8)", 14), ("T(20)", 16), ("T(24)", 18)],
     )
     def test_past_the_capacity_frontier(self, text, expected):
         # regression pins resting on one method, the k-loop: no second method
         # reaches these orders yet. With the sum-of-gains capacity bound, P(60),
         # L(16) and G(4,8) were cut off at 1M nodes and T(20) took 910,551;
-        # the open-packing test solves each in under 30k
+        # the open-packing test solves each in under 30k. T(24) took 52,446
+        # with colors tried in ascending order and takes 35,071 new color first
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g, SolveOptions(node_budget=50_000))
         assert res.value == expected
@@ -287,8 +290,10 @@ class TestSearchNodeTotals:
 
     Totals, not rows: a single small graph may take a node or two more than
     under the static-order searches (corona(C(5),K(1)): 33 -> 35 total
-    domination nodes). The TD k-loop tree may only lose subtrees that hold no
-    k-coloring, so no instance's k-loop count rises.
+    domination nodes). A k-loop round that finds no coloring visits the same
+    nodes in any color order, so the new-color-first order leaves those
+    rounds unchanged; the round that finds a coloring may grow on a single
+    instance (join(C(5),C(5)): 10 -> 28 nodes) while the total falls.
     """
 
     def test_default_suite(self):
@@ -304,8 +309,9 @@ class TestSearchNodeTotals:
         # nodes; the k-loop took 27,190 without the domination-capacity bound;
         # without the clique-per-vertex and packing bounds, 100 and 956; with
         # the sum-of-gains covering test in place of the open-packing one,
-        # 553 domination and 3,170 k-loop nodes
-        assert (chi, dom, kloop) == (86, 352, 2_875)
+        # 553 domination and 3,170 k-loop nodes; with colors tried in
+        # ascending order, 2,875 k-loop nodes
+        assert (chi, dom, kloop) == (86, 352, 1_777)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -364,22 +370,67 @@ def test_oracle_matches_reference_oracle(g: Graph):
     assert res.nodes_explored <= ref.nodes_explored
 
 
+def _k_loop_rounds(g: Graph, td_exact_k) -> tuple[solvers.SolveResult, list[tuple[int, int]]]:
+    """Solve g with ``td_exact_k`` as the k-loop; the result and each round's (k, nodes)."""
+    rounds: list[tuple[int, int]] = []
+
+    def recording(g, k, order, nbr_mask, filled, budget):
+        before = budget.nodes
+        found = td_exact_k(g, k, order, nbr_mask, filled, budget)
+        rounds.append((k, budget.nodes - before))
+        return found
+
+    with mock.patch.object(solvers, "_td_exact_k", recording):
+        res = td_chromatic_number(g)
+    return res, rounds
+
+
+def _check_k_loop_rounds(g: Graph, *references) -> None:
+    """Compare the k-loop round by round with the ascending-order copy and ``references``.
+
+    A round that finds no coloring visits the same nodes in any color order,
+    so below the value the k-loop must take exactly the ascending copy's
+    nodes, and no more than a reference's. Only the last round, which finds
+    a coloring, and its witness may differ.
+    """
+    res, rounds = _k_loop_rounds(g, solvers._td_exact_k)
+    _, ascending = _k_loop_rounds(g, reference_ascending_td_exact_k)
+    assert rounds[-1][0] == res.value
+    assert rounds[:-1] == ascending[:-1] and len(rounds) == len(ascending)
+    for reference in references:
+        _, ref = _k_loop_rounds(g, with_neighbor_lists(reference))
+        assert [k for k, _ in rounds] == [k for k, _ in ref]
+        assert all(n <= m for (_, n), (_, m) in zip(rounds[:-1], ref[:-1]))
+    assert is_td_coloring(g, res.witness)
+    assert res.witness.num_colors == res.value
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=10))
 def test_td_matches_reference_k_loop(g: Graph):
-    res = td_chromatic_number(g)
-    with mock.patch.object(solvers, "_td_exact_k", with_neighbor_lists(reference_td_exact_k)):
-        ref = td_chromatic_number(g)
-    assert (res.value, res.witness) == (ref.value, ref.witness)
-    assert res.nodes_explored <= ref.nodes_explored
-    # the per-vertex design with the sum-of-gains capacity bound; the
-    # open-packing test cuts at least what that bound cut
-    with mock.patch.object(
-        solvers, "_td_exact_k", with_neighbor_lists(reference_capacity_td_exact_k)
-    ):
-        cap = td_chromatic_number(g)
-    assert (res.value, res.witness) == (cap.value, cap.witness)
-    assert res.nodes_explored <= cap.nodes_explored
+    # the per-vertex design without and with the sum-of-gains capacity
+    # bound; the open-packing test cuts at least what either cut
+    _check_k_loop_rounds(g, reference_td_exact_k, reference_capacity_td_exact_k)
+
+
+# the benchmark's frontier workload: seven families from easy orders to past
+# the frontier of an earlier k-loop
+FRONTIER = [
+    *(f"P({n})" for n in (12, 14, 16, 18, 20, 22)),
+    *(f"C({n})" for n in (12, 14, 16, 18, 20)),
+    *(f"L({n})" for n in (5, 6, 7, 8, 9)),
+    *(f"G(4,{n})" for n in (3, 4, 5)),
+    *(f"O({n})" for n in (3, 4, 5, 6)),
+    *(f"T({n})" for n in (6, 8, 10, 12, 14)),
+    *(f"D(5,{n})" for n in (2, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("text", FRONTIER)
+def test_td_frontier_rounds_match_reference_k_loop(text):
+    # the per-vertex design without a capacity bound needs over 300k nodes on
+    # some of these, so only the one with the sum-of-gains bound takes part
+    _check_k_loop_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import families, solvers
-from .coloring import Coloring
+from .coloring import Coloring, is_td_coloring
 from .expr import parse_expr, pretty
 from .families import FamilySpec
 from .formulas import FactorValue, FormulaResult, formula_for_spec
@@ -316,11 +316,10 @@ def _cache_file(cache_dir: str) -> pathlib.Path:
 
 def _load_cache(
     cache_dir: str,
-) -> tuple[dict[str, VerificationRecord], list[str], int]:
-    """Cached records by key, the valid lines, and how many lines were skipped."""
+) -> tuple[dict[str, tuple[VerificationRecord, str]], int]:
+    """Each valid line's record and text by key, and how many lines were skipped."""
     path = _cache_file(cache_dir)
-    cache: dict[str, VerificationRecord] = {}
-    valid: list[str] = []
+    cache: dict[str, tuple[VerificationRecord, str]] = {}
     skipped = 0
     if path.exists():
         for raw in path.read_bytes().splitlines():
@@ -329,12 +328,24 @@ def _load_cache(
             try:
                 line = raw.decode("utf-8")  # a UnicodeDecodeError is a ValueError
                 entry = json.loads(line)
-                cache[entry["key"]] = VerificationRecord.from_dict(entry["record"])
+                cache[entry["key"]] = VerificationRecord.from_dict(entry["record"]), line
             except (ValueError, KeyError, TypeError, AttributeError):
                 skipped += 1  # e.g. a line cut short; its instance is recomputed
-                continue
-            valid.append(line)
-    return cache, valid, skipped
+    return cache, skipped
+
+
+def _replayable(rec: VerificationRecord, g: Graph) -> bool:
+    """True when ``rec``'s vertex count, witness and oracle value hold for g."""
+    try:
+        witness = Coloring(rec.witness)
+        return (
+            rec.vertex_count == g.vertex_count
+            and witness.num_colors == rec.solver_value
+            and rec.oracle_value in (None, rec.solver_value)
+            and is_td_coloring(g, witness)
+        )
+    except (ValueError, TypeError):  # not a coloring of g at all
+        return False
 
 
 def _write_cache(cache_dir: str, lines: list[str]) -> None:
@@ -354,16 +365,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     so a rerun reproduces the cold-run report byte for byte. A record cut off
     by the budget (no solver value, or a join formula without its value) is
     neither stored nor replayed, so a later run with a larger budget solves
-    the instance again. Malformed cache lines are skipped, counted and
-    dropped: the cache file is rewritten atomically from its valid lines
-    plus the fresh records, also when an instance raises part way through
-    the suite. A join factor's solve runs once per suite, also when it runs
-    out of budget.
+    the instance again. Malformed cache lines, and hits that fail
+    :func:`_replayable`, are skipped, counted, dropped and solved again: the
+    cache file is rewritten atomically from its valid lines plus the fresh
+    records, also when an instance raises part way through the suite. A join
+    factor's solve runs once per suite, also when it runs out of budget.
     """
     opts = config._solve_options()
-    cache, valid, skipped = (
-        _load_cache(config.cache_dir) if config.cache_dir else ({}, [], 0)
-    )
+    cache, skipped = _load_cache(config.cache_dir) if config.cache_dir else ({}, 0)
     factor_value = _factor_solver(opts)
 
     records: dict[str, VerificationRecord] = {}
@@ -376,10 +385,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 continue
             g = families.realize(spec)
             key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
-            hit = cache.get(key)
+            hit, _ = cache.get(key, (None, ""))
             if hit is not None and not _budget_cut(hit):
-                records[spec_text] = hit
-                continue
+                if _replayable(hit, g):
+                    records[spec_text] = hit
+                    continue
+                skipped += 1  # a damaged record; its instance is solved again
+                del cache[key]
             rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value)
             records[spec_text] = rec
             if not _budget_cut(rec):
@@ -387,7 +399,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     finally:
         if config.cache_dir and (skipped or fresh):
             # malformed lines are dropped, so later runs do not warn again
-            _write_cache(config.cache_dir, valid + fresh)
+            _write_cache(config.cache_dir, [line for _, line in cache.values()] + fresh)
 
     ordered = tuple(records[k] for k in sorted(records))
     table = render_table(ordered)

@@ -6,22 +6,22 @@ order (descending degree, then index), and starts from the largest of
 several greedy cliques. The total-domination search branches on the
 neighbors of the lowest-index undominated vertex, and cuts a branch once the
 picks left cannot reach the undominated vertices: each pick u dominates only
-N(u). The TD search colors vertices in that fixed tie-break order and keeps
-two bitmasks per color: its class, and the vertices whose neighborhood holds
-the whole class. It cuts a branch once a vertex with a fully colored
-neighborhood has no class inside it, or once the colors not used yet cannot
-dominate the vertices that only they can still dominate: each such color's
-class dominates only neighbors of one distinct uncolored vertex. Both
-searches share one covering test, :func:`_can_cover`: a count against the
-maximum degree, an open packing (vertices whose available neighborhoods are
-disjoint each need a pick of their own) and a sum of the largest gains.
-Every bound cuts only subtrees with no solution and leaves the search order
-alone, so it changes no value or witness. The chromatic search tries colors
-in ascending order. The TD search tries a new color first, then the used
-colors by descending index: a new color's class is one vertex, which
-dominates its whole neighborhood. The color order moves only the round that
-finds a coloring, and with it the witness. A node budget, the only limit on
-a search, aborts with :class:`BudgetExhaustedError` rather than returning a
+N(u). The TD search colors vertices in that fixed tie-break order with at
+most k colors and keeps two bitmasks per color: its class, and the vertices
+whose neighborhood holds the whole class. Its one cut is that the unused
+colors, each dominating only neighbors of one distinct uncolored vertex,
+cannot reach the vertices no used color can still dominate; a needy vertex
+with a fully colored neighborhood is the empty case. Both searches share
+this covering test, :func:`_can_cover`: a count against the maximum degree,
+an open packing (vertices whose available neighborhoods are disjoint each
+need a pick of their own) and a sum of the largest gains. Every bound cuts
+only subtrees with no solution and leaves the search order alone, so it
+changes no value or witness. The chromatic search tries colors in ascending
+order. The TD search tries a new color first, then the used colors by
+descending index: a new color's class is one vertex, which dominates its
+whole neighborhood. The color order moves only the round that finds a
+coloring, and with it the witness. A node budget, the only limit on a
+search, aborts with :class:`BudgetExhaustedError` rather than returning a
 wrong answer.
 """
 
@@ -149,6 +149,8 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
     while rest:
         low = rest & -rest
         region = nbr_mask[low.bit_length() - 1] & avail
+        if not region:
+            return False
         regions.append(region)
         reach |= region
         rest ^= low
@@ -157,7 +159,7 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
     packed = 0
     for region in regions:
         if not region & packed:
-            if not region or len(kept) == picks:
+            if len(kept) == picks:
                 return False
             kept.append(region)
             packed |= region
@@ -384,10 +386,9 @@ def _td_exact_k(
     k: int,
     order: list[int],
     nbr_mask: list[int],
-    filled: list[int],
     budget: _Budget,
 ) -> list[int] | None:
-    """Search for a total dominator coloring with exactly k classes.
+    """Search for a total dominator coloring with at most k classes.
 
     Branches vertex by vertex in the fixed order with a canonical color order
     (at most one color beyond the maximum used so far), trying the new color
@@ -404,32 +405,33 @@ def _td_exact_k(
     removes N(v) from the needy set; a reused color adds the vertices that
     just left its ``dom`` and lie in no other used one. Classes only grow, so
     a class can come to lie inside N(w) only as a new color on an uncolored
-    vertex of N(w). A needy vertex whose neighborhood is fully colored
-    (``filled[depth]``, fixed by the static order) can thus never be
-    dominated, and the branch is cut.
+    vertex of N(w).
 
-    Then prunes on domination capacity. One of the k - max_used colors not
+    The one cut is :func:`_can_cover`. One of the k - max_used colors not
     used yet must dominate each needy vertex. Each of those colors ends up
     with a class of uncolored vertices; pick one member u of each, distinct
     because classes are disjoint. The class lies inside N(u), so it
     dominates only needy vertices in N(u), and a class that dominates a
     needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
     the k - max_used unused colors as picks and the uncolored vertices
-    (``uncolored[depth]``) as the available ones: it cuts when too many
-    needy vertices remain for the maximum degree, when more needy vertices
-    than unused colors have pairwise disjoint uncolored neighborhoods (an
-    open packing, each needing a class of its own), or when the largest
-    ``|N(u) & needy|`` gains cannot reach the needy count.
+    (``uncolored[depth]``) as the available ones. Its empty-region case is
+    the filled-neighborhood cut: a needy vertex with no uncolored neighbor
+    can never be dominated.
 
-    Both cuts drop only subtrees with no k-coloring, and the search order is
-    fixed, so the first coloring found does not depend on them. No state
-    carries from one sibling to the next and every cut reads only the
-    current node, so a round with no k-coloring visits the same nodes in any
-    color order; the color order moves only the round that finds a coloring.
+    The cut drops only subtrees with no coloring, and the search order is
+    fixed, so the first coloring found does not depend on it. No state
+    carries from one sibling to the next and the cut reads only the current
+    node, so a round with no coloring visits the same nodes in any color
+    order; the color order moves only the round that finds a coloring.
+
+    A round visits the nodes of an exactly-k search. The slack, uncolored
+    vertices minus unused colors, starts at n - k >= 0 (k = n always
+    succeeds), and only a reused color lowers it. At slack 0 every needy
+    vertex the cut lets through has an uncolored neighbor, so the all-new
+    path, tried first, succeeds before any reuse and the slack never goes
+    negative: every coloring found has exactly k colors.
     """
     n = g.vertex_count
-    if k > n:
-        return None
     max_deg = max(m.bit_count() for m in nbr_mask)
     # uncolored[d]: the vertices after depth d in the order
     uncolored = [0] * n
@@ -443,20 +445,13 @@ def _td_exact_k(
         # needy: vertices in no dom[c] for c in 1..max_used
         nonlocal result
         if depth == n:
-            if max_used == k:
-                result = [
-                    next(c for c in range(1, k + 1) if class_mask[c] >> v & 1) for v in range(n)
-                ]
-                return True
-            return False
+            result = [
+                next(c for c in range(1, k + 1) if class_mask[c] >> v & 1) for v in range(n)
+            ]
+            return True
         v = order[depth]
         nbrs = nbr_mask[v]
-        remaining_after = n - depth - 1
-        if k - max_used > remaining_after + 1:
-            return False
-        must_new = k - max_used == remaining_after + 1
-        start_c = max_used + 1 if must_new else 1
-        for c in range(min(max_used + 1, k), start_c - 1, -1):
+        for c in range(min(max_used + 1, k), 0, -1):
             if class_mask[c] & nbrs:
                 continue
             budget.spend()
@@ -473,11 +468,10 @@ def _td_exact_k(
                     left &= ~other
                 needy_after = needy | left
             class_mask[c] |= 1 << v
-            # a filled needy vertex can never be dominated; each unused color
-            # dominates needy vertices around one distinct uncolored vertex only
-            ok = not needy_after or (
-                not needy_after & filled[depth]
-                and _can_cover(needy_after, k - used_after, uncolored[depth], nbr_mask, max_deg)
+            # each unused color dominates needy vertices around one distinct
+            # uncolored vertex only
+            ok = not needy_after or _can_cover(
+                needy_after, k - used_after, uncolored[depth], nbr_mask, max_deg
             )
             if ok and extend(depth + 1, used_after, needy_after):
                 return True
@@ -511,16 +505,8 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
 
     order = _branch_order(g)
     nbr_mask = _neighbor_masks(g)
-    # filled[d]: vertices whose whole neighborhood is colored after depth d
-    depth_of = {v: d for d, v in enumerate(order)}
-    filled = [0] * n
-    for w in range(n):
-        filled[max(depth_of[u] for u in g.adjacency[w])] |= 1 << w
-    for d in range(1, n):
-        filled[d] |= filled[d - 1]
-
     for k in range(lower, upper + 1):
-        found = _td_exact_k(g, k, order, nbr_mask, filled, budget)
+        found = _td_exact_k(g, k, order, nbr_mask, budget)
         if found is not None:
             witness = normalize(Coloring(tuple(found)))
             if not is_td_coloring(g, witness):

@@ -265,6 +265,29 @@ class TestSuite:
         # the malformed lines were dropped and the valid ones kept as they were
         assert path.read_text(encoding="utf-8") == good
         assert run_suite(config).skipped_cache_lines == 0
+        # a damaged P(4) record is skipped, dropped and solved again
+        p4, c6 = good.splitlines()
+        entry = json.loads(p4)
+        assert entry["record"]["spec_text"] == "P(4)"
+        damages = [
+            {"solver_value": 2, "witness": [1, 1, 1, 1]},  # not a TD-coloring
+            {"solver_value": 4, "oracle_value": 4},  # the witness has 3 colors
+            {"oracle_value": 4},  # the oracle disagrees
+            {"vertex_count": 5},
+            {"witness": [1, 2, 3]},
+            {"witness": None},
+        ]
+        for damage in damages:
+            damaged = json.dumps({**entry, "record": {**entry["record"], **damage}})
+            path.write_text(damaged + "\n" + c6 + "\n", encoding="utf-8")
+            report = run_suite(config)
+            assert report.skipped_cache_lines == 1
+            assert [dataclasses.replace(r, elapsed=0) for r in report.records] == [
+                dataclasses.replace(r, elapsed=0) for r in cold.records
+            ]
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == c6 and json.loads(lines[1])["record"]["solver_value"] == 3
+            assert run_suite(config).skipped_cache_lines == 0
 
     def test_non_utf8_cache_line_skipped(self, tmp_path):
         config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))

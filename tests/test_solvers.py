@@ -44,6 +44,8 @@ from util_graphs import (
     reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
+    reference_value_order_td_exact_k,
+    with_filled,
     with_neighbor_lists,
 )
 
@@ -374,9 +376,9 @@ def _k_loop_rounds(g: Graph, td_exact_k) -> tuple[solvers.SolveResult, list[tupl
     """Solve g with ``td_exact_k`` as the k-loop; the result and each round's (k, nodes)."""
     rounds: list[tuple[int, int]] = []
 
-    def recording(g, k, order, nbr_mask, filled, budget):
+    def recording(g, k, order, nbr_mask, budget):
         before = budget.nodes
-        found = td_exact_k(g, k, order, nbr_mask, filled, budget)
+        found = td_exact_k(g, k, order, nbr_mask, budget)
         rounds.append((k, budget.nodes - before))
         return found
 
@@ -386,15 +388,23 @@ def _k_loop_rounds(g: Graph, td_exact_k) -> tuple[solvers.SolveResult, list[tupl
 
 
 def _check_k_loop_rounds(g: Graph, *references) -> None:
-    """Compare the k-loop round by round with the ascending-order copy and ``references``.
+    """Compare the k-loop round by round with the frozen copies and ``references``.
 
-    A round that finds no coloring visits the same nodes in any color order,
-    so below the value the k-loop must take exactly the ascending copy's
-    nodes, and no more than a reference's. Only the last round, which finds
-    a coloring, and its witness may differ.
+    The at-most-k search visits the nodes of the exactly-k search with the
+    same color order, so every round's (k, nodes) and the witness must equal
+    the value-order copy's. A round that finds no coloring visits the same
+    nodes in any color order, so below the value the k-loop must also take
+    exactly the ascending copy's nodes, and no more than a reference's.
     """
     res, rounds = _k_loop_rounds(g, solvers._td_exact_k)
-    _, ascending = _k_loop_rounds(g, reference_ascending_td_exact_k)
+    frozen, value_order = _k_loop_rounds(g, with_filled(reference_value_order_td_exact_k))
+    assert rounds == value_order
+    assert (res.value, res.witness, res.nodes_explored) == (
+        frozen.value,
+        frozen.witness,
+        frozen.nodes_explored,
+    )
+    _, ascending = _k_loop_rounds(g, with_filled(reference_ascending_td_exact_k))
     assert rounds[-1][0] == res.value
     assert rounds[:-1] == ascending[:-1] and len(rounds) == len(ascending)
     for reference in references:
@@ -499,6 +509,9 @@ def test_can_cover_is_sound_and_no_weaker(g: Graph, data: st.DataObject):
     nbr_mask = _neighbor_masks(g)
     max_deg = max(m.bit_count() for m in nbr_mask)
     verdict = _can_cover(need, picks, avail, nbr_mask, max_deg)
+    if any(not nbr_mask[w] & avail for w in range(n) if need >> w & 1):
+        # an empty region, the k-loop's filled-neighborhood cut, has no cover
+        assert not any(_can_cover(need, p, avail, nbr_mask, max_deg) for p in range(n + 1))
     gains = [(nbr_mask[u] & need).bit_count() for u in range(n) if avail >> u & 1]
     if not reference_gain_sum_can_cover(need, picks, gains, max_deg):
         assert not verdict

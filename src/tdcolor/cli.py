@@ -93,7 +93,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = families.realize(parse_expr(args.expr))
-    lo, hi = formulas.td_chromatic_bounds(g)
+    lo, hi = formulas.td_chromatic_bounds(g, _opts_from_args(args))
     print(f"bounds [{lo}, {hi}]")
     return 0
 
@@ -152,6 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="domination/chromatic interval")
     p_bounds.add_argument("expr")
+    p_bounds.add_argument("--budget", type=int, metavar="N", help="node budget per search")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")

@@ -334,14 +334,28 @@ def _load_cache(
     return cache, skipped
 
 
-def _replayable(rec: VerificationRecord, g: Graph) -> bool:
-    """True when ``rec``'s vertex count, witness and oracle value hold for g."""
+def _replayable(
+    rec: VerificationRecord, spec: FamilySpec, g: Graph, factor_value: FactorValue
+) -> bool:
+    """True when ``rec``'s vertex count, witness, oracle value and form hold for g.
+
+    The closed form is recomputed for ``spec``, so a hit whose formula value,
+    tag or match flag was edited is not replayed, nor one whose join factors
+    now run out of budget, since its form cannot be checked.
+    """
+    try:
+        formula = formula_for_spec(spec, factor_value)
+    except BudgetExhaustedError:
+        return False
+    form = (formula.theorem_tag, formula.value) if formula is not None else (None, None)
     try:
         witness = Coloring(rec.witness)
         return (
             rec.vertex_count == g.vertex_count
             and witness.num_colors == rec.solver_value
             and rec.oracle_value in (None, rec.solver_value)
+            and (rec.theorem_tag, rec.formula_value) == form
+            and rec.match == _match_flag(rec.formula_value, rec.solver_value)
             and is_td_coloring(g, witness)
         )
     except (ValueError, TypeError):  # not a coloring of g at all
@@ -387,7 +401,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
             hit, _ = cache.get(key, (None, ""))
             if hit is not None and not _budget_cut(hit):
-                if _replayable(hit, g):
+                if _replayable(hit, spec, g, factor_value):
                     records[spec_text] = hit
                     continue
                 skipped += 1  # a damaged record; its instance is solved again

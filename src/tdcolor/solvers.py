@@ -20,9 +20,17 @@ changes no value or witness. The chromatic search tries colors in ascending
 order. The TD search tries a new color first, then the used colors by
 descending index: a new color's class is one vertex, which dominates its
 whole neighborhood. The color order moves only the round that finds a
-coloring, and with it the witness. A node budget, the only limit on a
-search, aborts with :class:`BudgetExhaustedError` rather than returning a
-wrong answer.
+coloring, and with it the witness.
+
+The TD solve starts from an incumbent rather than searching upward: the
+coloring behind the bound gamma_t + chi (a private color for each member of a
+minimum total dominating set, then a proper coloring of the rest), with
+classes merged while it stays a TD-coloring. Rounds then run downward, each
+for at most one color fewer than the incumbent. Since a round allows at most
+k colors, the first round that finds none proves that no smaller count
+works either, so it proves the incumbent optimal. A node budget, the only
+limit on a search, aborts with :class:`BudgetExhaustedError` rather than
+returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ __all__ = [
     "td_chromatic_oracle",
 ]
 
-SOLVER_VERSION = "3"
+SOLVER_VERSION = "4"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -483,13 +491,74 @@ def _td_exact_k(
     return result
 
 
+def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> list[int]:
+    """Merge the classes of a TD-coloring while it stays one; colors 1..m out.
+
+    Each class keeps three bitmasks: the class, ``reach`` (the union of its
+    members' neighborhoods) and ``dom`` (the common neighbors of its
+    members, the vertices it dominates). Each vertex keeps a count of the
+    classes that dominate it, and ``one`` holds the vertices with a count
+    of 1. Classes i and j may merge when no member of i is adjacent to one
+    of j, and no vertex dominated by only one of them has a count of 1: the
+    merged class dominates ``dom[i] & dom[j]``, so it keeps every vertex
+    dominated. The pairs i < j are swept in class order, a merge folding j
+    into i, until a sweep merges nothing. Each merge spends one node;
+    rejected pairs spend none. The result is the merged coloring with its
+    classes numbered in order.
+    """
+    n = len(colors)
+    index = {c: i for i, c in enumerate(sorted(set(colors)))}
+    classes, reach, dom = [0] * len(index), [0] * len(index), [-1] * len(index)
+    for v, c in enumerate(colors):
+        i = index[c]
+        classes[i] |= 1 << v
+        reach[i] |= nbr_mask[v]
+        dom[i] &= nbr_mask[v]
+    count = [sum(d >> w & 1 for d in dom) for w in range(n)]
+    one = sum(1 << w for w in range(n) if count[w] == 1)
+
+    merged = True
+    while merged:
+        merged = False
+        i = 0
+        while i < len(classes):
+            j = i + 1
+            while j < len(classes):
+                if classes[i] & reach[j] or (dom[i] ^ dom[j]) & one:
+                    j += 1
+                    continue
+                budget.spend()
+                touched = dom[i] | dom[j]
+                classes[i] |= classes.pop(j)
+                reach[i] |= reach.pop(j)
+                dom[i] &= dom.pop(j)
+                while touched:
+                    low = touched & -touched
+                    w = low.bit_length() - 1
+                    count[w] -= 1
+                    if count[w] == 1:
+                        one |= low
+                    touched ^= low
+                merged = True
+            i += 1
+
+    return [next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)]
+
+
 def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact TD-chromatic number with a verified witness coloring.
 
-    Iterates the target class count k upward from max(chromatic number,
-    total domination number); the first feasible k is optimal. The upper
-    bound (their sum) always admits a coloring: give each member of a minimum
-    total dominating set a private color and color the rest properly.
+    The bounds are max(chromatic number, total domination number) and their
+    sum. A coloring with the sum comes by construction: each member of a
+    minimum total dominating set gets a private color, and every other
+    vertex its chromatic color shifted past them. Every vertex has a
+    neighbor in the set, whose singleton class dominates it, and the rest
+    is proper. :func:`_merge_classes` shrinks that coloring into the
+    incumbent. Then rounds run downward from it: each searches for at most
+    one color fewer than the incumbent, and a coloring it finds becomes the
+    new incumbent. A round that finds none ends the solve: with no coloring
+    of at most k - 1 colors there is none of fewer, so the incumbent's k is
+    optimal. No round runs once the incumbent meets the lower bound.
     """
     budget = _Budget(opts)
     n = g.vertex_count
@@ -498,21 +567,28 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     if g.has_isolated_vertex():
         raise ValueError("TD-coloring undefined: graph has an isolated vertex")
 
-    chi, _, _, _ = _chromatic_search(g, budget)
-    gamma, _, _, _ = _total_dom_search(g, budget)
+    chi, proper, _, _ = _chromatic_search(g, budget)
+    gamma, tds, _, _ = _total_dom_search(g, budget)
     lower = max(chi, gamma)
     upper = gamma + chi
 
-    order = _branch_order(g)
     nbr_mask = _neighbor_masks(g)
-    for k in range(lower, upper + 1):
-        found = _td_exact_k(g, k, order, nbr_mask, budget)
-        if found is not None:
-            witness = normalize(Coloring(tuple(found)))
-            if not is_td_coloring(g, witness):
-                raise AssertionError("internal error: TD witness failed verification")
-            return SolveResult(k, witness, budget.nodes, budget.elapsed(), lower, upper)
-    raise AssertionError("unreachable: gamma_t + chi colors always suffice")
+    constructed = [c + gamma for c in proper]
+    for i, v in enumerate(tds):
+        constructed[v] = i + 1
+    best = _merge_classes(constructed, nbr_mask, budget)
+    k = max(best)
+    order = _branch_order(g)
+    while k > lower:
+        found = _td_exact_k(g, k - 1, order, nbr_mask, budget)
+        if found is None:
+            break
+        best, k = found, max(found)
+
+    witness = normalize(Coloring(tuple(best)))
+    if not is_td_coloring(g, witness) or witness.num_colors != k:
+        raise AssertionError("internal error: TD witness failed verification")
+    return SolveResult(k, witness, budget.nodes, budget.elapsed(), lower, upper)
 
 
 def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
@@ -529,7 +605,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     its neighborhood), because a later vertex can join a block that passed
     the cut. Each new best partition is re-checked with the coloring
     checker before it is kept, so the witness passes the public checker.
-    Deliberately shares no search machinery with the k-loop of
+    Deliberately shares no search machinery with the rounds of
     :func:`td_chromatic_number`; intended as an independent correctness
     oracle for graphs of at most ``cap`` vertices.
     """

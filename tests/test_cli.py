@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -145,7 +146,7 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # T(20) takes 18,030 nodes, more than the budget
+        # T(20) takes 14,929 nodes, more than the budget
         code, out, err = run(capsys, "formula", "join(T(20),K(3))", "--budget", "5000")
         assert code == 4
         assert out == ""
@@ -168,6 +169,19 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "E(3)")
         assert code == 1
         assert "isolated" in err
+
+    def test_zero_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "bounds", "C(6)", "--budget", "0")
+        assert code == 1
+        assert out == ""
+        assert "error: node_budget must be positive" in err
+
+    def test_budget_exhausted_exit_four(self, capsys):
+        # each of the two searches gets the budget; G(10,10) needs more
+        code, out, err = run(capsys, "bounds", "G(10,10)", "--budget", "1000")
+        assert code == 4
+        assert out == ""
+        assert "error: node budget exhausted" in err
 
 
 class TestVerify:
@@ -206,8 +220,8 @@ class TestVerify:
         assert "refuted 1" in out
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
-        # within 5000 nodes the solver finishes the join (50 nodes), but the
-        # formula's solve of its factor T(20) (18,030 nodes) does not; T(16)
+        # within 5000 nodes the solver finishes the join (7 nodes), but the
+        # formula's solve of its factor T(20) (14,929 nodes) does not; T(16)
         # served here until the new-color-first order solved it in 2,614 nodes
         cut = tmp_path / "cut.json"
         cut.write_text(
@@ -229,6 +243,33 @@ class TestVerify:
             assert code == 3
             assert "join(T(20),K(3))           44       19       6" in out
             assert "refuted 1" in out
+
+    def test_edited_refutations_are_not_replayed(self, capsys, tmp_path):
+        # mark every refuted row of a default-suite cache confirmed, with the
+        # formula value set to the solver's; the forms are recomputed on a
+        # hit, so each edited row is skipped, solved again and refuted again
+        argv = ("verify", "--cache", str(tmp_path / "cache"))
+        code, cold, _ = run(capsys, *argv)
+        assert code == 3
+        path = tmp_path / "cache" / "records.jsonl"
+        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        edited = 0
+        for entry in entries:
+            rec = entry["record"]
+            if rec["match"] == "refuted":
+                rec.update(match="confirmed", formula_value=rec["solver_value"])
+                edited += 1
+        assert edited == 15
+        path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        code, warm, err = run(capsys, *argv)
+        assert code == 3
+        assert err == "warning: skipped 15 malformed cache line(s)\n"
+        assert "total 79: confirmed 64, refuted 15, unknown 0" in warm
+
+        def rows(table: str) -> list[str]:  # the table without its seconds column
+            return [re.sub(r" +\d+\.\d{3}$", "", line) for line in table.splitlines()]
+
+        assert rows(warm) == rows(cold)
 
     def test_truncated_cache_line_skipped(self, capsys, tmp_path):
         suite = tmp_path / "suite.json"

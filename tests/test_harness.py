@@ -223,16 +223,16 @@ class TestSuite:
         assert report.exit_code == EXIT_OK
 
     def test_older_solver_version_is_a_miss(self, tmp_path, monkeypatch):
-        # version "2" tried colors in ascending order and gave C(6) the witness
-        # (1, 2, 1, 2, 3, 4); a line keyed under "2" must not replay it
+        # version "3" searched upward from max(chi, gamma_t) and gave C(6) the
+        # witness (1, 2, 3, 4, 3, 4); a line keyed under "3" must not replay it
         config = SuiteConfig(instances=("C(6)",), cache_dir=str(tmp_path))
         run_suite(config)
         path = tmp_path / "records.jsonl"
         entry = json.loads(path.read_text(encoding="utf-8"))
         prefix, version, cap = entry["key"].rsplit("|", 2)
-        assert version == solvers.SOLVER_VERSION == "3"
-        entry["key"] = f"{prefix}|2|{cap}"
-        entry["record"]["witness"] = [1, 2, 1, 2, 3, 4]
+        assert version == solvers.SOLVER_VERSION == "4"
+        entry["key"] = f"{prefix}|3|{cap}"
+        entry["record"]["witness"] = [1, 2, 3, 4, 3, 4]
         old = json.dumps(entry)
         path.write_text(old + "\n", encoding="utf-8")
         solved: list[int] = []
@@ -245,7 +245,7 @@ class TestSuite:
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
         report = run_suite(config)
         assert solved == [6]
-        assert report.records[0].witness == (1, 2, 3, 4, 3, 4)
+        assert report.records[0].witness == (1, 2, 1, 2, 3, 4)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == old and len(lines) == 2
 
@@ -276,6 +276,9 @@ class TestSuite:
             {"vertex_count": 5},
             {"witness": [1, 2, 3]},
             {"witness": None},
+            {"match": "refuted"},  # not what the values give
+            {"formula_value": 4, "match": "refuted"},  # not what the form gives
+            {"theorem_tag": None, "formula_value": None, "match": "unknown"},
         ]
         for damage in damages:
             damaged = json.dumps({**entry, "record": {**entry["record"], **damage}})
@@ -312,8 +315,8 @@ class TestSuite:
         texts = ("join(T(20),K(3))", "join(T(20),P(3))", "join(T(20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # T(20) (41 vertices, 18,030 nodes) runs out of budget once; the three
-        # joins (50-128 nodes each) reuse that outcome. T(16) served here until
+        # T(20) (41 vertices, 14,929 nodes) runs out of budget once; the three
+        # joins (7-15 nodes each) reuse that outcome. T(16) served here until
         # the new-color-first order solved it in 2,614 nodes
         assert solved == [41, 44, 44, 46]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3

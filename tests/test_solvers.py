@@ -195,12 +195,36 @@ class TestTdChromaticNumber:
         # reaches these orders yet. With the sum-of-gains capacity bound, P(60),
         # L(16) and G(4,8) were cut off at 1M nodes and T(20) took 910,551;
         # the open-packing test solves each in under 30k. T(24) took 52,446
-        # with colors tried in ascending order and takes 35,071 new color first
+        # with colors tried in ascending order and 35,071 new color first
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g, SolveOptions(node_budget=50_000))
         assert res.value == expected
         assert is_td_coloring(g, res.witness)
         assert res.witness.num_colors == expected
+
+    @pytest.mark.parametrize(
+        "text,expected,budget", [("G(4,12)", 18, 15_000), ("T(24)", 18, 20_000)]
+    )
+    def test_past_the_frontier_from_the_incumbent(self, text, expected, budget):
+        # single-method pins: only the rounds below the merged incumbent back
+        # these values. The upward k-loop took 38,345 nodes on G(4,12), 27,890
+        # of them finding the gamma_t + chi coloring that is now constructed,
+        # and 35,071 on T(24), whose optimum the merge reaches
+        g = fam.realize(parse_expr(text))
+        res = td_chromatic_number(g, SolveOptions(node_budget=budget))
+        assert res.value == expected
+        assert is_td_coloring(g, res.witness)
+        assert res.witness.num_colors == expected
+
+    def test_incumbent_at_the_lower_bound_runs_no_round(self):
+        # C(6): the construction has 6 classes, two merges reach max(chi,
+        # gamma_t) = 4, and the incumbent is optimal with no search
+        res, (constructed, merged, merge_nodes), rounds = _recorded_solve(fam.cycle_graph(6))
+        assert (len(set(constructed)), max(merged), merge_nodes) == (6, 4, 2)
+        assert rounds == []
+        assert (res.value, res.lower_bound_used) == (4, 4)
+        assert res.witness == normalize(Coloring(tuple(merged)))
+        assert is_td_coloring(fam.cycle_graph(6), res.witness)
 
 
 class TestCanCover:
@@ -295,25 +319,28 @@ class TestSearchNodeTotals:
     domination nodes). A k-loop round that finds no coloring visits the same
     nodes in any color order, so the new-color-first order leaves those
     rounds unchanged; the round that finds a coloring may grow on a single
-    instance (join(C(5),C(5)): 10 -> 28 nodes) while the total falls.
+    instance (join(C(5),C(5)): 10 -> 28 nodes) while the total falls. The
+    merges and the rounds below the incumbent may cost a node or two more
+    than the upward k-loop on a small instance (P(6): 13 -> 14 nodes).
     """
 
     def test_default_suite(self):
-        chi = dom = kloop = 0
+        chi = dom = rest = 0
         for text in harness.default_suite().instances:
             g = fam.realize(parse_expr(text))
             c = chromatic_number(g).nodes_explored
             d = total_domination_number(g).nodes_explored
             chi += c
             dom += d
-            kloop += td_chromatic_number(g).nodes_explored - c - d
+            rest += td_chromatic_number(g).nodes_explored - c - d
         # the static-order searches took 157 chromatic and 5,080 domination
         # nodes; the k-loop took 27,190 without the domination-capacity bound;
         # without the clique-per-vertex and packing bounds, 100 and 956; with
         # the sum-of-gains covering test in place of the open-packing one,
         # 553 domination and 3,170 k-loop nodes; with colors tried in
-        # ascending order, 2,875 k-loop nodes
-        assert (chi, dom, kloop) == (86, 352, 1_777)
+        # ascending order, 2,875 k-loop nodes; the upward k-loop from
+        # max(chi, gamma_t), before the merged incumbent, 1,777
+        assert (chi, dom, rest) == (86, 352, 1_076)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -345,9 +372,10 @@ class TestClosedFormDeviations:
 
 class TestBudgets:
     def test_node_budget_exhaustion(self):
+        # G(4,5) spends 44 nodes on total domination and 58 on its one round
         with pytest.raises(BudgetExhaustedError) as err:
-            td_chromatic_number(fam.grid(4, 4), SolveOptions(node_budget=50))
-        assert err.value.nodes_explored > 50 - 1
+            td_chromatic_number(fam.grid(4, 5), SolveOptions(node_budget=50))
+        assert err.value.nodes_explored == 51
 
     def test_node_budget_validation(self):
         with pytest.raises(ValueError):
@@ -372,47 +400,89 @@ def test_oracle_matches_reference_oracle(g: Graph):
     assert res.nodes_explored <= ref.nodes_explored
 
 
-def _k_loop_rounds(g: Graph, td_exact_k) -> tuple[solvers.SolveResult, list[tuple[int, int]]]:
-    """Solve g with ``td_exact_k`` as the k-loop; the result and each round's (k, nodes)."""
-    rounds: list[tuple[int, int]] = []
+def _recorded_solve(g: Graph):
+    """Solve g; the merge's (input, output, nodes), and each round's (k, nodes, found)."""
+    merge_classes, td_exact_k = solvers._merge_classes, solvers._td_exact_k
+    merges: list[tuple[list[int], list[int], int]] = []
+    rounds: list[tuple[int, int, list[int] | None]] = []
 
-    def recording(g, k, order, nbr_mask, budget):
+    def merge(colors, nbr_mask, budget):
+        before = budget.nodes
+        merged = merge_classes(colors, nbr_mask, budget)
+        merges.append((colors, merged, budget.nodes - before))
+        return merged
+
+    def round_(g, k, order, nbr_mask, budget):
         before = budget.nodes
         found = td_exact_k(g, k, order, nbr_mask, budget)
-        rounds.append((k, budget.nodes - before))
+        rounds.append((k, budget.nodes - before, found))
         return found
 
-    with mock.patch.object(solvers, "_td_exact_k", recording):
+    with mock.patch.object(solvers, "_merge_classes", merge), mock.patch.object(
+        solvers, "_td_exact_k", round_
+    ):
         res = td_chromatic_number(g)
-    return res, rounds
+    (merge_record,) = merges
+    return res, merge_record, rounds
 
 
-def _check_k_loop_rounds(g: Graph, *references) -> None:
-    """Compare the k-loop round by round with the frozen copies and ``references``.
+def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
+    """One round of ``td_exact_k`` at k, run alone: its nodes and the coloring found."""
+    budget = _Budget(None)
+    found = td_exact_k(g, k, solvers._branch_order(g), _neighbor_masks(g), budget)
+    return budget.nodes, found
+
+
+def _upward_k_loop_value(g: Graph) -> int:
+    """The TD-chromatic number by the earlier upward k-loop on the frozen value-order copy."""
+    chi = solvers._chromatic_search(g, _Budget(None))[0]
+    gamma = solvers._total_dom_search(g, _Budget(None))[0]
+    exact_k = with_filled(reference_value_order_td_exact_k)
+    return next(
+        k for k in range(max(chi, gamma), chi + gamma + 1) if _round_alone(g, k, exact_k)[1]
+    )
+
+
+def _check_td_rounds(g: Graph, *references) -> solvers.SolveResult:
+    """Check the incumbent, then each round, against the frozen copies and ``references``.
 
     The at-most-k search visits the nodes of the exactly-k search with the
-    same color order, so every round's (k, nodes) and the witness must equal
-    the value-order copy's. A round that finds no coloring visits the same
-    nodes in any color order, so below the value the k-loop must also take
-    exactly the ascending copy's nodes, and no more than a reference's.
+    same color order, so each round that runs must take the value-order
+    copy's nodes at the same k and find the same coloring. A round that finds
+    no coloring visits the same nodes in any color order, so it must also
+    take exactly the ascending copy's nodes, and no more than a reference's.
+    The rounds run downward from the merged incumbent, one color fewer each,
+    and stop at the first that finds none or at the lower bound.
     """
-    res, rounds = _k_loop_rounds(g, solvers._td_exact_k)
-    frozen, value_order = _k_loop_rounds(g, with_filled(reference_value_order_td_exact_k))
-    assert rounds == value_order
-    assert (res.value, res.witness, res.nodes_explored) == (
-        frozen.value,
-        frozen.witness,
-        frozen.nodes_explored,
-    )
-    _, ascending = _k_loop_rounds(g, with_filled(reference_ascending_td_exact_k))
-    assert rounds[-1][0] == res.value
-    assert rounds[:-1] == ascending[:-1] and len(rounds) == len(ascending)
-    for reference in references:
-        _, ref = _k_loop_rounds(g, with_neighbor_lists(reference))
-        assert [k for k, _ in rounds] == [k for k, _ in ref]
-        assert all(n <= m for (_, n), (_, m) in zip(rounds[:-1], ref[:-1]))
+    res, (constructed, merged, merge_nodes), rounds = _recorded_solve(g)
+    value_order = with_filled(reference_value_order_td_exact_k)
+    ascending = with_filled(reference_ascending_td_exact_k)
+    for k, nodes, found in rounds:
+        assert _round_alone(g, k, value_order) == (nodes, found)
+        if found is None:
+            assert _round_alone(g, k, ascending) == (nodes, None)
+        for reference in references:
+            ref_nodes, ref_found = _round_alone(g, k, with_neighbor_lists(reference))
+            assert (ref_found is None) == (found is None)
+            assert found is not None or nodes <= ref_nodes
+
+    best = merged
+    for i, (k, _, found) in enumerate(rounds):
+        assert k == max(best) - 1 >= res.lower_bound_used
+        if found is None:
+            assert i == len(rounds) - 1
+            break
+        best = found
+    else:
+        assert max(best) == res.lower_bound_used
+    assert (res.value, res.witness) == (max(best), normalize(Coloring(tuple(best))))
+    assert res.value == _upward_k_loop_value(g)
+    chi = chromatic_number(g).nodes_explored
+    dom = total_domination_number(g).nodes_explored
+    assert res.nodes_explored == chi + dom + merge_nodes + sum(n for _, n, _ in rounds)
     assert is_td_coloring(g, res.witness)
     assert res.witness.num_colors == res.value
+    return res
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,7 +490,19 @@ def _check_k_loop_rounds(g: Graph, *references) -> None:
 def test_td_matches_reference_k_loop(g: Graph):
     # the per-vertex design without and with the sum-of-gains capacity
     # bound; the open-packing test cuts at least what either cut
-    _check_k_loop_rounds(g, reference_td_exact_k, reference_capacity_td_exact_k)
+    res = _check_td_rounds(g, reference_td_exact_k, reference_capacity_td_exact_k)
+    assert res.value == td_chromatic_oracle(g).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=12))
+def test_incumbent_is_a_td_coloring(g: Graph):
+    # the gamma_t + chi construction and each merge keep a TD-coloring
+    _, (constructed, merged, merge_nodes), _ = _recorded_solve(g)
+    assert is_td_coloring(g, Coloring(tuple(constructed)))
+    assert is_td_coloring(g, Coloring(tuple(merged)))
+    assert set(merged) == set(range(1, max(merged) + 1))
+    assert merge_nodes == len(set(constructed)) - max(merged) >= 0
 
 
 # the benchmark's frontier workload: seven families from easy orders to past
@@ -440,7 +522,7 @@ FRONTIER = [
 def test_td_frontier_rounds_match_reference_k_loop(text):
     # the per-vertex design without a capacity bound needs over 300k nodes on
     # some of these, so only the one with the sum-of-gains bound takes part
-    _check_k_loop_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
+    _check_td_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from .coloring import (
 )
 from .expr import ExprSyntaxError, parse_expr, pretty
 from .families import FamilySpec, realize
-from .formulas import FormulaResult, formula_for_spec, td_chromatic_bounds
+from .formulas import FormulaResult, formula_for_spec
 from .graph import DimacsError, Graph
 from .harness import (
     OracleMismatchError,
@@ -31,6 +31,7 @@ from .solvers import (
     SolveResult,
     chromatic_number,
     is_total_dominating_set,
+    td_chromatic_bounds,
     td_chromatic_number,
     td_chromatic_oracle,
     total_domination_number,

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 
-from . import families, formulas, harness, solvers
+from . import families, harness, solvers
 from .expr import ExprSyntaxError, parse_expr
 from .graph import DimacsError, Graph
 from .solvers import BudgetExhaustedError, SolveOptions
@@ -93,7 +93,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     g = families.realize(parse_expr(args.expr))
-    lo, hi = formulas.td_chromatic_bounds(g, _opts_from_args(args))
+    lo, hi = solvers.td_chromatic_bounds(g, _opts_from_args(args))
     print(f"bounds [{lo}, {hi}]")
     return 0
 
@@ -115,6 +115,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.skipped_cache_lines:
         print(
             f"warning: skipped {report.skipped_cache_lines} malformed cache line(s)",
+            file=sys.stderr,
+        )
+    if report.rejected_cache_records:
+        print(
+            f"warning: re-solved {report.rejected_cache_records} cache record(s) "
+            "that failed a re-check",
             file=sys.stderr,
         )
     sys.stdout.write(report.table)
@@ -152,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="domination/chromatic interval")
     p_bounds.add_argument("expr")
-    p_bounds.add_argument("--budget", type=int, metavar="N", help="node budget per search")
+    p_bounds.add_argument("--budget", type=int, metavar="N", help="node budget")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")

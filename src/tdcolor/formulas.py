@@ -1,4 +1,4 @@
-"""Closed-form TD-chromatic values, one rule per spec class, and sandwich bounds.
+"""Closed-form TD-chromatic values, one rule per spec class.
 
 :func:`formula_for_spec` looks the spec's class up in ``_RULES``. Each rule
 checks its formula's domain once and returns a :class:`FormulaResult`, or None
@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import families, solvers
+from . import families
 from .families import Complete, Corona, Cycle, Empty, FamilySpec, Friendship, Grid
 from .families import Join, Ladder, OrthoChain, Path, TriChain
-from .graph import Graph
 
-__all__ = ["FormulaResult", "formula_for_spec", "td_chromatic_bounds"]
+__all__ = ["FormulaResult", "formula_for_spec"]
 
 # a join factor's TD-chromatic number, or None where TD-coloring is undefined
 FactorValue = Callable[[FamilySpec], int | None]
@@ -143,19 +142,3 @@ def formula_for_spec(
     """
     rule = _RULES.get(type(spec))
     return rule(spec, factor_value) if rule is not None else None
-
-
-def td_chromatic_bounds(
-    g: Graph, opts: solvers.SolveOptions | None = None
-) -> tuple[int, int]:
-    """``(lo, hi)`` bounding the TD-chromatic number via exact sub-solvers.
-
-    Any TD-coloring is proper, so max(total domination number, chromatic
-    number) is a lower bound; their sum is an upper bound (private colors for
-    a minimum total dominating set plus a proper coloring of the rest). A
-    graph with an isolated vertex has no total dominating set, so the
-    total-domination solver raises ValueError on it.
-    """
-    gamma = solvers.total_domination_number(g, opts).value
-    chi = solvers.chromatic_number(g, opts).value
-    return max(gamma, chi), gamma + chi

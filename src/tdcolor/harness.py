@@ -299,7 +299,8 @@ class SuiteReport:
     records: tuple[VerificationRecord, ...]
     table: str
     exit_code: int
-    skipped_cache_lines: int = 0
+    skipped_cache_lines: int = 0  # cache lines that did not parse
+    rejected_cache_records: int = 0  # parsed hits that failed _replayable
 
 
 def _exit_code(records: tuple[VerificationRecord, ...]) -> int:
@@ -380,13 +381,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     by the budget (no solver value, or a join formula without its value) is
     neither stored nor replayed, so a later run with a larger budget solves
     the instance again. Malformed cache lines, and hits that fail
-    :func:`_replayable`, are skipped, counted, dropped and solved again: the
+    :func:`_replayable`, are each counted apart, dropped and solved again: the
     cache file is rewritten atomically from its valid lines plus the fresh
     records, also when an instance raises part way through the suite. A join
     factor's solve runs once per suite, also when it runs out of budget.
     """
     opts = config._solve_options()
     cache, skipped = _load_cache(config.cache_dir) if config.cache_dir else ({}, 0)
+    rejected = 0
     factor_value = _factor_solver(opts)
 
     records: dict[str, VerificationRecord] = {}
@@ -404,20 +406,20 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 if _replayable(hit, spec, g, factor_value):
                     records[spec_text] = hit
                     continue
-                skipped += 1  # a damaged record; its instance is solved again
+                rejected += 1  # a damaged record; its instance is solved again
                 del cache[key]
             rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value)
             records[spec_text] = rec
             if not _budget_cut(rec):
                 fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))
     finally:
-        if config.cache_dir and (skipped or fresh):
-            # malformed lines are dropped, so later runs do not warn again
+        if config.cache_dir and (skipped or rejected or fresh):
+            # malformed lines and rejected records are dropped, so later runs do not warn again
             _write_cache(config.cache_dir, [line for _, line in cache.values()] + fresh)
 
     ordered = tuple(records[k] for k in sorted(records))
     table = render_table(ordered)
-    report = SuiteReport(ordered, table, _exit_code(ordered), skipped)
+    report = SuiteReport(ordered, table, _exit_code(ordered), skipped, rejected)
 
     if config.report_path:
         pathlib.Path(config.report_path).write_text(table, encoding="utf-8")

@@ -50,6 +50,7 @@ __all__ = [
     "chromatic_number",
     "is_total_dominating_set",
     "total_domination_number",
+    "td_chromatic_bounds",
     "td_chromatic_number",
     "td_chromatic_oracle",
 ]
@@ -545,12 +546,37 @@ def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> l
     return [next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)]
 
 
+def _require_td_defined(g: Graph) -> None:
+    """Raise ValueError unless g has at least 2 vertices and none isolated."""
+    if g.vertex_count < 2:
+        raise ValueError("TD-coloring needs at least 2 vertices")
+    if g.has_isolated_vertex():
+        raise ValueError("TD-coloring undefined: graph has an isolated vertex")
+
+
+def _bounding_phase(g: Graph, budget: _Budget) -> tuple[int, int, list[int]]:
+    """max(chi, gamma_t), gamma_t + chi, and a TD-coloring with gamma_t + chi colors."""
+    chi, proper, _, _ = _chromatic_search(g, budget)
+    gamma, tds, _, _ = _total_dom_search(g, budget)
+    constructed = [c + gamma for c in proper]
+    for i, v in enumerate(tds):
+        constructed[v] = i + 1
+    return max(chi, gamma), gamma + chi, constructed
+
+
+def td_chromatic_bounds(g: Graph, opts: SolveOptions | None = None) -> tuple[int, int]:
+    """``(max(chi, gamma_t), gamma_t + chi)``, where :func:`td_chromatic_number` starts."""
+    _require_td_defined(g)
+    lower, upper, _ = _bounding_phase(g, _Budget(opts))
+    return lower, upper
+
+
 def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact TD-chromatic number with a verified witness coloring.
 
     The bounds are max(chromatic number, total domination number) and their
-    sum. A coloring with the sum comes by construction: each member of a
-    minimum total dominating set gets a private color, and every other
+    sum. :func:`_bounding_phase` builds a coloring with the sum: each member
+    of a minimum total dominating set gets a private color, and every other
     vertex its chromatic color shifted past them. Every vertex has a
     neighbor in the set, whose singleton class dominates it, and the rest
     is proper. :func:`_merge_classes` shrinks that coloring into the
@@ -560,22 +586,10 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     of at most k - 1 colors there is none of fewer, so the incumbent's k is
     optimal. No round runs once the incumbent meets the lower bound.
     """
+    _require_td_defined(g)
     budget = _Budget(opts)
-    n = g.vertex_count
-    if n < 2:
-        raise ValueError("TD-coloring needs at least 2 vertices")
-    if g.has_isolated_vertex():
-        raise ValueError("TD-coloring undefined: graph has an isolated vertex")
-
-    chi, proper, _, _ = _chromatic_search(g, budget)
-    gamma, tds, _, _ = _total_dom_search(g, budget)
-    lower = max(chi, gamma)
-    upper = gamma + chi
-
+    lower, upper, constructed = _bounding_phase(g, budget)
     nbr_mask = _neighbor_masks(g)
-    constructed = [c + gamma for c in proper]
-    for i, v in enumerate(tds):
-        constructed[v] = i + 1
     best = _merge_classes(constructed, nbr_mask, budget)
     k = max(best)
     order = _branch_order(g)
@@ -609,11 +623,8 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     :func:`td_chromatic_number`; intended as an independent correctness
     oracle for graphs of at most ``cap`` vertices.
     """
+    _require_td_defined(g)
     n = g.vertex_count
-    if n < 2:
-        raise ValueError("TD-coloring needs at least 2 vertices")
-    if g.has_isolated_vertex():
-        raise ValueError("TD-coloring undefined: graph has an isolated vertex")
     if n > cap:
         raise ValueError(f"graph has {n} vertices; oracle cap is {cap}")
 

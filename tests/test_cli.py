@@ -177,11 +177,27 @@ class TestBounds:
         assert "error: node_budget must be positive" in err
 
     def test_budget_exhausted_exit_four(self, capsys):
-        # each of the two searches gets the budget; G(10,10) needs more
+        # one budget for both searches; G(10,10) needs more
         code, out, err = run(capsys, "bounds", "G(10,10)", "--budget", "1000")
         assert code == 4
         assert out == ""
         assert "error: node budget exhausted" in err
+
+    @pytest.mark.parametrize("expr", ["E(0)", "P(1)"])
+    def test_too_small_rejected_like_solve(self, capsys, expr):
+        for command in ("bounds", "solve"):
+            code, out, err = run(capsys, command, expr)
+            assert (code, out) == (1, "")
+            assert err == "error: TD-coloring needs at least 2 vertices\n"
+
+    def test_one_budget_for_both_searches(self, capsys):
+        # C(11) spends 10 nodes on chi and 9 on gamma_t, 19 in all
+        for budget in ("15", "18"):
+            code, out, err = run(capsys, "bounds", "C(11)", "--budget", budget)
+            assert (code, out) == (4, "")
+            assert "error: node budget exhausted" in err
+        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "19")
+        assert (code, out) == (0, "bounds [6, 9]\n")
 
 
 class TestVerify:
@@ -247,7 +263,7 @@ class TestVerify:
     def test_edited_refutations_are_not_replayed(self, capsys, tmp_path):
         # mark every refuted row of a default-suite cache confirmed, with the
         # formula value set to the solver's; the forms are recomputed on a
-        # hit, so each edited row is skipped, solved again and refuted again
+        # hit, so each edited row is rejected, solved again and refuted again
         argv = ("verify", "--cache", str(tmp_path / "cache"))
         code, cold, _ = run(capsys, *argv)
         assert code == 3
@@ -263,7 +279,7 @@ class TestVerify:
         path.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
         code, warm, err = run(capsys, *argv)
         assert code == 3
-        assert err == "warning: skipped 15 malformed cache line(s)\n"
+        assert err == "warning: re-solved 15 cache record(s) that failed a re-check\n"
         assert "total 79: confirmed 64, refuted 15, unknown 0" in warm
 
         def rows(table: str) -> list[str]:  # the table without its seconds column

@@ -6,9 +6,7 @@ import pytest
 
 from tdcolor import families as fam
 from tdcolor.expr import parse_expr
-from tdcolor.formulas import formula_for_spec, td_chromatic_bounds
-
-from util_graphs import brute_force_gamma_t
+from tdcolor.formulas import formula_for_spec
 
 # factor values for the join rule, None where TD-coloring is undefined
 FACTOR_VALUES = {
@@ -156,20 +154,3 @@ class TestMonotonicity:
     def test_cycle_values_non_decreasing_from_5(self):
         values = [formula(fam.Cycle(n))[1] for n in range(5, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-class TestBoundsInterval:
-    def test_cycle6(self):
-        g = fam.cycle_graph(6)
-        assert brute_force_gamma_t(g) == 4
-        assert td_chromatic_bounds(g) == (4, 6)
-
-    def test_complete4(self):
-        assert td_chromatic_bounds(fam.complete_graph(4)) == (4, 6)
-
-    def test_path2(self):
-        assert td_chromatic_bounds(fam.path_graph(2)) == (2, 4)
-
-    def test_isolated_rejected(self):
-        with pytest.raises(ValueError, match="isolated"):
-            td_chromatic_bounds(fam.empty_graph(2))

@@ -259,13 +259,14 @@ class TestSuite:
             encoding="utf-8",
         )
         report = run_suite(config)
-        assert report.skipped_cache_lines == 4
+        assert (report.skipped_cache_lines, report.rejected_cache_records) == (4, 0)
         assert report.records == cold.records  # both rows replayed
         assert run_suite(dataclasses.replace(config, cache_dir=None)).skipped_cache_lines == 0
         # the malformed lines were dropped and the valid ones kept as they were
         assert path.read_text(encoding="utf-8") == good
         assert run_suite(config).skipped_cache_lines == 0
-        # a damaged P(4) record is skipped, dropped and solved again
+        # a damaged P(4) record parses but fails the re-check: it is counted
+        # as rejected, not malformed, dropped and solved again
         p4, c6 = good.splitlines()
         entry = json.loads(p4)
         assert entry["record"]["spec_text"] == "P(4)"
@@ -284,13 +285,14 @@ class TestSuite:
             damaged = json.dumps({**entry, "record": {**entry["record"], **damage}})
             path.write_text(damaged + "\n" + c6 + "\n", encoding="utf-8")
             report = run_suite(config)
-            assert report.skipped_cache_lines == 1
+            assert (report.skipped_cache_lines, report.rejected_cache_records) == (0, 1)
             assert [dataclasses.replace(r, elapsed=0) for r in report.records] == [
                 dataclasses.replace(r, elapsed=0) for r in cold.records
             ]
             lines = path.read_text(encoding="utf-8").splitlines()
             assert lines[0] == c6 and json.loads(lines[1])["record"]["solver_value"] == 3
-            assert run_suite(config).skipped_cache_lines == 0
+            again = run_suite(config)
+            assert (again.skipped_cache_lines, again.rejected_cache_records) == (0, 0)
 
     def test_non_utf8_cache_line_skipped(self, tmp_path):
         config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))

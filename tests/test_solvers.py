@@ -23,6 +23,7 @@ from tdcolor.solvers import (
     _neighbor_masks,
     chromatic_number,
     is_total_dominating_set,
+    td_chromatic_bounds,
     td_chromatic_number,
     td_chromatic_oracle,
     total_domination_number,
@@ -370,6 +371,23 @@ class TestClosedFormDeviations:
         assert td_chromatic_oracle(g).value == 7
 
 
+class TestBoundsInterval:
+    def test_cycle6(self):
+        g = fam.cycle_graph(6)
+        assert brute_force_gamma_t(g) == 4
+        assert td_chromatic_bounds(g) == (4, 6)
+
+    def test_complete4(self):
+        assert td_chromatic_bounds(fam.complete_graph(4)) == (4, 6)
+
+    def test_path2(self):
+        assert td_chromatic_bounds(fam.path_graph(2)) == (2, 4)
+
+    def test_isolated_rejected(self):
+        with pytest.raises(ValueError, match="isolated"):
+            td_chromatic_bounds(fam.empty_graph(2))
+
+
 class TestBudgets:
     def test_node_budget_exhaustion(self):
         # G(4,5) spends 44 nodes on total domination and 58 on its one round
@@ -398,6 +416,13 @@ def test_oracle_matches_reference_oracle(g: Graph):
     res, ref = td_chromatic_oracle(g), reference_td_oracle(g)
     assert (res.value, res.witness) == (ref.value, ref.witness)
     assert res.nodes_explored <= ref.nodes_explored
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_bounds_are_the_td_solve_bounds(g: Graph):
+    res = td_chromatic_number(g)
+    assert td_chromatic_bounds(g) == (res.lower_bound_used, res.upper_bound_used)
 
 
 def _recorded_solve(g: Graph):

@@ -7,20 +7,25 @@ several greedy cliques. The total-domination search branches on the
 neighbors of the lowest-index undominated vertex, and cuts a branch once the
 picks left cannot reach the undominated vertices: each pick u dominates only
 N(u). The TD search colors vertices in that fixed tie-break order with at
-most k colors and keeps two bitmasks per color: its class, and the vertices
-whose neighborhood holds the whole class. Its one cut is that the unused
-colors, each dominating only neighbors of one distinct uncolored vertex,
-cannot reach the vertices no used color can still dominate; a needy vertex
-with a fully colored neighborhood is the empty case. Both searches share
-this covering test, :func:`_can_cover`: a count against the maximum degree,
-an open packing (vertices whose available neighborhoods are disjoint each
-need a pick of their own) and a sum of the largest gains. Every bound cuts
-only subtrees with no solution and leaves the search order alone, so it
-changes no value or witness. The chromatic search tries colors in ascending
-order. The TD search tries a new color first, then the used colors by
-descending index: a new color's class is one vertex, which dominates its
-whole neighborhood. The color order moves only the round that finds a
-coloring, and with it the witness.
+most k colors and keeps two bitmasks per color: the union of its class
+members' neighborhoods, and the vertices whose neighborhood holds the whole
+class. It has three cuts. The unused colors, each dominating only
+neighbors of one distinct uncolored vertex, must reach the vertices no used
+color can still dominate; a needy vertex with a fully colored neighborhood
+is the empty case. At most k - gamma_t classes may dominate nobody, since
+one member of each class that dominates someone forms a total dominating
+set. And once at most one color is unused, every uncolored vertex must
+still have a class it can join without leaving some vertex undominated for
+good. The first cut and the total-domination search share a covering test,
+:func:`_can_cover`: a count against the maximum degree, an open packing
+(vertices whose available neighborhoods are disjoint each need a pick of
+their own) and a sum of the largest gains. Every bound cuts only subtrees
+with no solution and leaves the search order alone, so it changes no value
+or witness. The chromatic search tries colors in ascending order. The TD
+search tries a new color first, then the used colors by descending index: a
+new color's class is one vertex, which dominates its whole neighborhood.
+The color order moves only the round that finds a coloring, and with it the
+witness.
 
 The TD solve starts from an incumbent rather than searching upward: the
 coloring behind the bound gamma_t + chi (a private color for each member of a
@@ -393,6 +398,7 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
 def _td_exact_k(
     g: Graph,
     k: int,
+    gamma: int,
     order: list[int],
     nbr_mask: list[int],
     budget: _Budget,
@@ -403,12 +409,13 @@ def _td_exact_k(
     (at most one color beyond the maximum used so far), trying the new color
     first and then the used colors by descending index. A new color's class
     {v} lies inside N(w) for every w in N(v); small classes like it are what
-    a TD-coloring needs. The state is one bitmask pair per color:
-    ``class_mask[c]`` holds the class, and ``dom[c]`` the common neighbors of
-    its members, that is the vertices w whose N(w) contains the whole class,
-    so the class can still be w's witness. Color c is allowed on v when its
-    class misses N(v). A new color's ``dom`` is N(v); a reused color's
-    shrinks to ``dom[c] & N(v)``.
+    a TD-coloring needs. Besides each vertex's color, the state is two
+    bitmasks per color: ``reach[c]``, the union of the class members'
+    neighborhoods, and ``dom[c]``, the common neighbors of its members, that
+    is the vertices w whose N(w) contains the whole class, so the class can
+    still be w's witness. Color c is allowed on v when v lies outside
+    ``reach[c]``. A new color's ``dom`` is N(v); a reused color's shrinks to
+    ``dom[c] & N(v)``.
 
     A vertex is *needy* when it lies in no used color's ``dom``. A new color
     removes N(v) from the needy set; a reused color adds the vertices that
@@ -416,10 +423,11 @@ def _td_exact_k(
     a class can come to lie inside N(w) only as a new color on an uncolored
     vertex of N(w).
 
-    The one cut is :func:`_can_cover`. One of the k - max_used colors not
-    used yet must dominate each needy vertex. Each of those colors ends up
-    with a class of uncolored vertices; pick one member u of each, distinct
-    because classes are disjoint. The class lies inside N(u), so it
+    Three cuts run after each placement, each only when the one before
+    passes. The first is :func:`_can_cover`. One of the k - max_used colors
+    not used yet must dominate each needy vertex. Each of those colors ends
+    up with a class of uncolored vertices; pick one member u of each,
+    distinct because classes are disjoint. The class lies inside N(u), so it
     dominates only needy vertices in N(u), and a class that dominates a
     needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
     the k - max_used unused colors as picks and the uncolored vertices
@@ -427,16 +435,28 @@ def _td_exact_k(
     the filled-neighborhood cut: a needy vertex with no uncolored neighbor
     can never be dominated.
 
-    The cut drops only subtrees with no coloring, and the search order is
-    fixed, so the first coloring found does not depend on it. No state
-    carries from one sibling to the next and the cut reads only the current
+    The second caps the classes that dominate nobody. One member of each
+    class that dominates someone lies in N(w) for every w the class
+    dominates, so together they form a total dominating set: at least
+    ``gamma`` (gamma_t) classes dominate someone, and at most k - gamma
+    dominate nobody. A used color whose ``dom`` is empty keeps it empty,
+    since classes only grow, so the search counts these colors (``idle``)
+    and cuts once the count passes k - gamma.
+
+    The third, ``can_place``, runs once at most one color is unused and
+    some vertex is uncolored. Each uncolored vertex still needs a class, and
+    it cannot join one that would leave a vertex undominated for good.
+
+    The cuts drop only subtrees with no coloring, and the search order is
+    fixed, so the first coloring found does not depend on them. No state
+    carries from one sibling to the next and the cuts read only the current
     node, so a round with no coloring visits the same nodes in any color
     order; the color order moves only the round that finds a coloring.
 
-    A round visits the nodes of an exactly-k search. The slack, uncolored
+    A round visits a subtree of an exactly-k search. The slack, uncolored
     vertices minus unused colors, starts at n - k >= 0 (k = n always
     succeeds), and only a reused color lowers it. At slack 0 every needy
-    vertex the cut lets through has an uncolored neighbor, so the all-new
+    vertex the cuts let through has an uncolored neighbor, so the all-new
     path, tried first, succeeds before any reuse and the slack never goes
     negative: every coloring found has exactly k colors.
     """
@@ -446,25 +466,67 @@ def _td_exact_k(
     uncolored = [0] * n
     for d in range(n - 2, -1, -1):
         uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
-    class_mask = [0] * (k + 1)  # indexed by 1-based color
-    dom = [0] * (k + 1)
+    colors = [0] * n  # valid for the vertices colored so far
+    dom = [0] * (k + 1)  # indexed by 1-based color
+    reach = [0] * (k + 1)
     result: list[int] | None = None
 
-    def extend(depth: int, max_used: int, needy: int) -> bool:
-        # needy: vertices in no dom[c] for c in 1..max_used
+    def can_place(depth: int, used: int, needy: int) -> bool:
+        """False when the uncolored vertices cannot all find a class.
+
+        For a node with at most one color unused. A vertex w is *fatal* when
+        exactly one used color c dominates it and, if a color is unused, all
+        of N(w) is colored: no used color can come to dominate w, and no new
+        class can come to lie inside N(w), so c must keep w. An uncolored
+        vertex u can join c only when u lies outside ``reach[c]`` and every
+        fatal vertex of c lies in N(u). With no color unused, a vertex that
+        can join no used color has no class. With one unused, all such
+        vertices share the new class: they must be pairwise non-adjacent,
+        and each needy vertex, which only the new class can dominate, must
+        be adjacent to all of them.
+        """
+        rest = uncolored[depth]
+        twice = once = 0
+        for c in range(1, used + 1):
+            twice |= once & dom[c]
+            once |= dom[c]
+        joinable = 0
+        for c in range(1, used + 1):
+            free = rest & ~reach[c]
+            only = dom[c] & ~twice  # the vertices c alone dominates
+            while only and free:
+                low = only & -only
+                nbrs = nbr_mask[low.bit_length() - 1]
+                if used == k or not nbrs & rest:  # fatal
+                    free &= nbrs
+                only ^= low
+            joinable |= free
+        stuck = rest & ~joinable
+        if stuck and used == k:
+            return False
+        while stuck:
+            low = stuck & -stuck
+            nbrs = nbr_mask[low.bit_length() - 1]
+            if nbrs & stuck or needy & ~nbrs:
+                return False
+            stuck ^= low
+        return True
+
+    def extend(depth: int, max_used: int, needy: int, idle: int) -> bool:
+        # needy: vertices in no dom[c] for c in 1..max_used; idle: used
+        # colors whose dom is empty
         nonlocal result
         if depth == n:
-            result = [
-                next(c for c in range(1, k + 1) if class_mask[c] >> v & 1) for v in range(n)
-            ]
+            result = colors[:]
             return True
         v = order[depth]
         nbrs = nbr_mask[v]
         for c in range(min(max_used + 1, k), 0, -1):
-            if class_mask[c] & nbrs:
+            if reach[c] >> v & 1:
                 continue
             budget.spend()
-            old_dom = dom[c]
+            old_dom, old_reach = dom[c], reach[c]
+            idle_after = idle
             if c > max_used:
                 used_after = c
                 dom[c] = nbrs
@@ -476,19 +538,25 @@ def _td_exact_k(
                 for other in dom[1 : max_used + 1]:  # dom[c] is disjoint from left
                     left &= ~other
                 needy_after = needy | left
-            class_mask[c] |= 1 << v
+                if old_dom and not dom[c]:
+                    idle_after += 1
+            colors[v] = c
+            reach[c] |= nbrs
+            unused, rest = k - used_after, uncolored[depth]
             # each unused color dominates needy vertices around one distinct
-            # uncolored vertex only
-            ok = not needy_after or _can_cover(
-                needy_after, k - used_after, uncolored[depth], nbr_mask, max_deg
+            # uncolored vertex only; at least gamma classes dominate someone;
+            # every uncolored vertex needs a class it can still join
+            ok = (
+                (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg))
+                and idle_after <= k - gamma
+                and (unused > 1 or not rest or can_place(depth, used_after, needy_after))
             )
-            if ok and extend(depth + 1, used_after, needy_after):
+            if ok and extend(depth + 1, used_after, needy_after, idle_after):
                 return True
-            class_mask[c] ^= 1 << v
-            dom[c] = old_dom
+            dom[c], reach[c] = old_dom, old_reach
         return False
 
-    extend(0, 0, (1 << n) - 1)
+    extend(0, 0, (1 << n) - 1, 0)
     return result
 
 
@@ -554,20 +622,20 @@ def _require_td_defined(g: Graph) -> None:
         raise ValueError("TD-coloring undefined: graph has an isolated vertex")
 
 
-def _bounding_phase(g: Graph, budget: _Budget) -> tuple[int, int, list[int]]:
-    """max(chi, gamma_t), gamma_t + chi, and a TD-coloring with gamma_t + chi colors."""
+def _bounding_phase(g: Graph, budget: _Budget) -> tuple[int, int, int, list[int]]:
+    """max(chi, gamma_t), gamma_t + chi, gamma_t, and a TD-coloring with gamma_t + chi colors."""
     chi, proper, _, _ = _chromatic_search(g, budget)
     gamma, tds, _, _ = _total_dom_search(g, budget)
     constructed = [c + gamma for c in proper]
     for i, v in enumerate(tds):
         constructed[v] = i + 1
-    return max(chi, gamma), gamma + chi, constructed
+    return max(chi, gamma), gamma + chi, gamma, constructed
 
 
 def td_chromatic_bounds(g: Graph, opts: SolveOptions | None = None) -> tuple[int, int]:
     """``(max(chi, gamma_t), gamma_t + chi)``, where :func:`td_chromatic_number` starts."""
     _require_td_defined(g)
-    lower, upper, _ = _bounding_phase(g, _Budget(opts))
+    lower, upper, _, _ = _bounding_phase(g, _Budget(opts))
     return lower, upper
 
 
@@ -588,13 +656,13 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     """
     _require_td_defined(g)
     budget = _Budget(opts)
-    lower, upper, constructed = _bounding_phase(g, budget)
+    lower, upper, gamma, constructed = _bounding_phase(g, budget)
     nbr_mask = _neighbor_masks(g)
     best = _merge_classes(constructed, nbr_mask, budget)
     k = max(best)
     order = _branch_order(g)
     while k > lower:
-        found = _td_exact_k(g, k - 1, order, nbr_mask, budget)
+        found = _td_exact_k(g, k - 1, gamma, order, nbr_mask, budget)
         if found is None:
             break
         best, k = found, max(found)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,8 @@ from tdcolor.solvers import (
 )
 
 from util_graphs import (
+    FRONTIER,
+    FRONTIER_ROUNDS_PATH,
     brute_force_chromatic,
     brute_force_gamma_t,
     connected_graphs,
@@ -46,6 +48,7 @@ from util_graphs import (
     reference_td_oracle,
     reference_total_dom_search,
     reference_value_order_td_exact_k,
+    recorded_solve,
     with_filled,
     with_neighbor_lists,
 )
@@ -217,10 +220,23 @@ class TestTdChromaticNumber:
         assert is_td_coloring(g, res.witness)
         assert res.witness.num_colors == expected
 
+    @pytest.mark.parametrize(
+        "text,expected,nodes", [("G(4,10)", 16, 1_674), ("G(4,12)", 18, 1_558)]
+    )
+    def test_grids_with_the_placement_and_idle_class_cuts(self, text, expected, nodes):
+        # single-method pins with exact node counts. Without the cap on
+        # classes that dominate nobody and the placement check, G(4,10) took
+        # 18,932 nodes and G(4,12) 10,330
+        g = fam.realize(parse_expr(text))
+        res = td_chromatic_number(g)
+        assert (res.value, res.nodes_explored) == (expected, nodes)
+        assert is_td_coloring(g, res.witness)
+        assert res.witness.num_colors == expected
+
     def test_incumbent_at_the_lower_bound_runs_no_round(self):
         # C(6): the construction has 6 classes, two merges reach max(chi,
         # gamma_t) = 4, and the incumbent is optimal with no search
-        res, (constructed, merged, merge_nodes), rounds = _recorded_solve(fam.cycle_graph(6))
+        res, (constructed, merged, merge_nodes), rounds = recorded_solve(fam.cycle_graph(6))
         assert (len(set(constructed)), max(merged), merge_nodes) == (6, 4, 2)
         assert rounds == []
         assert (res.value, res.lower_bound_used) == (4, 4)
@@ -340,8 +356,9 @@ class TestSearchNodeTotals:
         # the sum-of-gains covering test in place of the open-packing one,
         # 553 domination and 3,170 k-loop nodes; with colors tried in
         # ascending order, 2,875 k-loop nodes; the upward k-loop from
-        # max(chi, gamma_t), before the merged incumbent, 1,777
-        assert (chi, dom, rest) == (86, 352, 1_076)
+        # max(chi, gamma_t), before the merged incumbent, 1,777; without the
+        # idle-class cap and the placement check, 1,076
+        assert (chi, dom, rest) == (86, 352, 770)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -425,37 +442,20 @@ def test_bounds_are_the_td_solve_bounds(g: Graph):
     assert td_chromatic_bounds(g) == (res.lower_bound_used, res.upper_bound_used)
 
 
-def _recorded_solve(g: Graph):
-    """Solve g; the merge's (input, output, nodes), and each round's (k, nodes, found)."""
-    merge_classes, td_exact_k = solvers._merge_classes, solvers._td_exact_k
-    merges: list[tuple[list[int], list[int], int]] = []
-    rounds: list[tuple[int, int, list[int] | None]] = []
-
-    def merge(colors, nbr_mask, budget):
-        before = budget.nodes
-        merged = merge_classes(colors, nbr_mask, budget)
-        merges.append((colors, merged, budget.nodes - before))
-        return merged
-
-    def round_(g, k, order, nbr_mask, budget):
-        before = budget.nodes
-        found = td_exact_k(g, k, order, nbr_mask, budget)
-        rounds.append((k, budget.nodes - before, found))
-        return found
-
-    with mock.patch.object(solvers, "_merge_classes", merge), mock.patch.object(
-        solvers, "_td_exact_k", round_
-    ):
-        res = td_chromatic_number(g)
-    (merge_record,) = merges
-    return res, merge_record, rounds
-
-
 def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
     """One round of ``td_exact_k`` at k, run alone: its nodes and the coloring found."""
     budget = _Budget(None)
     found = td_exact_k(g, k, solvers._branch_order(g), _neighbor_masks(g), budget)
     return budget.nodes, found
+
+
+def _solver_round(gamma: int):
+    """``solvers._td_exact_k`` for a graph with total domination number gamma."""
+
+    def td_exact_k(g, k, order, nbr_mask, budget):
+        return solvers._td_exact_k(g, k, gamma, order, nbr_mask, budget)
+
+    return td_exact_k
 
 
 def _upward_k_loop_value(g: Graph) -> int:
@@ -468,24 +468,28 @@ def _upward_k_loop_value(g: Graph) -> int:
     )
 
 
-def _check_td_rounds(g: Graph, *references) -> solvers.SolveResult:
+def _check_td_rounds(g: Graph, *references):
     """Check the incumbent, then each round, against the frozen copies and ``references``.
 
-    The at-most-k search visits the nodes of the exactly-k search with the
-    same color order, so each round that runs must take the value-order
-    copy's nodes at the same k and find the same coloring. A round that finds
-    no coloring visits the same nodes in any color order, so it must also
-    take exactly the ascending copy's nodes, and no more than a reference's.
-    The rounds run downward from the merged incumbent, one color fewer each,
-    and stop at the first that finds none or at the lower bound.
+    Returns the solve's result and its rounds' (k, nodes, found).
+
+    The at-most-k search visits a subtree of the exactly-k search with the
+    same color order, and its cuts drop only subtrees with no coloring, so
+    each round that runs must find the value-order copy's coloring at the
+    same k, in no more nodes. A round that finds no coloring visits the same
+    nodes in any color order, so it must also take no more than the
+    ascending copy's nodes, or a reference's. The rounds run downward from
+    the merged incumbent, one color fewer each, and stop at the first that
+    finds none or at the lower bound.
     """
-    res, (constructed, merged, merge_nodes), rounds = _recorded_solve(g)
+    res, (constructed, merged, merge_nodes), rounds = recorded_solve(g)
     value_order = with_filled(reference_value_order_td_exact_k)
     ascending = with_filled(reference_ascending_td_exact_k)
     for k, nodes, found in rounds:
-        assert _round_alone(g, k, value_order) == (nodes, found)
+        copy_nodes, copy_found = _round_alone(g, k, value_order)
+        assert copy_found == found and nodes <= copy_nodes
         if found is None:
-            assert _round_alone(g, k, ascending) == (nodes, None)
+            assert nodes <= _round_alone(g, k, ascending)[0]
         for reference in references:
             ref_nodes, ref_found = _round_alone(g, k, with_neighbor_lists(reference))
             assert (ref_found is None) == (found is None)
@@ -507,7 +511,18 @@ def _check_td_rounds(g: Graph, *references) -> solvers.SolveResult:
     assert res.nodes_explored == chi + dom + merge_nodes + sum(n for _, n, _ in rounds)
     assert is_td_coloring(g, res.witness)
     assert res.witness.num_colors == res.value
-    return res
+    return res, rounds
+
+
+def _idle_classes(g: Graph, coloring: Coloring) -> int:
+    """The classes of ``coloring`` that lie inside no vertex's neighborhood."""
+    classes = {}
+    for v, c in enumerate(coloring.colors):
+        classes.setdefault(c, set()).add(v)
+    return sum(
+        not any(members <= g.adjacency[w] for w in range(g.vertex_count))
+        for members in classes.values()
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,39 +530,52 @@ def _check_td_rounds(g: Graph, *references) -> solvers.SolveResult:
 def test_td_matches_reference_k_loop(g: Graph):
     # the per-vertex design without and with the sum-of-gains capacity
     # bound; the open-packing test cuts at least what either cut
-    res = _check_td_rounds(g, reference_td_exact_k, reference_capacity_td_exact_k)
+    res, _ = _check_td_rounds(g, reference_td_exact_k, reference_capacity_td_exact_k)
     assert res.value == td_chromatic_oracle(g).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_td_cuts_are_sound(g: Graph):
+    # every round from the lower bound to the upper, run alone, finds the
+    # value-order copy's coloring (or none) in no more nodes. That copy
+    # searches exactly k colors, so k stops at n, where the all-singleton
+    # coloring exists
+    chi = solvers._chromatic_search(g, _Budget(None))[0]
+    gamma = solvers._total_dom_search(g, _Budget(None))[0]
+    value_order = with_filled(reference_value_order_td_exact_k)
+    for k in range(max(chi, gamma), min(gamma + chi, g.vertex_count) + 1):
+        nodes, found = _round_alone(g, k, _solver_round(gamma))
+        copy_nodes, copy_found = _round_alone(g, k, value_order)
+        assert found == copy_found and nodes <= copy_nodes
+    # one member of each class that dominates someone totally dominates G,
+    # so at most (colors - gamma_t) classes dominate nobody
+    res = td_chromatic_number(g)
+    assert _idle_classes(g, res.witness) <= res.value - gamma
+    oracle = td_chromatic_oracle(g).witness
+    assert _idle_classes(g, oracle) <= oracle.num_colors - gamma
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=12))
 def test_incumbent_is_a_td_coloring(g: Graph):
     # the gamma_t + chi construction and each merge keep a TD-coloring
-    _, (constructed, merged, merge_nodes), _ = _recorded_solve(g)
+    _, (constructed, merged, merge_nodes), _ = recorded_solve(g)
     assert is_td_coloring(g, Coloring(tuple(constructed)))
     assert is_td_coloring(g, Coloring(tuple(merged)))
     assert set(merged) == set(range(1, max(merged) + 1))
     assert merge_nodes == len(set(constructed)) - max(merged) >= 0
 
 
-# the benchmark's frontier workload: seven families from easy orders to past
-# the frontier of an earlier k-loop
-FRONTIER = [
-    *(f"P({n})" for n in (12, 14, 16, 18, 20, 22)),
-    *(f"C({n})" for n in (12, 14, 16, 18, 20)),
-    *(f"L({n})" for n in (5, 6, 7, 8, 9)),
-    *(f"G(4,{n})" for n in (3, 4, 5)),
-    *(f"O({n})" for n in (3, 4, 5, 6)),
-    *(f"T({n})" for n in (6, 8, 10, 12, 14)),
-    *(f"D(5,{n})" for n in (2, 3, 4, 5)),
-]
-
-
 @pytest.mark.parametrize("text", FRONTIER)
 def test_td_frontier_rounds_match_reference_k_loop(text):
     # the per-vertex design without a capacity bound needs over 300k nodes on
-    # some of these, so only the one with the sum-of-gains bound takes part
-    _check_td_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
+    # some of these, so only the one with the sum-of-gains bound takes part.
+    # Each round's (k, nodes, coloring) is also pinned exactly, by the table
+    # tests/make_frontier_rounds.py generates
+    _, rounds = _check_td_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
+    table = json.loads(FRONTIER_ROUNDS_PATH.read_text(encoding="utf-8"))
+    assert [list(r) for r in rounds] == table[text]
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from pathlib import Path
 from typing import Iterable
+from unittest import mock
 
 from hypothesis import strategies as st
 
+from tdcolor import solvers
 from tdcolor.coloring import Coloring, is_td_coloring, normalize
 from tdcolor.graph import Graph
 from tdcolor.solvers import (
@@ -19,6 +22,49 @@ from tdcolor.solvers import (
     _neighbor_masks,
     _proper_exact_k,
 )
+
+
+# the benchmark's frontier workload: seven families from easy orders to past
+# the frontier of an earlier k-loop
+FRONTIER = [
+    *(f"P({n})" for n in (12, 14, 16, 18, 20, 22)),
+    *(f"C({n})" for n in (12, 14, 16, 18, 20)),
+    *(f"L({n})" for n in (5, 6, 7, 8, 9)),
+    *(f"G(4,{n})" for n in (3, 4, 5)),
+    *(f"O({n})" for n in (3, 4, 5, 6)),
+    *(f"T({n})" for n in (6, 8, 10, 12, 14)),
+    *(f"D(5,{n})" for n in (2, 3, 4, 5)),
+]
+
+# each FRONTIER instance's rounds as [k, nodes, coloring or None], written
+# by make_frontier_rounds.py
+FRONTIER_ROUNDS_PATH = Path(__file__).parent / "data" / "frontier_rounds.json"
+
+
+def recorded_solve(g: Graph):
+    """Solve g; the merge's (input, output, nodes), and each round's (k, nodes, found)."""
+    merge_classes, td_exact_k = solvers._merge_classes, solvers._td_exact_k
+    merges: list[tuple[list[int], list[int], int]] = []
+    rounds: list[tuple[int, int, list[int] | None]] = []
+
+    def merge(colors, nbr_mask, budget):
+        before = budget.nodes
+        merged = merge_classes(colors, nbr_mask, budget)
+        merges.append((colors, merged, budget.nodes - before))
+        return merged
+
+    def round_(g, k, gamma, order, nbr_mask, budget):
+        before = budget.nodes
+        found = td_exact_k(g, k, gamma, order, nbr_mask, budget)
+        rounds.append((k, budget.nodes - before, found))
+        return found
+
+    with mock.patch.object(solvers, "_merge_classes", merge), mock.patch.object(
+        solvers, "_td_exact_k", round_
+    ):
+        res = solvers.td_chromatic_number(g)
+    (merge_record,) = merges
+    return res, merge_record, rounds
 
 
 def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
@@ -785,7 +831,7 @@ def reference_value_order_td_exact_k(
     color order; the color order moves only the round that finds a coloring.
 
     Kept as the reference that the at-most-k search's rounds are compared
-    against: each round takes the same nodes and finds the same coloring.
+    against: each round finds the same coloring in no more nodes.
     """
     n = g.vertex_count
     if k > n:
@@ -850,7 +896,7 @@ def reference_value_order_td_exact_k(
 
 
 def with_neighbor_lists(td_exact_k):
-    """Adapt a k-loop that takes neighbor lists to ``solvers._td_exact_k``'s signature."""
+    """Adapt a k-loop that takes neighbor lists to the ``(g, k, order, nbr_mask, budget)`` form."""
 
     def adapted(g, k, order, nbr_mask, budget):
         n = g.vertex_count
@@ -864,7 +910,7 @@ def with_neighbor_lists(td_exact_k):
 
 
 def with_filled(td_exact_k):
-    """Adapt a k-loop that takes the ``filled`` table to ``solvers._td_exact_k``'s signature.
+    """Adapt a k-loop that takes the ``filled`` table to ``(g, k, order, nbr_mask, budget)``.
 
     ``filled[d]`` holds the vertices whose whole neighborhood is colored
     after depth d of ``order``.

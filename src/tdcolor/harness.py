@@ -336,13 +336,19 @@ def _load_cache(
 
 
 def _replayable(
-    rec: VerificationRecord, spec: FamilySpec, g: Graph, factor_value: FactorValue
+    rec: VerificationRecord,
+    spec: FamilySpec,
+    g: Graph,
+    factor_value: FactorValue,
+    oracle_cap: int,
 ) -> bool:
     """True when ``rec``'s vertex count, witness, oracle value and form hold for g.
 
-    The closed form is recomputed for ``spec``, so a hit whose formula value,
-    tag or match flag was edited is not replayed, nor one whose join factors
-    now run out of budget, since its form cannot be checked.
+    The oracle value must equal the solver value within ``oracle_cap`` and
+    be absent past it, so a hit whose oracle value was blanked is not
+    replayed. The closed form is recomputed for ``spec``, so neither is a
+    hit whose formula value, tag or match flag was edited, nor one whose
+    join factors now run out of budget, since its form cannot be checked.
     """
     try:
         formula = formula_for_spec(spec, factor_value)
@@ -354,7 +360,7 @@ def _replayable(
         return (
             rec.vertex_count == g.vertex_count
             and witness.num_colors == rec.solver_value
-            and rec.oracle_value in (None, rec.solver_value)
+            and rec.oracle_value == (rec.solver_value if g.vertex_count <= oracle_cap else None)
             and (rec.theorem_tag, rec.formula_value) == form
             and rec.match == _match_flag(rec.formula_value, rec.solver_value)
             and is_td_coloring(g, witness)
@@ -403,7 +409,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
             hit, _ = cache.get(key, (None, ""))
             if hit is not None and not _budget_cut(hit):
-                if _replayable(hit, spec, g, factor_value):
+                if _replayable(hit, spec, g, factor_value, config.oracle_cap):
                     records[spec_text] = hit
                     continue
                 rejected += 1  # a damaged record; its instance is solved again

@@ -677,16 +677,16 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     """Brute-force TD-chromatic number by set-partition enumeration.
 
     Enumerates restricted-growth strings over the vertices in index order,
-    filtered to proper partitions, and returns the minimum class count. A
-    partial partition is cut once some vertex w has all of N(w) placed and
-    no block inside N(w): every vertex still to come lies outside N(w), so
-    no block can come to lie inside it. The cut drops only subtrees with no
-    TD partition and keeps the enumeration order, so the value and witness
-    are those of the full enumeration. A complete partition is still tested
-    on its class bitmasks (every vertex needs a class with no member outside
-    its neighborhood), because a later vertex can join a block that passed
-    the cut. Each new best partition is re-checked with the coloring
-    checker before it is kept, so the witness passes the public checker.
+    filtered to proper partitions, and returns the minimum class count. At
+    every node, each vertex w with all of N(w) placed is re-checked, and the
+    partial partition is cut when no block lies inside N(w): every vertex
+    still to come lies outside N(w), so a block inside N(w) leaves it as
+    soon as it grows, and a new block never lies inside it. Once every
+    vertex is placed, this is the full TD test on the class bitmasks. The
+    cut drops only subtrees with no TD partition and keeps the enumeration
+    order, so the value and witness are those of the full enumeration. Each
+    new best partition is re-checked with the coloring checker before it is
+    kept, so the witness passes the public checker.
     Deliberately shares no search machinery with the rounds of
     :func:`td_chromatic_number`; intended as an independent correctness
     oracle for graphs of at most ``cap`` vertices.
@@ -698,11 +698,9 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
 
     started = time.perf_counter()
     nbr_mask = _neighbor_masks(g)
-    outside = [~m for m in nbr_mask]  # class b lies inside N(v) iff b & outside[v] == 0
-    # closed_at[i]: outside masks of the vertices whose highest-index neighbor is i
-    closed_at: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        closed_at[nbr_mask[w].bit_length() - 1].append(outside[w])
+    # closed[v]: ~N(w) of each vertex w whose N(w) lies in 0..v-1; a block b
+    # lies inside N(w) iff b & ~N(w) == 0
+    closed = [[~m for m in nbr_mask if m.bit_length() <= v] for v in range(n + 1)]
     assign = [0] * n
     blocks: list[int] = []
     best_k = n + 1
@@ -713,23 +711,14 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
         nonlocal best_k, best, examined
         if len(blocks) >= best_k:
             return  # already no better than the best complete partition
-        if v:
-            # N(w) was completed by v - 1; later vertices lie outside it,
-            # so a block inside N(w) must exist already
-            for out in closed_at[v - 1]:
-                for b in blocks:
-                    if not b & out:
-                        break
-                else:
-                    return
+        for out in closed[v]:
+            for b in blocks:
+                if not b & out:
+                    break
+            else:
+                return  # vertices v.. lie outside N(w), so no block can come inside it
         if v == n:
             examined += 1
-            for out in outside:
-                for b in blocks:
-                    if not b & out:
-                        break
-                else:
-                    return  # no class lies inside this vertex's neighborhood
             coloring = Coloring(tuple(c + 1 for c in assign))
             if not is_td_coloring(g, coloring):
                 raise AssertionError("internal error: oracle leaf test disagrees with checker")

@@ -294,6 +294,43 @@ class TestSuite:
             again = run_suite(config)
             assert (again.skipped_cache_lines, again.rejected_cache_records) == (0, 0)
 
+    def test_blanked_oracle_value_not_replayed(self, tmp_path, monkeypatch):
+        # P(4) lies within the oracle cap, so its record must carry the
+        # oracle value; a hit with it set to null must not replay as "-"
+        config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))
+        run_suite(config)
+        path = tmp_path / "records.jsonl"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["record"]["oracle_value"] = None
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        solved: list[int] = []
+        td_chromatic_number = solvers.td_chromatic_number
+
+        def counting(g, opts=None):
+            solved.append(g.vertex_count)
+            return td_chromatic_number(g, opts)
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", counting)
+        report = run_suite(config)
+        assert (report.skipped_cache_lines, report.rejected_cache_records) == (0, 1)
+        assert solved == [4]
+        assert report.records[0].oracle_value == 3
+        (row,) = [line for line in report.table.splitlines() if line.startswith("P(4)")]
+        assert row.split()[:5] == ["P(4)", "4", "3", "3", "3"]
+
+    def test_oracle_value_past_the_cap_not_replayed(self, tmp_path):
+        # P(11) lies past the default cap of 10: no oracle ran, so a stored
+        # oracle value, even the right one, is an edit
+        config = SuiteConfig(instances=("P(11)",), cache_dir=str(tmp_path))
+        run_suite(config)
+        path = tmp_path / "records.jsonl"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["record"]["oracle_value"] = 7
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        report = run_suite(config)
+        assert report.rejected_cache_records == 1
+        assert report.records[0].oracle_value is None
+
     def test_non_utf8_cache_line_skipped(self, tmp_path):
         config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))
         cold = run_suite(config)

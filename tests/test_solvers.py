@@ -303,11 +303,13 @@ class TestOracle:
 
     def test_default_suite_partition_count(self):
         # the verify suite calls the oracle on every instance within the cap;
-        # the full enumeration, before the closed-neighborhood cut, examined 115,703
+        # the full enumeration, before the closed-neighborhood cut, examined
+        # 115,703, and 12,841 while each N(w) was checked only where it closed.
+        # Now each partition left improves on the best, so it is kept
         graphs = [fam.realize(parse_expr(text)) for text in harness.default_suite().instances]
         small = [g for g in graphs if g.vertex_count <= 10]
         assert len(small) == 66
-        assert sum(td_chromatic_oracle(g).nodes_explored for g in small) == 12_841
+        assert sum(td_chromatic_oracle(g).nodes_explored for g in small) == 77
 
     def test_default_suite_matches_reference_oracle(self):
         # instances up to 9 vertices keep the full enumeration fast enough
@@ -326,6 +328,36 @@ class TestOracle:
         res, ref = td_chromatic_oracle(g), reference_td_oracle(g)
         assert (res.value, res.witness) == (ref.value, ref.witness) == (3, Coloring((1, 2, 1, 3)))
         assert (res.nodes_explored, ref.nodes_explored) == (1, 2)
+
+    def test_cut_when_a_later_vertex_joins_the_block_inside_a_neighborhood(self):
+        # path 2-0-1-3: N(2) = {0} closes at vertex 0 with the block {0}
+        # inside it; vertex 3 may join that block later, and then no block
+        # lies inside N(2), so the partition is cut before its leaf
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
+        res, ref = td_chromatic_oracle(g), reference_td_oracle(g)
+        assert (res.value, res.witness) == (ref.value, ref.witness) == (3, Coloring((1, 2, 3, 3)))
+        assert (res.nodes_explored, ref.nodes_explored) == (1, 4)
+
+    def test_default_suite_past_the_cap(self):
+        # the oracle as a second exact method on the default-suite rows past its cap
+        graphs = [fam.realize(parse_expr(text)) for text in harness.default_suite().instances]
+        large = [g for g in graphs if g.vertex_count > 10]
+        assert len(large) == 13
+        for g in large:
+            res = td_chromatic_oracle(g, cap=g.vertex_count)
+            assert res.value == td_chromatic_number(g).value
+            assert is_td_coloring(g, res.witness)
+
+    def test_frontier_past_the_cap(self):
+        # the FRONTIER instances of at most 14 vertices; the larger ones take
+        # up to seconds each (README, "The oracle's reach")
+        graphs = [fam.realize(parse_expr(text)) for text in FRONTIER]
+        small = [g for g in graphs if g.vertex_count <= 14]
+        assert len(small) == 13
+        for g in small:
+            res = td_chromatic_oracle(g, cap=g.vertex_count)
+            assert res.value == td_chromatic_number(g).value
+            assert is_td_coloring(g, res.witness)
 
 
 class TestSearchNodeTotals:
@@ -422,7 +454,7 @@ class TestBudgets:
 
 
 @settings(max_examples=60, deadline=None)
-@given(connected_graphs(min_vertices=2, max_vertices=8))
+@given(connected_graphs(min_vertices=2, max_vertices=10))
 def test_oracle_equivalence(g: Graph):
     assert td_chromatic_number(g).value == td_chromatic_oracle(g).value
 

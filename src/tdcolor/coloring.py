@@ -64,8 +64,10 @@ def _check_sized(g: Graph, coloring: Coloring) -> None:
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """True iff no edge joins two vertices of the same color."""
     _check_sized(g, coloring)
-    colors = coloring.colors
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    classes: dict[int, set[int]] = {}
+    for v, c in enumerate(coloring.colors):
+        classes.setdefault(c, set()).add(v)
+    return all(nbrs.isdisjoint(classes[c]) for nbrs, c in zip(g.adjacency, coloring.colors))
 
 
 def is_td_coloring(g: Graph, coloring: Coloring) -> bool:

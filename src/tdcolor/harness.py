@@ -96,14 +96,18 @@ def _match_flag(formula_value: int | None, solver_value: int | None) -> str:
     return "confirmed" if formula_value == solver_value else "refuted"
 
 
-def _budget_cut(rec: VerificationRecord) -> bool:
-    """True when the budget cut off the solver or a formula's own solves.
+def _budget_cut(rec: VerificationRecord, oracle_cap: int) -> bool:
+    """True when the budget cut off the solver, the oracle or a formula's own solves.
 
     A formula that applies always has a value, so a tag without a value marks
-    a join formula whose factor solves ran out of budget.
+    a join formula whose factor solves ran out of budget. The oracle runs on
+    every instance of at most ``oracle_cap`` vertices, so no oracle value
+    there marks an oracle that ran out of budget.
     """
-    return rec.solver_value is None or (
-        rec.theorem_tag is not None and rec.formula_value is None
+    return (
+        rec.solver_value is None
+        or (rec.theorem_tag is not None and rec.formula_value is None)
+        or (rec.vertex_count <= oracle_cap and rec.oracle_value is None)
     )
 
 
@@ -142,9 +146,11 @@ def verify_instance(
 ) -> VerificationRecord:
     """Realize one instance, evaluate formula/solver/oracle, build the record.
 
-    Budget exhaustion leaves the affected value absent (``match="unknown"``);
-    a join formula cut off that way keeps its tag with no value.
-    Solver/oracle disagreement raises :class:`OracleMismatchError`.
+    Budget exhaustion leaves the affected value absent: a cut solver makes
+    the match "unknown", a join formula cut off that way keeps its tag with
+    no value, and a cut oracle leaves no oracle value. Each search gets the
+    whole budget. Solver/oracle disagreement raises
+    :class:`OracleMismatchError`.
     """
     if isinstance(spec, str):
         spec = parse_expr(spec)
@@ -188,8 +194,11 @@ def _verify(
 
     oracle_value: int | None = None
     if g.vertex_count <= oracle_cap:
-        oracle_value = solvers.td_chromatic_oracle(g, cap=oracle_cap).value
-        if solver_value is not None and oracle_value != solver_value:
+        try:
+            oracle_value = solvers.td_chromatic_oracle(g, cap=oracle_cap, opts=opts).value
+        except BudgetExhaustedError:
+            pass
+        if None not in (solver_value, oracle_value) and oracle_value != solver_value:
             raise OracleMismatchError(
                 f"{spec_text}: solver found {solver_value}, oracle found {oracle_value}"
             )
@@ -300,13 +309,13 @@ class SuiteReport:
     table: str
     exit_code: int
     skipped_cache_lines: int = 0  # cache lines that did not parse
-    rejected_cache_records: int = 0  # parsed hits that failed _replayable
+    rejected_cache_records: int = 0  # parsed hits that failed _replayable, budget-cut ones too
 
 
-def _exit_code(records: tuple[VerificationRecord, ...]) -> int:
+def _exit_code(records: tuple[VerificationRecord, ...], oracle_cap: int) -> int:
     if any(r.match == "refuted" for r in records):
         return EXIT_REFUTED
-    if any(_budget_cut(r) for r in records):
+    if any(_budget_cut(r, oracle_cap) for r in records):
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -349,6 +358,7 @@ def _replayable(
     replayed. The closed form is recomputed for ``spec``, so neither is a
     hit whose formula value, tag or match flag was edited, nor one whose
     join factors now run out of budget, since its form cannot be checked.
+    So a record cut off by the budget is never replayed either.
     """
     try:
         formula = formula_for_spec(spec, factor_value)
@@ -384,8 +394,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     Records are keyed by canonical expression text, labeled-graph key, solver
     version and oracle cap; warm cache hits replay the stored record verbatim,
     so a rerun reproduces the cold-run report byte for byte. A record cut off
-    by the budget (no solver value, or a join formula without its value) is
-    neither stored nor replayed, so a later run with a larger budget solves
+    by the budget (no solver value, no oracle value within the oracle cap,
+    or a join formula without its value) is not stored, and fails
+    :func:`_replayable` if found, so a later run with a larger budget solves
     the instance again. Malformed cache lines, and hits that fail
     :func:`_replayable`, are each counted apart, dropped and solved again: the
     cache file is rewritten atomically from its valid lines plus the fresh
@@ -408,15 +419,15 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             g = families.realize(spec)
             key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
             hit, _ = cache.get(key, (None, ""))
-            if hit is not None and not _budget_cut(hit):
+            if hit is not None:
                 if _replayable(hit, spec, g, factor_value, config.oracle_cap):
                     records[spec_text] = hit
                     continue
-                rejected += 1  # a damaged record; its instance is solved again
+                rejected += 1  # a damaged or budget-cut record; its instance is solved again
                 del cache[key]
             rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value)
             records[spec_text] = rec
-            if not _budget_cut(rec):
+            if not _budget_cut(rec, config.oracle_cap):
                 fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))
     finally:
         if config.cache_dir and (skipped or rejected or fresh):
@@ -424,8 +435,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             _write_cache(config.cache_dir, [line for _, line in cache.values()] + fresh)
 
     ordered = tuple(records[k] for k in sorted(records))
-    table = render_table(ordered)
-    report = SuiteReport(ordered, table, _exit_code(ordered), skipped, rejected)
+    table = render_table(ordered, config.oracle_cap)
+    report = SuiteReport(ordered, table, _exit_code(ordered, config.oracle_cap), skipped, rejected)
 
     if config.report_path:
         pathlib.Path(config.report_path).write_text(table, encoding="utf-8")
@@ -441,8 +452,12 @@ def _fmt(value: int | None) -> str:
     return "-" if value is None else str(value)
 
 
-def render_table(records: tuple[VerificationRecord, ...]) -> str:
-    """Human-readable table grouped by theorem tag; deterministic."""
+def render_table(records: tuple[VerificationRecord, ...], oracle_cap: int = 10) -> str:
+    """Human-readable table grouped by theorem tag; deterministic.
+
+    ``oracle_cap`` is the suite's, so that an instance whose oracle ran out of
+    budget counts toward the exit status.
+    """
     groups: dict[str, list[VerificationRecord]] = {}
     for rec in records:
         groups.setdefault(rec.theorem_tag or "(no formula)", []).append(rec)
@@ -464,7 +479,7 @@ def render_table(records: tuple[VerificationRecord, ...]) -> str:
     lines.append(
         f"total {len(records)}: confirmed {confirmed}, refuted {refuted}, unknown {unknown}"
     )
-    lines.append(f"exit status {_exit_code(records)}")
+    lines.append(f"exit status {_exit_code(records, oracle_cap)}")
     return "\n".join(lines) + "\n"
 
 

@@ -3,16 +3,21 @@
 All searches are deterministic, with no randomness. The chromatic search
 branches on the most color-saturated vertex (DSATUR), ties broken by a fixed
 order (descending degree, then index), and starts from the largest of
-several greedy cliques. The total-domination search branches on the
-neighbors of the lowest-index undominated vertex, and cuts a branch once the
-picks left cannot reach the undominated vertices: each pick u dominates only
-N(u). The TD search colors vertices in that fixed tie-break order with at
-most k colors and keeps two bitmasks per color: the union of its class
-members' neighborhoods, and the vertices whose neighborhood holds the whole
-class. It has three cuts. The unused colors, each dominating only
-neighbors of one distinct uncolored vertex, must reach the vertices no used
-color can still dominate; a needy vertex with a fully colored neighborhood
-is the empty case. At most k - gamma_t classes may dominate nobody, since
+several greedy cliques. Its rounds cut by forced-color propagation: any
+completion gives each uncolored vertex a color in 1..k that none of its
+colored neighbors has, so a vertex with one color left must take it, which
+takes that color from its neighbors, and a vertex left with none cuts the
+subtree. The cut holds for every coloring, so it drops only subtrees with
+no coloring; an odd cycle's 2-coloring round fails after one node. The
+total-domination search branches on the neighbors of the lowest-index
+undominated vertex, and cuts a branch once the picks left cannot reach the
+undominated vertices: each pick u dominates only N(u). The TD search colors
+vertices in that fixed tie-break order with at most k colors and keeps two
+bitmasks per color: the union of its class members' neighborhoods, and the
+vertices whose neighborhood holds the whole class. It has three cuts. The
+unused colors, each dominating only neighbors of one distinct uncolored
+vertex, must reach the vertices no used color can still dominate; a needy
+vertex with a fully colored neighborhood is the empty case. At most k - gamma_t classes may dominate nobody, since
 one member of each class that dominates someone forms a total dominating
 set. And once at most one color is unused, every uncolored vertex must
 still have a class it can join without leaving some vertex undominated for
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coloring import Coloring, is_proper, is_td_coloring, normalize
 from .graph import Graph
@@ -123,12 +128,20 @@ def _branch_order(g: Graph) -> list[int]:
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for v in range(g.vertex_count):
+    return _position_masks(g, range(g.vertex_count))
+
+
+def _position_masks(g: Graph, order: Sequence[int]) -> list[int]:
+    """The neighbors of ``order[p]`` as a bitmask of positions in ``order``, for each p."""
+    bit = [0] * g.vertex_count
+    for p, v in enumerate(order):
+        bit[v] = 1 << p
+    masks = []
+    for v in order:
         m = 0
         for u in g.adjacency[v]:
-            m |= 1 << u
-        masks[v] = m
+            m |= bit[u]
+        masks.append(m)
     return masks
 
 
@@ -206,95 +219,169 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
 # chromatic number
 
 
-def _proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget) -> list[int] | None:
+def _propagate(blocked: list[int], k: int, free: int, nbr: list[int]) -> bool:
+    """False when forcing colors leaves some vertex of ``free`` no color in 1..k.
+
+    ``blocked[c]`` holds the vertices with a neighbor colored c. A vertex of
+    ``free`` with every color but c blocked must take c, which blocks c for
+    its neighbors; this repeats on a copy of ``blocked`` until nothing is
+    forced. Two adjacent vertices forced to the same color, or a vertex with
+    every color blocked, end it with False. The prefix ANDs over ``blocked``
+    give the vertices with no color left, and a prefix AND with a suffix AND
+    the ones whose only color left is c.
+    """
+    blocked = blocked[:]
+    prefix = [0] * (k + 1)
+    while True:
+        acc = prefix[0] = -1
+        for c in range(1, k + 1):
+            acc &= blocked[c]
+            prefix[c] = acc
+        if acc & free:
+            return False
+        forced_any = False
+        suffix = -1
+        for c in range(k, 0, -1):
+            forced = prefix[c - 1] & suffix & free
+            if forced:
+                forced_any = True
+                free ^= forced
+                reach, rest = 0, forced
+                while rest:
+                    low = rest & -rest
+                    reach |= nbr[low.bit_length() - 1]
+                    rest ^= low
+                if reach & forced:
+                    return False
+                blocked[c] |= reach
+            suffix &= blocked[c]
+        if not forced_any:
+            return True
+
+
+def _proper_exact_k(nbr: list[int], k: int, budget: _Budget) -> list[int] | None:
     """Any proper coloring with colors 1..k, or None. Canonical color order.
 
-    Branches on the uncolored vertex with the most distinct neighbor colors
-    (DSATUR), ties broken by position in ``order``, and fails as soon as that
-    vertex sees all k colors.
-    """
-    n = g.vertex_count
-    adj = g.adjacency
-    color_of = [0] * n
-    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
-    result: list[int] | None = None
+    Vertices are positions in the branch order, and ``nbr[p]`` is the
+    bitmask of p's neighbors. Branches on the uncolored vertex with the most
+    distinct neighbor colors (DSATUR), ties broken by the lowest position,
+    and tries its colors in ascending order. ``blocked[c]`` holds the
+    vertices with a neighbor colored c, and ``levels[j]`` the uncolored
+    vertices with j distinct neighbor colors.
 
-    def extend(depth: int, max_used: int) -> bool:
-        nonlocal result
-        if depth == n:
-            result = color_of[:]
+    A vertex at level k - 1 has one color left, so DSATUR places it next, as
+    its only child. After a free placement (one at a level below k - 1)
+    that leaves some vertex at level k - 1, :func:`_propagate` forces those
+    colors ahead and cuts the subtree when some vertex is left with none.
+    Every completion must give each vertex a color its neighbors lack, so
+    the cut drops only subtrees with no coloring. A forced placement
+    leaves the forced colors of its free ancestor unchanged, so nothing
+    new is found by propagating after it.
+    """
+    n = len(nbr)
+    color_of = [0] * n
+    blocked = [0] * (k + 1)
+    last = k - 1
+
+    def extend(uncolored: int, levels: list[int], top: int, max_used: int) -> bool:
+        if not uncolored:
             return True
-        v, sat = -1, -1
-        for u in order:
-            if not color_of[u] and nbr_colors[u].bit_count() > sat:
-                v, sat = u, nbr_colors[u].bit_count()
-        if sat == k:
-            return False
+        pick = levels[top] & -levels[top]
+        p = pick.bit_length() - 1
+        rest = uncolored ^ pick
+        nbrs = nbr[p] & rest
+        free = top < last
         for c in range(1, min(max_used + 1, k) + 1):
-            cbit = 1 << (c - 1)
-            if nbr_colors[v] & cbit:
+            old = blocked[c]
+            if old & pick:
                 continue
             budget.spend()
-            color_of[v] = c
-            changed = [u for u in adj[v] if not color_of[u] and not nbr_colors[u] & cbit]
-            for u in changed:
-                nbr_colors[u] |= cbit
-            if extend(depth + 1, max_used if c <= max_used else c):
+            gained = nbrs & ~old  # neighbors that see c for the first time
+            after = levels[:]
+            after[top] ^= pick
+            for j in range(top, -1, -1):
+                moved = after[j] & gained
+                if moved:
+                    after[j] ^= moved
+                    after[j + 1] |= moved
+                    gained ^= moved
+                    if not gained:
+                        break
+            high = top + 1 if after[top + 1] else top  # a colorable pick has top < k
+            while high and not after[high]:
+                high -= 1
+            blocked[c] = old | nbr[p]
+            color_of[p] = c
+            if (not free or not after[last] or _propagate(blocked, k, rest, nbr)) and extend(
+                rest, after, high, max_used if c <= max_used else c
+            ):
                 return True
-            for u in changed:
-                nbr_colors[u] ^= cbit
-            color_of[v] = 0
+            blocked[c] = old
         return False
 
-    extend(0, 0)
-    return result
+    levels = [0] * (k + 1)
+    levels[0] = (1 << n) - 1
+    return color_of if extend(levels[0], levels, 0, 0) else None
 
 
 def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound).
 
-    The upper bound is a greedy coloring in branch order. The lower bound is
-    the largest of several greedy cliques on the neighbor bitmasks: one in
-    branch order, and one grown from each vertex by adding the lowest-index
-    common neighbor each time. Any clique needs as many colors as it has
-    vertices, so every k below the bound is UNSAT, and skipping those rounds
-    leaves the first feasible k and its coloring unchanged.
+    Works on the vertices' positions in branch order: one neighbor bitmask
+    per position serves the greedy bound, the branch-order clique and every
+    round. The upper bound is a greedy coloring in branch order. The lower
+    bound is the largest of several greedy cliques: one in branch order, and
+    one grown from each vertex by adding the lowest-index common neighbor
+    each time, on the neighbor bitmasks by index. Any clique needs as many
+    colors as it has vertices, so every k below the bound is UNSAT, and
+    skipping those rounds leaves the first feasible k and its coloring
+    unchanged.
     """
     n = g.vertex_count
     if n == 0:
         return 0, [], 0, 0
     order = _branch_order(g)
-    adj = g.adjacency
+    nbr = _position_masks(g, order)
 
     greedy = [0] * n
-    for v in order:
-        used = {greedy[u] for u in adj[v] if greedy[u]}
-        c = 1
-        while c in used:
-            c += 1
-        greedy[v] = c
-    ub = max(greedy)
+    classes: list[int] = []  # greedy[p] = c + 1 for p in classes[c]
+    for p, nbrs in enumerate(nbr):
+        for c, members in enumerate(classes):
+            if not members & nbrs:
+                classes[c] = members | 1 << p
+                greedy[p] = c + 1
+                break
+        else:
+            classes.append(1 << p)
+            greedy[p] = len(classes)
+    ub = len(classes)
 
     # greedy cliques: one in branch order, and one grown from each vertex by
     # adding the lowest-index common neighbor; the largest is the lower bound
-    nbr_mask = _neighbor_masks(g)
     clique = lb = 0
-    for v in order:
-        if not clique & ~nbr_mask[v]:
-            clique |= 1 << v
+    for p, nbrs in enumerate(nbr):
+        if not clique & ~nbrs:
+            clique |= 1 << p
             lb += 1
-    for v in range(n):
-        cand, size = nbr_mask[v], 1
+    nbr_mask = _neighbor_masks(g)
+    for cand in nbr_mask:
+        size = 1
         while cand:
             cand &= nbr_mask[(cand & -cand).bit_length() - 1]
             size += 1
-        lb = max(lb, size)
+        if size > lb:
+            lb = size
 
+    value, colors = ub, greedy
     for k in range(lb, ub):
-        found = _proper_exact_k(g, k, order, budget)
+        found = _proper_exact_k(nbr, k, budget)
         if found is not None:
-            return k, found, lb, ub
-    return ub, greedy, lb, ub
+            value, colors = k, found
+            break
+    by_vertex = [0] * n
+    for p, v in enumerate(order):
+        by_vertex[v] = colors[p]
+    return value, by_vertex, lb, ub
 
 
 def chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
@@ -673,7 +760,7 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     return SolveResult(k, witness, budget.nodes, budget.elapsed(), lower, upper)
 
 
-def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
+def td_chromatic_oracle(g: Graph, cap: int = 10, opts: SolveOptions | None = None) -> SolveResult:
     """Brute-force TD-chromatic number by set-partition enumeration.
 
     Enumerates restricted-growth strings over the vertices in index order,
@@ -689,14 +776,16 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     kept, so the witness passes the public checker.
     Deliberately shares no search machinery with the rounds of
     :func:`td_chromatic_number`; intended as an independent correctness
-    oracle for graphs of at most ``cap`` vertices.
+    oracle for graphs of at most ``cap`` vertices. Each partial partition
+    that passes both cuts spends one node of the budget in ``opts``;
+    ``nodes_explored`` counts the complete partitions.
     """
     _require_td_defined(g)
     n = g.vertex_count
     if n > cap:
         raise ValueError(f"graph has {n} vertices; oracle cap is {cap}")
 
-    started = time.perf_counter()
+    budget = _Budget(opts)
     nbr_mask = _neighbor_masks(g)
     # closed[v]: ~N(w) of each vertex w whose N(w) lies in 0..v-1; a block b
     # lies inside N(w) iff b & ~N(w) == 0
@@ -717,6 +806,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
                     break
             else:
                 return  # vertices v.. lie outside N(w), so no block can come inside it
+        budget.spend()
         if v == n:
             examined += 1
             coloring = Coloring(tuple(c + 1 for c in assign))
@@ -741,4 +831,4 @@ def td_chromatic_oracle(g: Graph, cap: int = 10) -> SolveResult:
     if best is None:
         raise AssertionError("unreachable: all-singleton classes always dominate here")
     witness = normalize(Coloring(best))
-    return SolveResult(best_k, witness, examined, time.perf_counter() - started, 1, n)
+    return SolveResult(best_k, witness, examined, budget.elapsed(), 1, n)

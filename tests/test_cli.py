@@ -98,13 +98,15 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("C(1501)",),
-            ("C(1501)", "--what", "chromatic"),
+            ("P(2100)",),
+            ("join(C(1001),C(1001))", "--what", "chromatic"),
             ("P(3000)", "--what", "totaldom"),
         ],
     )
     def test_search_past_recursion_limit_exit_four(self, capsys, argv):
-        # the searches recurse once per vertex or pick; no traceback, no answer
+        # the searches recurse once per vertex or pick; no traceback, no
+        # answer. C(1501) took this path until forced-color propagation cut
+        # its chromatic round after one node
         code, out, err = run(capsys, "solve", *argv)
         assert code == 4
         assert out == ""
@@ -191,12 +193,13 @@ class TestBounds:
             assert err == "error: TD-coloring needs at least 2 vertices\n"
 
     def test_one_budget_for_both_searches(self, capsys):
-        # C(11) spends 10 nodes on chi and 9 on gamma_t, 19 in all
-        for budget in ("15", "18"):
+        # C(11) spends 1 node on chi and 9 on gamma_t, 10 in all; before
+        # forced-color propagation chi took 10 nodes
+        for budget in ("5", "9"):
             code, out, err = run(capsys, "bounds", "C(11)", "--budget", budget)
             assert (code, out) == (4, "")
             assert "error: node budget exhausted" in err
-        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "19")
+        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "10")
         assert (code, out) == (0, "bounds [6, 9]\n")
 
 

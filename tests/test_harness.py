@@ -99,6 +99,32 @@ class TestVerifyInstance:
         assert rec.witness is None
         assert rec.match == "unknown"
 
+    def test_oracle_out_of_budget(self, tmp_path):
+        # G(4,5) at cap 20: the TD solve takes 102 nodes and the oracle runs
+        # out of the 5,000; the record keeps the solver's value, has no oracle
+        # value, and is not cached. The form (11) is refuted, so exit 3
+        rec = verify_instance("G(4,5)", opts=SolveOptions(node_budget=5_000), oracle_cap=20)
+        assert (rec.solver_value, rec.oracle_value, rec.match) == (10, None, "refuted")
+        assert harness._budget_cut(rec, 20)
+        config = SuiteConfig(
+            instances=("G(4,5)",), node_budget=5_000, oracle_cap=20, cache_dir=str(tmp_path)
+        )
+        report = run_suite(config)
+        assert report.records == (dataclasses.replace(rec, elapsed=report.records[0].elapsed),)
+        assert report.exit_code == EXIT_REFUTED
+        assert not (tmp_path / "records.jsonl").exists()
+
+    def test_oracle_out_of_budget_exit_four(self, tmp_path):
+        # P(10): the TD solve takes 42 nodes, the oracle 77 partial partitions
+        config = SuiteConfig(instances=("P(10)",), node_budget=50, cache_dir=str(tmp_path))
+        report = run_suite(config)
+        assert (report.records[0].solver_value, report.records[0].oracle_value) == (7, None)
+        assert report.exit_code == EXIT_BUDGET
+        assert report.table.endswith("exit status 4\n")
+        assert not (tmp_path / "records.jsonl").exists()
+        report = run_suite(dataclasses.replace(config, node_budget=77))
+        assert (report.records[0].oracle_value, report.exit_code) == (7, EXIT_OK)
+
     def test_oracle_skipped_above_cap(self):
         rec = verify_instance("P(12)")
         assert rec.oracle_value is None
@@ -106,8 +132,8 @@ class TestVerifyInstance:
     def test_oracle_mismatch_is_fatal(self, monkeypatch):
         real = solvers.td_chromatic_oracle
 
-        def wrong_oracle(g, cap=10):
-            res = real(g, cap=cap)
+        def wrong_oracle(g, cap=10, opts=None):
+            res = real(g, cap=cap, opts=opts)
             return type(res)(
                 res.value + 1, res.witness, res.nodes_explored, res.elapsed, 1, res.value + 1
             )

@@ -36,11 +36,13 @@ from util_graphs import (
     brute_force_gamma_t,
     connected_graphs,
     graphs,
+    planted_graph,
     random_connected_graph,
     reference_ascending_td_exact_k,
     reference_capacity_td_exact_k,
     reference_chromatic_search,
     reference_degree_bound_dom_search,
+    reference_dsatur_proper_exact_k,
     reference_gain_sum_can_cover,
     reference_gain_sum_dom_search,
     reference_order_clique_chromatic_search,
@@ -77,6 +79,64 @@ class TestChromaticNumber:
         for _ in range(25):
             g = random_connected_graph(rng, lo=2, hi=6)
             assert chromatic_number(g).value == brute_force_chromatic(g)
+
+
+def _rounds_against_reference(g: Graph, ks) -> tuple[int, int]:
+    """Run each chromatic round k of ``ks`` live and frozen; nodes of each side.
+
+    Asserts that both find the same coloring, or both none, and that no live
+    round visits more nodes than its frozen twin.
+    """
+    order = solvers._branch_order(g)
+    nbr = solvers._position_masks(g, order)
+    live, ref = _Budget(None), _Budget(None)
+    for k in ks:
+        live_before, ref_before = live.nodes, ref.nodes
+        found = solvers._proper_exact_k(nbr, k, live)
+        if found is not None:
+            by_vertex = [0] * g.vertex_count
+            for p, v in enumerate(order):
+                by_vertex[v] = found[p]
+            found = by_vertex
+        assert found == reference_dsatur_proper_exact_k(g, k, order, ref)
+        assert live.nodes - live_before <= ref.nodes - ref_before
+    return live.nodes, ref.nodes
+
+
+class TestForcedColorPropagation:
+    """The chromatic rounds with the propagation cut against the frozen DSATUR."""
+
+    def test_planted_graphs(self):
+        # the benchmark's planted graphs (n = 28, k = 6, p = 0.5), 60 of them
+        # from seed 0: every round the search runs finds the frozen copy's
+        # coloring, or none as it does, in no more nodes
+        rng = random.Random(0)
+        live = ref = 0
+        for _ in range(60):
+            g = planted_graph(rng, 28, 6, 0.5)
+            budget = _Budget(None)
+            value, _, lb, ub = solvers._chromatic_search(g, budget)
+            a, b = _rounds_against_reference(g, range(lb, min(value + 1, ub)))
+            assert a == budget.nodes
+            live += a
+            ref += b
+        assert (live, ref) == (1_837, 2_344)
+
+    def test_odd_cycle_in_one_node(self):
+        # the 2-coloring is forced around the cycle, so the k = 2 round fails
+        # after its first placement; it used to visit every vertex
+        g = fam.cycle_graph(1501)
+        res = chromatic_number(g)
+        assert (res.value, res.nodes_explored) == (3, 1)
+        assert is_proper(g, res.witness) and res.witness.num_colors == 3
+
+    def test_td_of_a_long_odd_cycle(self):
+        # past the recursion limit before the propagation cut: the chromatic
+        # round recursed once per vertex
+        g = fam.cycle_graph(1501)
+        res = td_chromatic_number(g)
+        assert (res.value, res.nodes_explored) == (753, 1_659)
+        assert is_td_coloring(g, res.witness) and res.witness.num_colors == 753
 
 
 class TestTotalDominatingSet:
@@ -297,6 +357,17 @@ class TestOracle:
     def test_cap_configurable(self):
         assert td_chromatic_oracle(fam.path_graph(11), cap=11).value == 7
 
+    def test_node_budget(self):
+        # G(4,5) at cap 20 needs far more than 1,000 partial partitions; P(10)
+        # takes 77 within the default cap
+        with pytest.raises(BudgetExhaustedError) as err:
+            td_chromatic_oracle(fam.grid(4, 5), cap=20, opts=SolveOptions(node_budget=1_000))
+        assert err.value.nodes_explored == 1_001
+        res = td_chromatic_oracle(fam.path_graph(10), opts=SolveOptions(node_budget=77))
+        assert res.value == 7
+        with pytest.raises(BudgetExhaustedError):
+            td_chromatic_oracle(fam.path_graph(10), opts=SolveOptions(node_budget=76))
+
     def test_rejects_isolated(self):
         with pytest.raises(ValueError, match="isolated"):
             td_chromatic_oracle(fam.empty_graph(3))
@@ -389,8 +460,9 @@ class TestSearchNodeTotals:
         # 553 domination and 3,170 k-loop nodes; with colors tried in
         # ascending order, 2,875 k-loop nodes; the upward k-loop from
         # max(chi, gamma_t), before the merged incumbent, 1,777; without the
-        # idle-class cap and the placement check, 1,076
-        assert (chi, dom, rest) == (86, 352, 770)
+        # idle-class cap and the placement check, 1,076; without forced-color
+        # propagation in the chromatic rounds, 86 chromatic nodes
+        assert (chi, dom, rest) == (30, 352, 770)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -626,6 +698,15 @@ def test_total_domination_matches_reference_search(g: Graph):
     assert res.value == reference_total_dom_search(g, _Budget(None))[0]
     assert is_total_dominating_set(g, res.witness)
     assert len(set(res.witness)) == res.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_vertices=1, max_vertices=12))
+def test_propagation_keeps_every_round(g: Graph):
+    # every k from the clique bound to the greedy bound: the same coloring,
+    # or none, as the frozen DSATUR search, in no more nodes
+    _, _, lb, ub = solvers._chromatic_search(g, _Budget(None))
+    _rounds_against_reference(g, range(lb, ub + 1))
 
 
 @settings(max_examples=100, deadline=None)

@@ -20,7 +20,6 @@ from tdcolor.solvers import (
     _Budget,
     _can_cover,
     _neighbor_masks,
-    _proper_exact_k,
 )
 
 
@@ -78,6 +77,17 @@ def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Grap
         g = Graph.from_edges(n, edges)
         if g.is_connected():
             return g
+
+
+def planted_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
+    """Random k-partite graph plus a k-clique across the parts: chi is exactly k."""
+    part = [i % k for i in range(n)]
+    rng.shuffle(part)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if part[u] != part[v] and rng.random() < p}
+    reps = sorted(part.index(c) for c in range(k))
+    edges |= {(a, b) for i, a in enumerate(reps) for b in reps[i + 1:]}
+    return Graph.from_edges(n, sorted(edges))
 
 
 def brute_force_gamma_t(g: Graph) -> int | None:
@@ -191,6 +201,53 @@ def reference_proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget
     return result
 
 
+def reference_dsatur_proper_exact_k(
+    g: Graph, k: int, order: list[int], budget: _Budget
+) -> list[int] | None:
+    """Any proper coloring with colors 1..k, or None. Canonical color order.
+
+    Branches on the uncolored vertex with the most distinct neighbor colors
+    (DSATUR), ties broken by position in ``order``, and fails as soon as that
+    vertex sees all k colors. Kept as the reference that the search with
+    forced-color propagation is compared against.
+    """
+    n = g.vertex_count
+    adj = g.adjacency
+    color_of = [0] * n
+    nbr_colors = [0] * n  # colors present in N(v), uncolored v only
+    result: list[int] | None = None
+
+    def extend(depth: int, max_used: int) -> bool:
+        nonlocal result
+        if depth == n:
+            result = color_of[:]
+            return True
+        v, sat = -1, -1
+        for u in order:
+            if not color_of[u] and nbr_colors[u].bit_count() > sat:
+                v, sat = u, nbr_colors[u].bit_count()
+        if sat == k:
+            return False
+        for c in range(1, min(max_used + 1, k) + 1):
+            cbit = 1 << (c - 1)
+            if nbr_colors[v] & cbit:
+                continue
+            budget.spend()
+            color_of[v] = c
+            changed = [u for u in adj[v] if not color_of[u] and not nbr_colors[u] & cbit]
+            for u in changed:
+                nbr_colors[u] |= cbit
+            if extend(depth + 1, max_used if c <= max_used else c):
+                return True
+            for u in changed:
+                nbr_colors[u] ^= cbit
+            color_of[v] = 0
+        return False
+
+    extend(0, 0)
+    return result
+
+
 def reference_chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound)."""
     n = g.vertex_count
@@ -268,8 +325,8 @@ def reference_order_clique_chromatic_search(
 ) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound).
 
-    The DSATUR search with only the greedy clique in branch order as its
-    lower bound. Kept as the reference that the best-of-cliques bound's
+    The DSATUR search without forced-color propagation, with only the
+    greedy clique in branch order as its lower bound. Kept as the reference that the best-of-cliques bound's
     value, witness, node count and lower bound are compared against.
     """
     n = g.vertex_count
@@ -294,7 +351,7 @@ def reference_order_clique_chromatic_search(
     lb = max(1, len(clique))
 
     for k in range(lb, ub):
-        found = _proper_exact_k(g, k, order, budget)
+        found = reference_dsatur_proper_exact_k(g, k, order, budget)
         if found is not None:
             return k, found, lb, ub
     return ub, greedy, lb, ub

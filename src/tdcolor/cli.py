@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import families, harness, solvers
-from .expr import ExprSyntaxError, parse_expr
-from .graph import DimacsError, Graph
+from .expr import parse_expr
+from .graph import Graph
 from .solvers import BudgetExhaustedError, SolveOptions
 
 
@@ -178,9 +178,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else harness.EXIT_USAGE
     try:
         return args.func(args)
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return harness.EXIT_USAGE
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return harness.EXIT_BUDGET
@@ -191,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except harness.OracleMismatchError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return harness.EXIT_INTERNAL_MISMATCH
-    except (DimacsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ExprSyntaxError and DimacsError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return harness.EXIT_USAGE
 

@@ -8,6 +8,7 @@ can never witness its own class, because it is not adjacent to itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 from .graph import Graph
 
 __all__ = [
@@ -42,15 +43,15 @@ class Coloring:
         return {c: frozenset(grouped[c]) for c in sorted(grouped)}
 
 
+def _first_appearance(colors: Iterable[int]) -> tuple[int, ...]:
+    """``colors`` relabeled to 1..k in order of first appearance."""
+    remap: dict[int, int] = {}
+    return tuple(remap.setdefault(c, len(remap) + 1) for c in colors)
+
+
 def normalize(coloring: Coloring) -> Coloring:
     """Relabel colors to 1..k in order of first appearance; idempotent."""
-    remap: dict[int, int] = {}
-    out = []
-    for c in coloring.colors:
-        if c not in remap:
-            remap[c] = len(remap) + 1
-        out.append(remap[c])
-    return Coloring(tuple(out))
+    return Coloring(_first_appearance(coloring.colors))
 
 
 def _check_sized(g: Graph, coloring: Coloring) -> None:

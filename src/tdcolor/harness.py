@@ -23,7 +23,7 @@ from . import families, solvers
 from .coloring import Coloring, is_td_coloring
 from .expr import parse_expr, pretty
 from .families import FamilySpec
-from .formulas import FactorValue, FormulaResult, formula_for_spec
+from .formulas import FactorValue, formula_for_spec
 from .graph import Graph
 from .solvers import SOLVER_VERSION, BudgetExhaustedError, SolveOptions
 
@@ -85,10 +85,6 @@ class VerificationRecord:
             witness=tuple(witness) if witness is not None else None, **data
         )
 
-    @classmethod
-    def from_json(cls, line: str) -> "VerificationRecord":
-        return cls.from_dict(json.loads(line))
-
 
 def _match_flag(formula_value: int | None, solver_value: int | None) -> str:
     if formula_value is None or solver_value is None:
@@ -139,6 +135,19 @@ def _factor_solver(opts: SolveOptions | None) -> FactorValue:
     return solve
 
 
+def _closed_form(spec: FamilySpec, factor_value: FactorValue) -> tuple[str | None, int | None]:
+    """(theorem tag, value) of spec's closed form, (None, None) when none applies.
+
+    A join formula whose factor solves run out of budget gives ("join", None).
+    """
+    try:
+        formula = formula_for_spec(spec, factor_value)
+    except BudgetExhaustedError:
+        # only a join formula runs the solver (on its factors)
+        return "join", None
+    return (formula.theorem_tag, formula.value) if formula is not None else (None, None)
+
+
 def verify_instance(
     spec: FamilySpec | str,
     opts: SolveOptions | None = None,
@@ -174,13 +183,7 @@ def _verify(
 ) -> VerificationRecord:
     """:func:`verify_instance` on an instance already parsed and realized."""
     started = time.perf_counter()
-    formula: FormulaResult | None
-    try:
-        formula = formula_for_spec(spec, factor_value)
-        theorem_tag = formula.theorem_tag if formula is not None else None
-    except BudgetExhaustedError:
-        # only a join formula runs the solver (on its factors)
-        formula, theorem_tag = None, "join"
+    theorem_tag, formula_value = _closed_form(spec, factor_value)
 
     solver_value: int | None = None
     witness: tuple[int, ...] | None = None
@@ -203,7 +206,6 @@ def _verify(
                 f"{spec_text}: solver found {solver_value}, oracle found {oracle_value}"
             )
 
-    formula_value = formula.value if formula is not None else None
     return VerificationRecord(
         spec_text=spec_text,
         vertex_count=g.vertex_count,
@@ -353,18 +355,17 @@ def _replayable(
 ) -> bool:
     """True when ``rec``'s vertex count, witness, oracle value and form hold for g.
 
+    A record cut off by the budget (:func:`_budget_cut`) is never replayed.
     The oracle value must equal the solver value within ``oracle_cap`` and
     be absent past it, so a hit whose oracle value was blanked is not
     replayed. The closed form is recomputed for ``spec``, so neither is a
     hit whose formula value, tag or match flag was edited, nor one whose
-    join factors now run out of budget, since its form cannot be checked.
-    So a record cut off by the budget is never replayed either.
+    join factors now run out of budget: its form is ("join", None), which
+    only a budget-cut record carries.
     """
-    try:
-        formula = formula_for_spec(spec, factor_value)
-    except BudgetExhaustedError:
+    if _budget_cut(rec, oracle_cap):
         return False
-    form = (formula.theorem_tag, formula.value) if formula is not None else (None, None)
+    form = _closed_form(spec, factor_value)
     try:
         witness = Coloring(rec.witness)
         return (

@@ -17,20 +17,20 @@ bitmasks per color: the union of its class members' neighborhoods, and the
 vertices whose neighborhood holds the whole class. It has three cuts. The
 unused colors, each dominating only neighbors of one distinct uncolored
 vertex, must reach the vertices no used color can still dominate; a needy
-vertex with a fully colored neighborhood is the empty case. At most k - gamma_t classes may dominate nobody, since
-one member of each class that dominates someone forms a total dominating
-set. And once at most one color is unused, every uncolored vertex must
-still have a class it can join without leaving some vertex undominated for
-good. The first cut and the total-domination search share a covering test,
-:func:`_can_cover`: a count against the maximum degree, an open packing
-(vertices whose available neighborhoods are disjoint each need a pick of
-their own) and a sum of the largest gains. Every bound cuts only subtrees
-with no solution and leaves the search order alone, so it changes no value
-or witness. The chromatic search tries colors in ascending order. The TD
-search tries a new color first, then the used colors by descending index: a
-new color's class is one vertex, which dominates its whole neighborhood.
-The color order moves only the round that finds a coloring, and with it the
-witness.
+vertex with a fully colored neighborhood is the empty case. At most
+k - gamma_t classes may dominate nobody, since one member of each class
+that dominates someone forms a total dominating set. And once at most one
+color is unused, every uncolored vertex must still have a class it can join
+without leaving some vertex undominated for good. The first cut and the
+total-domination search share a covering test, :func:`_can_cover`: a count
+against the maximum degree, an open packing (vertices whose available
+neighborhoods are disjoint each need a pick of their own) and a sum of the
+largest gains. Every bound cuts only subtrees with no solution and leaves
+the search order alone, so it changes no value or witness. The chromatic
+search tries colors in ascending order. The TD search tries a new color
+first, then the used colors by descending index: a new color's class is one
+vertex, which dominates its whole neighborhood. The color order moves only
+the round that finds a coloring, and with it the witness.
 
 The TD solve starts from an incumbent rather than searching upward: the
 coloring behind the bound gamma_t + chi (a private color for each member of a
@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .coloring import Coloring, is_proper, is_td_coloring, normalize
+from .coloring import Coloring, _first_appearance, is_proper, is_td_coloring
 from .graph import Graph
 
 __all__ = [
@@ -145,6 +145,12 @@ def _position_masks(g: Graph, order: Sequence[int]) -> list[int]:
     return masks
 
 
+def _tables(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """The branch order, and g's neighbor bitmasks by position in it and by index."""
+    order = _branch_order(g)
+    return order, _position_masks(g, order), _neighbor_masks(g)
+
+
 def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: int) -> bool:
     """False when no ``picks`` distinct vertices u of ``avail`` can cover ``need``.
 
@@ -213,6 +219,15 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
         reach ^= low
     gains.sort(reverse=True)
     return total + sum(gains[:free]) >= short
+
+
+def _in_exactly_one(masks: Iterable[int]) -> int:
+    """The vertices that lie in exactly one of ``masks``."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once & ~twice
 
 
 # ---------------------------------------------------------------------------
@@ -324,25 +339,22 @@ def _proper_exact_k(nbr: list[int], k: int, budget: _Budget) -> list[int] | None
     return color_of if extend(levels[0], levels, 0, 0) else None
 
 
-def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, int]:
+def _chromatic_search(
+    order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
+) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound).
 
-    Works on the vertices' positions in branch order: one neighbor bitmask
-    per position serves the greedy bound, the branch-order clique and every
-    round. The upper bound is a greedy coloring in branch order. The lower
-    bound is the largest of several greedy cliques: one in branch order, and
-    one grown from each vertex by adding the lowest-index common neighbor
-    each time, on the neighbor bitmasks by index. Any clique needs as many
-    colors as it has vertices, so every k below the bound is UNSAT, and
-    skipping those rounds leaves the first feasible k and its coloring
-    unchanged.
+    Works on the vertices' positions in branch order ``order``: one neighbor
+    bitmask per position (``nbr``) serves the greedy bound, the branch-order
+    clique and every round. The upper bound is a greedy coloring in branch
+    order. The lower bound is the largest of several greedy cliques: one in
+    branch order, and one grown from each vertex by adding the lowest-index
+    common neighbor each time, on the neighbor bitmasks by index
+    (``nbr_mask``). Any clique needs as many colors as it has vertices, so
+    every k below the bound is UNSAT, and skipping those rounds leaves the
+    first feasible k and its coloring unchanged.
     """
-    n = g.vertex_count
-    if n == 0:
-        return 0, [], 0, 0
-    order = _branch_order(g)
-    nbr = _position_masks(g, order)
-
+    n = len(order)
     greedy = [0] * n
     classes: list[int] = []  # greedy[p] = c + 1 for p in classes[c]
     for p, nbrs in enumerate(nbr):
@@ -363,7 +375,6 @@ def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, i
         if not clique & ~nbrs:
             clique |= 1 << p
             lb += 1
-    nbr_mask = _neighbor_masks(g)
     for cand in nbr_mask:
         size = 1
         while cand:
@@ -387,8 +398,8 @@ def _chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int], int, i
 def chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact chromatic number with a witness proper coloring."""
     budget = _Budget(opts)
-    value, colors, lb, ub = _chromatic_search(g, budget)
-    witness = normalize(Coloring(tuple(colors)))
+    value, colors, lb, ub = _chromatic_search(*_tables(g), budget)
+    witness = Coloring(_first_appearance(colors))
     if not is_proper(g, witness):
         raise AssertionError("internal error: chromatic witness is not proper")
     return SolveResult(value, witness, budget.nodes, budget.elapsed(), lb, ub)
@@ -407,13 +418,15 @@ def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     return all(g.adjacency[v] & members for v in range(g.vertex_count))
 
 
-def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], int, int]:
+def _total_dom_search(
+    nbr_mask: list[int], budget: _Budget
+) -> tuple[int, tuple[int, ...], int, int]:
     """Exact total domination number by increasing-cardinality search.
 
     For each target size, branches on the neighbors of the lowest-index
-    undominated vertex (one of them must be in the set); a neighbor refuted
-    for one branch is excluded from its later siblings, so each set is
-    reached at most once.
+    undominated vertex (one of them must be in the set), by ascending index;
+    a neighbor refuted for one branch is excluded from its later siblings,
+    so each set is reached at most once.
 
     Packing bound: each remaining pick is a distinct vertex u that is not
     excluded, and it dominates nothing outside N(u). So a branch is cut when
@@ -428,11 +441,9 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
     branch order is unchanged, so the first set found is the same as
     without them.
     """
-    n = g.vertex_count
-    nbr_mask = _neighbor_masks(g)
-    nbr_list = [sorted(a) for a in g.adjacency]
+    n = len(nbr_mask)
     full = (1 << n) - 1
-    max_deg = max(len(a) for a in g.adjacency)
+    max_deg = max(m.bit_count() for m in nbr_mask)
     # the root case of the packing bound below
     lower = next(p for p in range(2, n + 1) if _can_cover(full, p, full, nbr_mask, max_deg))
     chosen: list[int] = []
@@ -448,15 +459,17 @@ def _total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[int, ...], 
         if not _can_cover(undominated, picks_left, full & ~excluded, nbr_mask, max_deg):
             return False
         w = (undominated & -undominated).bit_length() - 1
-        for v in nbr_list[w]:
-            if excluded >> v & 1:
-                continue
+        cand = nbr_mask[w] & ~excluded
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
             budget.spend()
             chosen.append(v)
             if extend(picks_left - 1, covered | nbr_mask[v], excluded):
                 return True
             chosen.pop()
-            excluded |= 1 << v
+            excluded |= low
+            cand ^= low
         return False
 
     for size in range(lower, n + 1):
@@ -472,7 +485,7 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
         return SolveResult(0, (), 0, budget.elapsed(), 0, 0)
     if g.has_isolated_vertex():
         raise ValueError("total domination undefined: graph has an isolated vertex")
-    value, witness, lb, ub = _total_dom_search(g, budget)
+    value, witness, lb, ub = _total_dom_search(_neighbor_masks(g), budget)
     if not is_total_dominating_set(g, witness):
         raise AssertionError("internal error: domination witness failed verification")
     return SolveResult(value, witness, budget.nodes, budget.elapsed(), lb, ub)
@@ -483,12 +496,7 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
 
 
 def _td_exact_k(
-    g: Graph,
-    k: int,
-    gamma: int,
-    order: list[int],
-    nbr_mask: list[int],
-    budget: _Budget,
+    k: int, gamma: int, order: list[int], nbr_mask: list[int], budget: _Budget
 ) -> list[int] | None:
     """Search for a total dominator coloring with at most k classes.
 
@@ -547,7 +555,7 @@ def _td_exact_k(
     path, tried first, succeeds before any reuse and the slack never goes
     negative: every coloring found has exactly k colors.
     """
-    n = g.vertex_count
+    n = len(order)
     max_deg = max(m.bit_count() for m in nbr_mask)
     # uncolored[d]: the vertices after depth d in the order
     uncolored = [0] * n
@@ -573,14 +581,11 @@ def _td_exact_k(
         be adjacent to all of them.
         """
         rest = uncolored[depth]
-        twice = once = 0
-        for c in range(1, used + 1):
-            twice |= once & dom[c]
-            once |= dom[c]
+        single = _in_exactly_one(dom[1 : used + 1])
         joinable = 0
         for c in range(1, used + 1):
             free = rest & ~reach[c]
-            only = dom[c] & ~twice  # the vertices c alone dominates
+            only = dom[c] & single  # the vertices c alone dominates
             while only and free:
                 low = only & -only
                 nbrs = nbr_mask[low.bit_length() - 1]
@@ -652,15 +657,17 @@ def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> l
 
     Each class keeps three bitmasks: the class, ``reach`` (the union of its
     members' neighborhoods) and ``dom`` (the common neighbors of its
-    members, the vertices it dominates). Each vertex keeps a count of the
-    classes that dominate it, and ``one`` holds the vertices with a count
-    of 1. Classes i and j may merge when no member of i is adjacent to one
-    of j, and no vertex dominated by only one of them has a count of 1: the
-    merged class dominates ``dom[i] & dom[j]``, so it keeps every vertex
-    dominated. The pairs i < j are swept in class order, a merge folding j
-    into i, until a sweep merges nothing. Each merge spends one node;
-    rejected pairs spend none. The result is the merged coloring with its
-    classes numbered in order.
+    members, the vertices it dominates), and ``one`` holds the vertices
+    that exactly one class dominates. Classes i and j may merge when no
+    member of i is adjacent to one of j, and no vertex of ``one`` is
+    dominated by only one of them: the merged class dominates
+    ``dom[i] & dom[j]``, so it keeps every vertex dominated. The pairs
+    i < j are swept once in class order, a merge folding j into i. Each
+    merge spends one node; rejected pairs spend none. One sweep suffices,
+    since a rejected pair stays rejected: classes and ``reach`` only grow,
+    and a class that alone dominates a vertex w can merge with no class
+    that misses w, so it keeps w while the other class's ``dom`` only
+    shrinks. Returns the merged coloring, its classes numbered in order.
     """
     n = len(colors)
     index = {c: i for i, c in enumerate(sorted(set(colors)))}
@@ -670,33 +677,21 @@ def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> l
         classes[i] |= 1 << v
         reach[i] |= nbr_mask[v]
         dom[i] &= nbr_mask[v]
-    count = [sum(d >> w & 1 for d in dom) for w in range(n)]
-    one = sum(1 << w for w in range(n) if count[w] == 1)
+    one = _in_exactly_one(dom)
 
-    merged = True
-    while merged:
-        merged = False
-        i = 0
-        while i < len(classes):
-            j = i + 1
-            while j < len(classes):
-                if classes[i] & reach[j] or (dom[i] ^ dom[j]) & one:
-                    j += 1
-                    continue
-                budget.spend()
-                touched = dom[i] | dom[j]
-                classes[i] |= classes.pop(j)
-                reach[i] |= reach.pop(j)
-                dom[i] &= dom.pop(j)
-                while touched:
-                    low = touched & -touched
-                    w = low.bit_length() - 1
-                    count[w] -= 1
-                    if count[w] == 1:
-                        one |= low
-                    touched ^= low
-                merged = True
-            i += 1
+    i = 0
+    while i < len(classes):
+        j = i + 1
+        while j < len(classes):
+            if classes[i] & reach[j] or (dom[i] ^ dom[j]) & one:
+                j += 1
+                continue
+            budget.spend()
+            classes[i] |= classes.pop(j)
+            reach[i] |= reach.pop(j)
+            dom[i] &= dom.pop(j)
+            one = _in_exactly_one(dom)
+        i += 1
 
     return [next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)]
 
@@ -709,10 +704,12 @@ def _require_td_defined(g: Graph) -> None:
         raise ValueError("TD-coloring undefined: graph has an isolated vertex")
 
 
-def _bounding_phase(g: Graph, budget: _Budget) -> tuple[int, int, int, list[int]]:
+def _bounding_phase(
+    order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
+) -> tuple[int, int, int, list[int]]:
     """max(chi, gamma_t), gamma_t + chi, gamma_t, and a TD-coloring with gamma_t + chi colors."""
-    chi, proper, _, _ = _chromatic_search(g, budget)
-    gamma, tds, _, _ = _total_dom_search(g, budget)
+    chi, proper, _, _ = _chromatic_search(order, nbr, nbr_mask, budget)
+    gamma, tds, _, _ = _total_dom_search(nbr_mask, budget)
     constructed = [c + gamma for c in proper]
     for i, v in enumerate(tds):
         constructed[v] = i + 1
@@ -722,7 +719,7 @@ def _bounding_phase(g: Graph, budget: _Budget) -> tuple[int, int, int, list[int]
 def td_chromatic_bounds(g: Graph, opts: SolveOptions | None = None) -> tuple[int, int]:
     """``(max(chi, gamma_t), gamma_t + chi)``, where :func:`td_chromatic_number` starts."""
     _require_td_defined(g)
-    lower, upper, _, _ = _bounding_phase(g, _Budget(opts))
+    lower, upper, _, _ = _bounding_phase(*_tables(g), _Budget(opts))
     return lower, upper
 
 
@@ -739,22 +736,22 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     one color fewer than the incumbent, and a coloring it finds becomes the
     new incumbent. A round that finds none ends the solve: with no coloring
     of at most k - 1 colors there is none of fewer, so the incumbent's k is
-    optimal. No round runs once the incumbent meets the lower bound.
+    optimal. No round runs once the incumbent meets the lower bound. Every
+    phase works on the tables that :func:`_tables` builds once.
     """
     _require_td_defined(g)
     budget = _Budget(opts)
-    lower, upper, gamma, constructed = _bounding_phase(g, budget)
-    nbr_mask = _neighbor_masks(g)
+    order, nbr, nbr_mask = _tables(g)
+    lower, upper, gamma, constructed = _bounding_phase(order, nbr, nbr_mask, budget)
     best = _merge_classes(constructed, nbr_mask, budget)
     k = max(best)
-    order = _branch_order(g)
     while k > lower:
-        found = _td_exact_k(g, k - 1, gamma, order, nbr_mask, budget)
+        found = _td_exact_k(k - 1, gamma, order, nbr_mask, budget)
         if found is None:
             break
         best, k = found, max(found)
 
-    witness = normalize(Coloring(tuple(best)))
+    witness = Coloring(_first_appearance(best))
     if not is_td_coloring(g, witness) or witness.num_colors != k:
         raise AssertionError("internal error: TD witness failed verification")
     return SolveResult(k, witness, budget.nodes, budget.elapsed(), lower, upper)
@@ -793,7 +790,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10, opts: SolveOptions | None = Non
     assign = [0] * n
     blocks: list[int] = []
     best_k = n + 1
-    best: tuple[int, ...] | None = None
+    best: Coloring | None = None
     examined = 0
 
     def recurse(v: int) -> None:
@@ -813,7 +810,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10, opts: SolveOptions | None = Non
             if not is_td_coloring(g, coloring):
                 raise AssertionError("internal error: oracle leaf test disagrees with checker")
             best_k = len(blocks)
-            best = coloring.colors
+            best = coloring
             return
         vbit = 1 << v
         for b in range(len(blocks)):
@@ -830,5 +827,5 @@ def td_chromatic_oracle(g: Graph, cap: int = 10, opts: SolveOptions | None = Non
     recurse(0)
     if best is None:
         raise AssertionError("unreachable: all-singleton classes always dominate here")
-    witness = normalize(Coloring(best))
-    return SolveResult(best_k, witness, examined, budget.elapsed(), 1, n)
+    # a restricted-growth string numbers its classes in order of first appearance
+    return SolveResult(best_k, best, examined, budget.elapsed(), 1, n)

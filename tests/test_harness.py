@@ -150,7 +150,7 @@ class TestVerifyInstance:
 class TestRecordsJson:
     def test_round_trip(self):
         rec = verify_instance("P(4)")
-        again = VerificationRecord.from_json(rec.to_json())
+        again = VerificationRecord.from_dict(json.loads(rec.to_json()))
         assert again == rec
 
     def test_json_fields(self):

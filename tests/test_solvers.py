@@ -115,7 +115,7 @@ class TestForcedColorPropagation:
         for _ in range(60):
             g = planted_graph(rng, 28, 6, 0.5)
             budget = _Budget(None)
-            value, _, lb, ub = solvers._chromatic_search(g, budget)
+            value, _, lb, ub = solvers._chromatic_search(*solvers._tables(g), budget)
             a, b = _rounds_against_reference(g, range(lb, min(value + 1, ub)))
             assert a == budget.nodes
             live += a
@@ -557,15 +557,15 @@ def _solver_round(gamma: int):
     """``solvers._td_exact_k`` for a graph with total domination number gamma."""
 
     def td_exact_k(g, k, order, nbr_mask, budget):
-        return solvers._td_exact_k(g, k, gamma, order, nbr_mask, budget)
+        return solvers._td_exact_k(k, gamma, order, nbr_mask, budget)
 
     return td_exact_k
 
 
 def _upward_k_loop_value(g: Graph) -> int:
     """The TD-chromatic number by the earlier upward k-loop on the frozen value-order copy."""
-    chi = solvers._chromatic_search(g, _Budget(None))[0]
-    gamma = solvers._total_dom_search(g, _Budget(None))[0]
+    chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
     exact_k = with_filled(reference_value_order_td_exact_k)
     return next(
         k for k in range(max(chi, gamma), chi + gamma + 1) if _round_alone(g, k, exact_k)[1]
@@ -645,8 +645,8 @@ def test_td_cuts_are_sound(g: Graph):
     # value-order copy's coloring (or none) in no more nodes. That copy
     # searches exactly k colors, so k stops at n, where the all-singleton
     # coloring exists
-    chi = solvers._chromatic_search(g, _Budget(None))[0]
-    gamma = solvers._total_dom_search(g, _Budget(None))[0]
+    chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
     value_order = with_filled(reference_value_order_td_exact_k)
     for k in range(max(chi, gamma), min(gamma + chi, g.vertex_count) + 1):
         nodes, found = _round_alone(g, k, _solver_round(gamma))
@@ -669,6 +669,17 @@ def test_incumbent_is_a_td_coloring(g: Graph):
     assert is_td_coloring(g, Coloring(tuple(merged)))
     assert set(merged) == set(range(1, max(merged) + 1))
     assert merge_nodes == len(set(constructed)) - max(merged) >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=12))
+def test_merged_incumbent_is_maximal(g: Graph):
+    # a rejected pair stays rejected, so after the merge's one sweep no pair
+    # may merge: recoloring any class b as a lower class a breaks it
+    _, (_, merged, _), _ = recorded_solve(g)
+    for a, b in itertools.combinations(range(1, max(merged) + 1), 2):
+        recolored = tuple(a if c == b else c for c in merged)
+        assert not is_td_coloring(g, Coloring(recolored))
 
 
 @pytest.mark.parametrize("text", FRONTIER)
@@ -705,7 +716,7 @@ def test_total_domination_matches_reference_search(g: Graph):
 def test_propagation_keeps_every_round(g: Graph):
     # every k from the clique bound to the greedy bound: the same coloring,
     # or none, as the frozen DSATUR search, in no more nodes
-    _, _, lb, ub = solvers._chromatic_search(g, _Budget(None))
+    _, _, lb, ub = solvers._chromatic_search(*solvers._tables(g), _Budget(None))
     _rounds_against_reference(g, range(lb, ub + 1))
 
 

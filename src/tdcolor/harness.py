@@ -2,10 +2,10 @@
 
 Each family instance yields one :class:`VerificationRecord`. The closed form
 comes from :func:`tdcolor.formulas.formula_for_spec`; a join formula's factor
-values come from a memoised exact solve under the run's node budget. A
-disagreement between the solver and the oracle is an internal inconsistency
-and raises; a disagreement between a formula and the solver is an honest,
-reportable outcome (``match = "refuted"``).
+values come from the run's exact solves, one per labeled graph, under the
+run's node budget. A disagreement between the solver and the oracle is an
+internal inconsistency and raises; a disagreement between a formula and the
+solver is an honest, reportable outcome (``match = "refuted"``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .expr import parse_expr, pretty
 from .families import FamilySpec
 from .formulas import FactorValue, formula_for_spec
 from .graph import Graph
-from .solvers import SOLVER_VERSION, BudgetExhaustedError, SolveOptions
+from .solvers import SOLVER_VERSION, BudgetExhaustedError, SolveOptions, SolveResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -107,30 +107,41 @@ def _budget_cut(rec: VerificationRecord, oracle_cap: int) -> bool:
     )
 
 
-def _factor_solver(opts: SolveOptions | None) -> FactorValue:
-    """A join factor's TD-chromatic number, solved once per factor spec.
+# each labeled graph's fresh TD solve outcome in one run, by Graph.canonical_key()
+Solves = dict[str, SolveResult | BudgetExhaustedError]
+
+
+def _td_solve(g: Graph, opts: SolveOptions | None, solves: Solves) -> SolveResult:
+    """g's TD solve, run at most once per labeled graph kept in ``solves``.
+
+    A solve out of budget stays out of budget: its BudgetExhaustedError is
+    kept and raised again on every later call.
+    """
+    key = g.canonical_key()
+    if key not in solves:
+        try:
+            solves[key] = solvers.td_chromatic_number(g, opts)
+        except BudgetExhaustedError as exc:
+            solves[key] = exc
+    outcome = solves[key]
+    if isinstance(outcome, BudgetExhaustedError):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+def _factor_solver(opts: SolveOptions | None, solves: Solves | None = None) -> FactorValue:
+    """A join factor's TD-chromatic number, solved through ``solves`` (a new table by default).
 
     None marks a factor where TD-coloring is undefined: fewer than 2
-    vertices, an isolated vertex, or a disconnected graph. A factor out of
-    budget stays out of budget: its BudgetExhaustedError is kept and raised
-    again on every later call.
+    vertices, an isolated vertex, or a disconnected graph.
     """
-    memo: dict[FamilySpec, int | None | BudgetExhaustedError] = {}
+    solves = {} if solves is None else solves
 
     def solve(spec: FamilySpec) -> int | None:
-        if spec not in memo:
-            g = families.realize(spec)
-            if g.vertex_count < 2 or g.has_isolated_vertex() or not g.is_connected():
-                memo[spec] = None
-            else:
-                try:
-                    memo[spec] = solvers.td_chromatic_number(g, opts).value
-                except BudgetExhaustedError as exc:
-                    memo[spec] = exc
-        value = memo[spec]
-        if isinstance(value, BudgetExhaustedError):
-            raise value.with_traceback(None)
-        return value
+        g = families.realize(spec)
+        if g.vertex_count < 2 or g.has_isolated_vertex() or not g.is_connected():
+            return None
+        return _td_solve(g, opts, solves).value
 
     return solve
 
@@ -163,13 +174,15 @@ def verify_instance(
     """
     if isinstance(spec, str):
         spec = parse_expr(spec)
+    solves: Solves = {}
     return _verify(
         spec,
         pretty(spec),
         families.realize(spec),
         opts,
         oracle_cap,
-        _factor_solver(opts),
+        _factor_solver(opts, solves),
+        solves,
     )
 
 
@@ -180,15 +193,19 @@ def _verify(
     opts: SolveOptions | None,
     oracle_cap: int,
     factor_value: FactorValue,
+    solves: Solves,
 ) -> VerificationRecord:
-    """:func:`verify_instance` on an instance already parsed and realized."""
+    """:func:`verify_instance` on an instance already parsed and realized.
+
+    The TD solve goes through ``solves``, the table ``factor_value`` reads.
+    """
     started = time.perf_counter()
     theorem_tag, formula_value = _closed_form(spec, factor_value)
 
     solver_value: int | None = None
     witness: tuple[int, ...] | None = None
     try:
-        res = solvers.td_chromatic_number(g, opts)
+        res = _td_solve(g, opts, solves)
         solver_value = res.value
         assert isinstance(res.witness, Coloring)
         witness = res.witness.colors
@@ -401,13 +418,16 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     the instance again. Malformed cache lines, and hits that fail
     :func:`_replayable`, are each counted apart, dropped and solved again: the
     cache file is rewritten atomically from its valid lines plus the fresh
-    records, also when an instance raises part way through the suite. A join
-    factor's solve runs once per suite, also when it runs out of budget.
+    records, also when an instance raises part way through the suite. Each
+    labeled graph is solved at most once per suite, as an instance or as a
+    join factor, also when it runs out of budget; cache hits never enter that
+    table of solves, so a join's form is checked against fresh solves only.
     """
     opts = config._solve_options()
     cache, skipped = _load_cache(config.cache_dir) if config.cache_dir else ({}, 0)
     rejected = 0
-    factor_value = _factor_solver(opts)
+    solves: Solves = {}
+    factor_value = _factor_solver(opts, solves)
 
     records: dict[str, VerificationRecord] = {}
     fresh: list[str] = []
@@ -426,7 +446,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                     continue
                 rejected += 1  # a damaged or budget-cut record; its instance is solved again
                 del cache[key]
-            rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value)
+            rec = _verify(spec, spec_text, g, opts, config.oracle_cap, factor_value, solves)
             records[spec_text] = rec
             if not _budget_cut(rec, config.oracle_cap):
                 fresh.append(json.dumps({"key": key, "record": rec.to_dict()}))

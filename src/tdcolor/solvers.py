@@ -9,10 +9,12 @@ colored neighbors has, so a vertex with one color left must take it, which
 takes that color from its neighbors, and a vertex left with none cuts the
 subtree. The cut holds for every coloring, so it drops only subtrees with
 no coloring; an odd cycle's 2-coloring round fails after one node. The
-total-domination search branches on the neighbors of the lowest-index
-undominated vertex, and cuts a branch once the picks left cannot reach the
-undominated vertices: each pick u dominates only N(u). The TD search colors
-vertices in that fixed tie-break order with at most k colors and keeps two
+total-domination search is fail-first too: it branches on the undominated
+vertex with the fewest non-excluded neighbors, ties to the lowest index,
+and tries those neighbors by descending gain, ties by index. It cuts a
+branch once the picks left cannot reach the undominated vertices: each
+pick u dominates only N(u). The TD search colors vertices in the chromatic
+search's fixed tie-break order with at most k colors and keeps two
 bitmasks per color: the union of its class members' neighborhoods, and the
 vertices whose neighborhood holds the whole class. It has three cuts. The
 unused colors, each dominating only neighbors of one distinct uncolored
@@ -65,7 +67,7 @@ __all__ = [
     "td_chromatic_oracle",
 ]
 
-SOLVER_VERSION = "4"
+SOLVER_VERSION = "5"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -151,8 +153,8 @@ def _tables(g: Graph) -> tuple[list[int], list[int], list[int]]:
     return order, _position_masks(g, order), _neighbor_masks(g)
 
 
-def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: int) -> bool:
-    """False when no ``picks`` distinct vertices u of ``avail`` can cover ``need``.
+def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: int) -> int:
+    """0 when no ``picks`` distinct vertices u of ``avail`` can cover ``need``.
 
     A pick u covers only N(u), at most ``max_deg`` vertices, so a vertex w
     of ``need`` is covered only by a pick in its region N(w) & ``avail``.
@@ -170,12 +172,15 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
        of the other vertices for the picks left. This sum is never above the
        ``picks`` largest gains, so the test cuts whatever that sum cuts.
 
-    The gains are counted only when the first two tests pass. True does not
+    The gains are counted only when the first two tests pass. ``need`` must
+    not be empty. When no test cuts, returns the smallest region, the one of
+    the lowest-index vertex of ``need`` with the fewest ``avail`` neighbors:
+    a cover must pick one of its vertices. A non-zero result does not
     promise a cover.
     """
     short = need.bit_count()
     if picks * max_deg < short:
-        return False
+        return 0
     regions = []
     reach = 0  # the vertices with a positive gain
     rest = need
@@ -183,7 +188,7 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
         low = rest & -rest
         region = nbr_mask[low.bit_length() - 1] & avail
         if not region:
-            return False
+            return 0
         regions.append(region)
         reach |= region
         rest ^= low
@@ -193,7 +198,7 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
     for region in regions:
         if not region & packed:
             if len(kept) == picks:
-                return False
+                return 0
             kept.append(region)
             packed |= region
     total = 0
@@ -207,18 +212,18 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
             region ^= low
         total += best
         if total >= short:
-            return True
+            return regions[0]
         reach ^= best_bit
     free = picks - len(kept)
     if total + free * max_deg < short:
-        return False
+        return 0
     gains = []
     while reach:
         low = reach & -reach
         gains.append((nbr_mask[low.bit_length() - 1] & need).bit_count())
         reach ^= low
     gains.sort(reverse=True)
-    return total + sum(gains[:free]) >= short
+    return regions[0] if total + sum(gains[:free]) >= short else 0
 
 
 def _in_exactly_one(masks: Iterable[int]) -> int:
@@ -423,10 +428,14 @@ def _total_dom_search(
 ) -> tuple[int, tuple[int, ...], int, int]:
     """Exact total domination number by increasing-cardinality search.
 
-    For each target size, branches on the neighbors of the lowest-index
-    undominated vertex (one of them must be in the set), by ascending index;
-    a neighbor refuted for one branch is excluded from its later siblings,
-    so each set is reached at most once.
+    For each target size, branches fail-first on the undominated vertex w
+    with the fewest non-excluded neighbors, ties to the lowest index: one of
+    them must be in the set. It tries them by descending gain, the number of
+    undominated vertices each dominates, ties by ascending index. A neighbor
+    refuted for one branch is excluded from its later siblings, so each set
+    is reached at most once. w's candidates are the first region of the
+    open packing in :func:`_can_cover`, which returns them when it does not
+    cut, so choosing w costs no extra pass.
 
     Packing bound: each remaining pick is a distinct vertex u that is not
     excluded, and it dominates nothing outside N(u). So a branch is cut when
@@ -437,9 +446,8 @@ def _total_dom_search(
     picks can reach. The size loop starts at the root case, with every
     vertex available: the fewest picks that pass the same test, so never
     below a greedy open packing of G or ceil(n / max degree). Both cut only
-    subtrees that hold no total dominating set of the target size, and the
-    branch order is unchanged, so the first set found is the same as
-    without them.
+    subtrees that hold no total dominating set of the target size, and both
+    hold under any branch vertex and candidate order.
     """
     n = len(nbr_mask)
     full = (1 << n) - 1
@@ -456,20 +464,20 @@ def _total_dom_search(
             witness = tuple(sorted(chosen))
             return True
         # each pick is a distinct non-excluded u and dominates only N(u)
-        if not _can_cover(undominated, picks_left, full & ~excluded, nbr_mask, max_deg):
-            return False
-        w = (undominated & -undominated).bit_length() - 1
-        cand = nbr_mask[w] & ~excluded
+        cand = _can_cover(undominated, picks_left, full & ~excluded, nbr_mask, max_deg)
+        by_gain = []
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
+            by_gain.append((-(nbr_mask[v] & undominated).bit_count(), v))
+            cand ^= low
+        for _, v in sorted(by_gain):
             budget.spend()
             chosen.append(v)
             if extend(picks_left - 1, covered | nbr_mask[v], excluded):
                 return True
             chosen.pop()
-            excluded |= low
-            cand ^= low
+            excluded |= 1 << v
         return False
 
     for size in range(lower, n + 1):

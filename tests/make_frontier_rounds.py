@@ -1,31 +1,55 @@
-"""Write tests/data/frontier_rounds.json: each frontier instance's TD rounds.
+"""Write the generated tables under tests/data.
 
     PYTHONPATH=src python tests/make_frontier_rounds.py
 
-For every instance of ``util_graphs.FRONTIER``, records each round that
-``td_chromatic_number`` runs below the merged incumbent as ``[k, nodes,
-coloring]``, the coloring being ``null`` when the round finds none.
-``test_td_frontier_rounds_match_reference_k_loop`` checks the table exactly,
-so regenerate it only when a change to the rounds is intended.
+``frontier_rounds.json``: for every instance of ``util_graphs.FRONTIER``,
+each round that ``td_chromatic_number`` runs below the merged incumbent as
+``[k, nodes, coloring]``, the coloring being ``null`` when the round finds
+none. ``test_td_frontier_rounds_match_reference_k_loop`` checks it exactly.
+
+``totaldom_phase.json``: for every instance of ``util_graphs.TOTALDOM_PHASE``,
+``total_domination_number`` as ``[value, lower bound, nodes, witness]``.
+``test_total_domination_phase_matches_table`` checks it exactly.
+
+Regenerate them only when a change to the rounds or to the
+total-domination search is intended.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from tdcolor import families
 from tdcolor.expr import parse_expr
+from tdcolor.solvers import total_domination_number
 
-from util_graphs import FRONTIER, FRONTIER_ROUNDS_PATH, recorded_solve
+from util_graphs import (
+    FRONTIER,
+    FRONTIER_ROUNDS_PATH,
+    TOTALDOM_PHASE,
+    TOTALDOM_PHASE_PATH,
+    recorded_solve,
+)
+
+
+def write_table(path: Path, table: dict[str, list]) -> None:
+    lines = [f"  {json.dumps(text)}: {json.dumps(row)}" for text, row in table.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 def main() -> None:
-    table = {}
+    rounds = {}
     for text in FRONTIER:
-        _, _, rounds = recorded_solve(families.realize(parse_expr(text)))
-        table[text] = [list(r) for r in rounds]
-    lines = [f"  {json.dumps(text)}: {json.dumps(rounds)}" for text, rounds in table.items()]
-    FRONTIER_ROUNDS_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+        _, _, solve_rounds = recorded_solve(families.realize(parse_expr(text)))
+        rounds[text] = [list(r) for r in solve_rounds]
+    write_table(FRONTIER_ROUNDS_PATH, rounds)
+
+    phase = {}
+    for text in TOTALDOM_PHASE:
+        res = total_domination_number(families.realize(parse_expr(text)))
+        phase[text] = [res.value, res.lower_bound_used, res.nodes_explored, list(res.witness)]
+    write_table(TOTALDOM_PHASE_PATH, phase)
 
 
 if __name__ == "__main__":

@@ -193,13 +193,14 @@ class TestBounds:
             assert err == "error: TD-coloring needs at least 2 vertices\n"
 
     def test_one_budget_for_both_searches(self, capsys):
-        # C(11) spends 1 node on chi and 9 on gamma_t, 10 in all; before
-        # forced-color propagation chi took 10 nodes
-        for budget in ("5", "9"):
+        # C(11) spends 1 node on chi and 6 on gamma_t, 7 in all; before
+        # forced-color propagation chi took 10 nodes, and gamma_t took 9
+        # branching on the lowest-index undominated vertex
+        for budget in ("4", "6"):
             code, out, err = run(capsys, "bounds", "C(11)", "--budget", budget)
             assert (code, out) == (4, "")
             assert "error: node budget exhausted" in err
-        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "10")
+        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "7")
         assert (code, out) == (0, "bounds [6, 9]\n")
 
 

@@ -256,7 +256,7 @@ class TestSuite:
         path = tmp_path / "records.jsonl"
         entry = json.loads(path.read_text(encoding="utf-8"))
         prefix, version, cap = entry["key"].rsplit("|", 2)
-        assert version == solvers.SOLVER_VERSION == "4"
+        assert version == solvers.SOLVER_VERSION == "5"
         entry["key"] = f"{prefix}|3|{cap}"
         entry["record"]["witness"] = [1, 2, 3, 4, 3, 4]
         old = json.dumps(entry)
@@ -380,13 +380,34 @@ class TestSuite:
         texts = ("join(T(20),K(3))", "join(T(20),P(3))", "join(T(20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # T(20) (41 vertices, 14,929 nodes) runs out of budget once; the three
-        # joins (7-15 nodes each) reuse that outcome. T(16) served here until
+        # T(20) (41 vertices, 11,323 nodes) runs out of budget once; the three
+        # joins (3-8 nodes each) reuse that outcome. T(16) served here until
         # the new-color-first order solved it in 2,614 nodes
         assert solved == [41, 44, 44, 46]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()
+
+    def test_each_labeled_graph_solved_once(self, monkeypatch):
+        solved: list[int] = []
+        td_chromatic_number = solvers.td_chromatic_number
+
+        def counting(g, opts=None):
+            solved.append(g.vertex_count)
+            return td_chromatic_number(g, opts)
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", counting)
+        texts = ("P(4)", "join(P(4),P(2))", "C(3)", "T(1)")
+        report = run_suite(SuiteConfig(instances=texts))
+        # the join reads the instance P(4)'s solve and solves P(2) once as a
+        # factor; T(1) is the same labeled graph as C(3)
+        assert solved == [4, 2, 6, 3]
+        assert [(r.spec_text, r.formula_value, r.solver_value) for r in report.records] == [
+            ("C(3)", 3, 3),
+            ("P(4)", 3, 3),
+            ("T(1)", 3, 3),
+            ("join(P(4),P(2))", 5, 4),
+        ]
 
     def test_cache_key_includes_oracle_cap(self, tmp_path):
         config = SuiteConfig(instances=("P(11)",), cache_dir=str(tmp_path))

@@ -30,8 +30,11 @@ from tdcolor.solvers import (
 )
 
 from util_graphs import (
+    BOUNDS_TOTALDOM,
     FRONTIER,
     FRONTIER_ROUNDS_PATH,
+    TOTALDOM_PHASE,
+    TOTALDOM_PHASE_PATH,
     brute_force_chromatic,
     brute_force_gamma_t,
     connected_graphs,
@@ -132,10 +135,11 @@ class TestForcedColorPropagation:
 
     def test_td_of_a_long_odd_cycle(self):
         # past the recursion limit before the propagation cut: the chromatic
-        # round recursed once per vertex
+        # round recursed once per vertex. The total-domination search took
+        # 1,659 nodes in all branching on the lowest-index undominated vertex
         g = fam.cycle_graph(1501)
         res = td_chromatic_number(g)
-        assert (res.value, res.nodes_explored) == (753, 1_659)
+        assert (res.value, res.nodes_explored) == (753, 911)
         assert is_td_coloring(g, res.witness) and res.witness.num_colors == 753
 
 
@@ -180,11 +184,12 @@ class TestTotalDominationNumber:
     def test_degree_sum_start_and_packing_cut(self):
         # degrees 4, 2, 2, ...: 4 + 2 + 2 < 9, so the search starts at 4, one
         # above ceil(9 / 4) = 3; with the packing cut the tree falls from 55
-        # nodes to 17, and to 13 with the open-packing test
+        # nodes to 17, to 13 with the open-packing test, and to 7 branching
+        # fail-first instead of on the lowest-index undominated vertex
         g = fam.realize(parse_expr("D(5,2)"))
         res = total_domination_number(g)
         assert (res.value, res.lower_bound_used, res.witness) == (5, 4, (0, 1, 2, 5, 6))
-        assert res.nodes_explored == 13
+        assert res.nodes_explored == 7
         ref = reference_degree_bound_dom_search(g, _Budget(None))
         assert (ref[0], ref[1], ref[2]) == (5, (0, 1, 2, 5, 6), 3)
 
@@ -281,12 +286,13 @@ class TestTdChromaticNumber:
         assert res.witness.num_colors == expected
 
     @pytest.mark.parametrize(
-        "text,expected,nodes", [("G(4,10)", 16, 1_674), ("G(4,12)", 18, 1_558)]
+        "text,expected,nodes", [("G(4,10)", 16, 1_638), ("G(4,12)", 18, 1_369)]
     )
     def test_grids_with_the_placement_and_idle_class_cuts(self, text, expected, nodes):
         # single-method pins with exact node counts. Without the cap on
         # classes that dominate nobody and the placement check, G(4,10) took
-        # 18,932 nodes and G(4,12) 10,330
+        # 18,932 nodes and G(4,12) 10,330; with the total-domination search
+        # branching on the lowest-index undominated vertex, 1,674 and 1,558
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g)
         assert (res.value, res.nodes_explored) == (expected, nodes)
@@ -461,17 +467,19 @@ class TestSearchNodeTotals:
         # ascending order, 2,875 k-loop nodes; the upward k-loop from
         # max(chi, gamma_t), before the merged incumbent, 1,777; without the
         # idle-class cap and the placement check, 1,076; without forced-color
-        # propagation in the chromatic rounds, 86 chromatic nodes
-        assert (chi, dom, rest) == (30, 352, 770)
+        # propagation in the chromatic rounds, 86 chromatic nodes; branching
+        # on the lowest-index undominated vertex, 352 domination nodes, and
+        # 770 merge and k-loop nodes from the incumbents its witnesses gave
+        assert (chi, dom, rest) == (30, 276, 748)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
-        # 51,575 with only the picks-left-times-max-degree prune and 1,768 with
-        # the sum-of-gains covering test in place of the open-packing one
-        texts = ("P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)")
-        results = [total_domination_number(fam.realize(parse_expr(t))) for t in texts]
+        # 51,575 with only the picks-left-times-max-degree prune, 1,768 with
+        # the sum-of-gains covering test in place of the open-packing one and
+        # 197 branching on the lowest-index undominated vertex
+        results = [total_domination_number(fam.realize(parse_expr(t))) for t in BOUNDS_TOTALDOM]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
-        assert sum(r.nodes_explored for r in results) == 197
+        assert sum(r.nodes_explored for r in results) == 85
 
 
 class TestClosedFormDeviations:
@@ -693,6 +701,19 @@ def test_td_frontier_rounds_match_reference_k_loop(text):
     assert [list(r) for r in rounds] == table[text]
 
 
+@pytest.mark.parametrize("text", TOTALDOM_PHASE)
+def test_total_domination_phase_matches_table(text):
+    # [value, lower bound, nodes, witness] pinned exactly by the table that
+    # tests/make_frontier_rounds.py generates; the value also against the
+    # subset-order search, which spends 59M nodes (over 10 s) on T(30)
+    g = fam.realize(parse_expr(text))
+    res = total_domination_number(g)
+    table = json.loads(TOTALDOM_PHASE_PATH.read_text(encoding="utf-8"))
+    assert [res.value, res.lower_bound_used, res.nodes_explored, list(res.witness)] == table[text]
+    assert is_total_dominating_set(g, res.witness)
+    assert res.value == reference_total_dom_search(g, _Budget(None))[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=10))
 def test_chromatic_matches_reference_search(g: Graph):
@@ -736,24 +757,25 @@ def test_chromatic_matches_order_clique_search(g: Graph):
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=12))
 def test_total_domination_matches_degree_bound_search(g: Graph):
-    # the packing cut and the degree-sum start drop only subtrees with no set
+    # the packing cut and the degree-sum start drop only subtrees with no
+    # set. The branch orders differ, so witnesses and node counts may too
     res = total_domination_number(g)
-    budget = _Budget(None)
-    value, witness, lb, ub = reference_degree_bound_dom_search(g, budget)
-    assert (res.value, res.witness) == (value, witness)
-    assert res.nodes_explored <= budget.nodes
+    value, _, lb, _ = reference_degree_bound_dom_search(g, _Budget(None))
+    assert res.value == value
+    assert is_total_dominating_set(g, res.witness) and len(set(res.witness)) == value
     assert lb <= res.lower_bound_used <= res.value
 
 
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=12))
 def test_total_domination_matches_gain_sum_search(g: Graph):
-    # the open-packing test cuts at least what the sum-of-gains test cut
+    # the open-packing test cuts at least what the sum-of-gains test cut, so
+    # the size loop starts no lower. The branch orders differ, so witnesses
+    # and node counts may too
     res = total_domination_number(g)
-    budget = _Budget(None)
-    value, witness, lb, _ = reference_gain_sum_dom_search(g, budget)
-    assert (res.value, res.witness) == (value, witness)
-    assert res.nodes_explored <= budget.nodes
+    value, _, lb, _ = reference_gain_sum_dom_search(g, _Budget(None))
+    assert res.value == value
+    assert is_total_dominating_set(g, res.witness) and len(set(res.witness)) == value
     assert lb <= res.lower_bound_used <= res.value
 
 
@@ -768,6 +790,11 @@ def test_can_cover_is_sound_and_no_weaker(g: Graph, data: st.DataObject):
     nbr_mask = _neighbor_masks(g)
     max_deg = max(m.bit_count() for m in nbr_mask)
     verdict = _can_cover(need, picks, avail, nbr_mask, max_deg)
+    if verdict:
+        # the branch region: the lowest-index vertex of need with the fewest
+        # avail neighbors
+        regions = [nbr_mask[w] & avail for w in range(n) if need >> w & 1]
+        assert verdict == min(regions, key=int.bit_count)  # the first of the smallest
     if any(not nbr_mask[w] & avail for w in range(n) if need >> w & 1):
         # an empty region, the k-loop's filled-neighborhood cut, has no cover
         assert not any(_can_cover(need, p, avail, nbr_mask, max_deg) for p in range(n + 1))

@@ -39,6 +39,15 @@ FRONTIER = [
 # by make_frontier_rounds.py
 FRONTIER_ROUNDS_PATH = Path(__file__).parent / "data" / "frontier_rounds.json"
 
+# the sparse family members whose total domination number the benchmark's
+# bounds workload solves
+BOUNDS_TOTALDOM = ["P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)"]
+
+# instances whose total_domination_number is pinned as [value, lower bound,
+# nodes, witness] in TOTALDOM_PHASE_PATH, written by make_frontier_rounds.py
+TOTALDOM_PHASE = [*FRONTIER, *BOUNDS_TOTALDOM, "T(30)"]
+TOTALDOM_PHASE_PATH = Path(__file__).parent / "data" / "totaldom_phase.json"
+
 
 def recorded_solve(g: Graph):
     """Solve g; the merge's (input, output, nodes), and each round's (k, nodes, found)."""
@@ -364,8 +373,7 @@ def reference_degree_bound_dom_search(
 
     The undominated-vertex branching with only the "picks left times the
     maximum degree" prune, started at ceil(n / max degree). Kept as the
-    reference that the packing-bound search's value, witness and node count
-    are compared against.
+    reference that the packing-bound search's value is compared against.
     """
     n = g.vertex_count
     nbr_mask = _neighbor_masks(g)
@@ -443,8 +451,8 @@ def reference_gain_sum_dom_search(
     total dominating set of the target size, and the branch order is
     unchanged, so the first set found is the same as without them.
 
-    Kept as the reference that the open-packing search's value, witness and
-    node count are compared against.
+    Kept as the reference that the open-packing search's value is compared
+    against.
     """
     n = g.vertex_count
     nbr_mask = _neighbor_masks(g)

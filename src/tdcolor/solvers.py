@@ -14,16 +14,19 @@ vertex with the fewest non-excluded neighbors, ties to the lowest index,
 and tries those neighbors by descending gain, ties by index. It cuts a
 branch once the picks left cannot reach the undominated vertices: each
 pick u dominates only N(u). The TD search colors vertices in the chromatic
-search's fixed tie-break order with at most k colors and keeps two
-bitmasks per color: the union of its class members' neighborhoods, and the
-vertices whose neighborhood holds the whole class. It has three cuts. The
-unused colors, each dominating only neighbors of one distinct uncolored
-vertex, must reach the vertices no used color can still dominate; a needy
-vertex with a fully colored neighborhood is the empty case. At most
-k - gamma_t classes may dominate nobody, since one member of each class
-that dominates someone forms a total dominating set. And once at most one
-color is unused, every uncolored vertex must still have a class it can join
-without leaving some vertex undominated for good. The first cut and the
+search's fixed tie-break order with at most k colors and keeps two bitmasks
+per color: the union of its class members' neighborhoods, and the vertices
+whose neighborhood holds the whole class. At most k - gamma_t classes may
+dominate nobody, since one member of each class that dominates someone forms
+a total dominating set. So a used color is admissible on a vertex outside
+its members' neighborhoods and, once k - gamma_t classes dominate nobody,
+only when the vertex joining does not make one more; the search tests this
+before it spends a node on the child. It has two cuts. The unused colors,
+each dominating only neighbors of one distinct uncolored vertex, must reach
+the vertices no used color can still dominate; a needy vertex with a fully
+colored neighborhood is the empty case. And once at most one color is
+unused, every uncolored vertex must still have an admissible class it can
+join without leaving some vertex undominated for good. The first cut and the
 total-domination search share a covering test, :func:`_can_cover`: a count
 against the maximum degree, an open packing (vertices whose available
 neighborhoods are disjoint each need a pick of their own) and a sum of the
@@ -516,9 +519,19 @@ def _td_exact_k(
     bitmasks per color: ``reach[c]``, the union of the class members'
     neighborhoods, and ``dom[c]``, the common neighbors of its members, that
     is the vertices w whose N(w) contains the whole class, so the class can
-    still be w's witness. Color c is allowed on v when v lies outside
-    ``reach[c]``. A new color's ``dom`` is N(v); a reused color's shrinks to
-    ``dom[c] & N(v)``.
+    still be w's witness. A new color's ``dom`` is N(v); a reused color's
+    shrinks to ``dom[c] & N(v)``.
+
+    A used color c is admissible on v when v lies outside ``reach[c]`` and,
+    once ``idle`` colors (used colors whose ``dom`` is empty) reach the cap
+    k - gamma, c is idle already or ``dom[c] & N(v)`` is not empty. One
+    member of each class that dominates someone lies in N(w) for every w the
+    class dominates, so together they form a total dominating set: at least
+    ``gamma`` (gamma_t) classes dominate someone, and at most k - gamma
+    dominate nobody. A class whose ``dom`` is empty keeps it empty, since
+    classes only grow, so a reuse that empties ``dom[c]`` at the cap has no
+    completion. The branch loop tests admissibility before it spends a node,
+    so ``idle`` never passes the cap.
 
     A vertex is *needy* when it lies in no used color's ``dom``. A new color
     removes N(v) from the needy set; a reused color adds the vertices that
@@ -526,7 +539,7 @@ def _td_exact_k(
     a class can come to lie inside N(w) only as a new color on an uncolored
     vertex of N(w).
 
-    Three cuts run after each placement, each only when the one before
+    Two cuts run after each placement, the second only when the first
     passes. The first is :func:`_can_cover`. One of the k - max_used colors
     not used yet must dominate each needy vertex. Each of those colors ends
     up with a class of uncolored vertices; pick one member u of each,
@@ -538,23 +551,17 @@ def _td_exact_k(
     the filled-neighborhood cut: a needy vertex with no uncolored neighbor
     can never be dominated.
 
-    The second caps the classes that dominate nobody. One member of each
-    class that dominates someone lies in N(w) for every w the class
-    dominates, so together they form a total dominating set: at least
-    ``gamma`` (gamma_t) classes dominate someone, and at most k - gamma
-    dominate nobody. A used color whose ``dom`` is empty keeps it empty,
-    since classes only grow, so the search counts these colors (``idle``)
-    and cuts once the count passes k - gamma.
+    The second, ``can_place``, runs once at most one color is unused and
+    some vertex is uncolored. Each uncolored vertex still needs a class it
+    is admissible on, and it cannot join one that would leave a vertex
+    undominated for good.
 
-    The third, ``can_place``, runs once at most one color is unused and
-    some vertex is uncolored. Each uncolored vertex still needs a class, and
-    it cannot join one that would leave a vertex undominated for good.
-
-    The cuts drop only subtrees with no coloring, and the search order is
-    fixed, so the first coloring found does not depend on them. No state
-    carries from one sibling to the next and the cuts read only the current
-    node, so a round with no coloring visits the same nodes in any color
-    order; the color order moves only the round that finds a coloring.
+    The admissibility test and the cuts drop only subtrees with no coloring,
+    and the search order is fixed, so the first coloring found does not
+    depend on them. No state carries from one sibling to the next and they
+    read only the current node, so a round with no coloring visits the same
+    nodes in any color order; the color order moves only the round that
+    finds a coloring.
 
     A round visits a subtree of an exactly-k search. The slack, uncolored
     vertices minus unused colors, starts at n - k >= 0 (k = n always
@@ -572,27 +579,37 @@ def _td_exact_k(
     colors = [0] * n  # valid for the vertices colored so far
     dom = [0] * (k + 1)  # indexed by 1-based color
     reach = [0] * (k + 1)
+    cap = k - gamma  # at most this many classes dominate nobody
     result: list[int] | None = None
 
-    def can_place(depth: int, used: int, needy: int) -> bool:
+    def can_place(depth: int, used: int, needy: int, idle: int) -> bool:
         """False when the uncolored vertices cannot all find a class.
 
         For a node with at most one color unused. A vertex w is *fatal* when
         exactly one used color c dominates it and, if a color is unused, all
         of N(w) is colored: no used color can come to dominate w, and no new
         class can come to lie inside N(w), so c must keep w. An uncolored
-        vertex u can join c only when u lies outside ``reach[c]`` and every
-        fatal vertex of c lies in N(u). With no color unused, a vertex that
-        can join no used color has no class. With one unused, all such
-        vertices share the new class: they must be pairwise non-adjacent,
-        and each needy vertex, which only the new class can dominate, must
-        be adjacent to all of them.
+        vertex u can join c only when c is admissible on u and every fatal
+        vertex of c lies in N(u). Admissibility only gets stricter further
+        down: ``reach[c]`` grows, and once ``idle`` is at the cap it stays
+        there, so a non-empty ``dom[c]`` stays non-empty and only shrinks.
+        With no color unused, a vertex that can join no used color has no
+        class. With one unused, all such vertices share the new class: they
+        must be pairwise non-adjacent, and each needy vertex, which only the
+        new class can dominate, must be adjacent to all of them.
         """
         rest = uncolored[depth]
         single = _in_exactly_one(dom[1 : used + 1])
         joinable = 0
         for c in range(1, used + 1):
             free = rest & ~reach[c]
+            if idle == cap and dom[c]:  # u must leave c dominating someone
+                keeps, ws = 0, dom[c]
+                while ws:
+                    low = ws & -ws
+                    keeps |= nbr_mask[low.bit_length() - 1]
+                    ws ^= low
+                free &= keeps
             only = dom[c] & single  # the vertices c alone dominates
             while only and free:
                 low = only & -only
@@ -622,10 +639,12 @@ def _td_exact_k(
         v = order[depth]
         nbrs = nbr_mask[v]
         for c in range(min(max_used + 1, k), 0, -1):
-            if reach[c] >> v & 1:
+            old_dom, old_reach = dom[c], reach[c]
+            # admissible: v outside c's reach, and at the idle cap no reuse
+            # that leaves c's class dominating nobody
+            if old_reach >> v & 1 or (idle == cap and old_dom and not old_dom & nbrs):
                 continue
             budget.spend()
-            old_dom, old_reach = dom[c], reach[c]
             idle_after = idle
             if c > max_used:
                 used_after = c
@@ -644,12 +663,10 @@ def _td_exact_k(
             reach[c] |= nbrs
             unused, rest = k - used_after, uncolored[depth]
             # each unused color dominates needy vertices around one distinct
-            # uncolored vertex only; at least gamma classes dominate someone;
-            # every uncolored vertex needs a class it can still join
-            ok = (
-                (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg))
-                and idle_after <= k - gamma
-                and (unused > 1 or not rest or can_place(depth, used_after, needy_after))
+            # uncolored vertex only; every uncolored vertex needs a class it
+            # can still join
+            ok = (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg)) and (
+                unused > 1 or not rest or can_place(depth, used_after, needy_after, idle_after)
             )
             if ok and extend(depth + 1, used_after, needy_after, idle_after):
                 return True

@@ -7,6 +7,11 @@ each round that ``td_chromatic_number`` runs below the merged incumbent as
 ``[k, nodes, coloring]``, the coloring being ``null`` when the round finds
 none. ``test_td_frontier_rounds_match_reference_k_loop`` checks it exactly.
 
+``random_rounds.json``: for each seed of ``util_graphs.RANDOM_ROUNDS_SEEDS``,
+the graph ``sparse_connected_graph`` draws from it and its rounds, as
+``{"n", "edges", "rounds"}``. ``test_td_random_rounds_match_table`` checks
+it exactly.
+
 ``totaldom_phase.json``: for every instance of ``util_graphs.TOTALDOM_PHASE``,
 ``total_domination_number`` as ``[value, lower bound, nodes, witness]``.
 ``test_total_domination_phase_matches_table`` checks it exactly.
@@ -18,6 +23,7 @@ total-domination search is intended.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 from tdcolor import families
@@ -27,9 +33,12 @@ from tdcolor.solvers import total_domination_number
 from util_graphs import (
     FRONTIER,
     FRONTIER_ROUNDS_PATH,
+    RANDOM_ROUNDS_PATH,
+    RANDOM_ROUNDS_SEEDS,
     TOTALDOM_PHASE,
     TOTALDOM_PHASE_PATH,
     recorded_solve,
+    sparse_connected_graph,
 )
 
 
@@ -44,6 +53,17 @@ def main() -> None:
         _, _, solve_rounds = recorded_solve(families.realize(parse_expr(text)))
         rounds[text] = [list(r) for r in solve_rounds]
     write_table(FRONTIER_ROUNDS_PATH, rounds)
+
+    pinned = {}
+    for seed in RANDOM_ROUNDS_SEEDS:
+        g = sparse_connected_graph(random.Random(seed))
+        _, _, solve_rounds = recorded_solve(g)
+        pinned[str(seed)] = {
+            "n": g.vertex_count,
+            "edges": [list(e) for e in g.edges()],
+            "rounds": [list(r) for r in solve_rounds],
+        }
+    write_table(RANDOM_ROUNDS_PATH, pinned)
 
     phase = {}
     for text in TOTALDOM_PHASE:

@@ -148,8 +148,10 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # T(20) takes 14,929 nodes, more than the budget
-        code, out, err = run(capsys, "formula", "join(T(20),K(3))", "--budget", "5000")
+        # T(30) takes 19,326 nodes, more than the budget. T(20) served here
+        # until testing the idle-class cap before a node is spent solved it
+        # in 3,350 nodes
+        code, out, err = run(capsys, "formula", "join(T(30),K(3))", "--budget", "5000")
         assert code == 4
         assert out == ""
         assert "error: node budget exhausted" in err
@@ -240,16 +242,18 @@ class TestVerify:
         assert "refuted 1" in out
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
-        # within 5000 nodes the solver finishes the join (7 nodes), but the
-        # formula's solve of its factor T(20) (14,929 nodes) does not; T(16)
-        # served here until the new-color-first order solved it in 2,614 nodes
+        # within 5000 nodes the solver finishes the join (3 nodes), but the
+        # formula's solve of its factor T(30) (19,326 nodes) does not; T(16)
+        # served here until the new-color-first order solved it in 2,614
+        # nodes, and T(20) until testing the idle-class cap before a node is
+        # spent solved it in 3,350
         cut = tmp_path / "cut.json"
         cut.write_text(
-            json.dumps({"instances": ["join(T(20),K(3))"], "node_budget": 5000}),
+            json.dumps({"instances": ["join(T(30),K(3))"], "node_budget": 5000}),
             encoding="utf-8",
         )
         full = tmp_path / "full.json"
-        full.write_text(json.dumps({"instances": ["join(T(20),K(3))"]}), encoding="utf-8")
+        full.write_text(json.dumps({"instances": ["join(T(30),K(3))"]}), encoding="utf-8")
         cache = str(tmp_path / "cache")
         code, out, _ = run(capsys, "verify", "--suite", str(cut), "--cache", cache)
         assert code == 4
@@ -261,7 +265,7 @@ class TestVerify:
         for extra in (("--cache", cache), ()):
             code, out, _ = run(capsys, "verify", "--suite", str(full), *extra)
             assert code == 3
-            assert "join(T(20),K(3))           44       19       6" in out
+            assert "join(T(30),K(3))           64       25       6" in out
             assert "refuted 1" in out
 
     def test_edited_refutations_are_not_replayed(self, capsys, tmp_path):

@@ -377,13 +377,14 @@ class TestSuite:
             return td_chromatic_number(g, opts)
 
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
-        texts = ("join(T(20),K(3))", "join(T(20),P(3))", "join(T(20),C(5))")
+        texts = ("join(T(30),K(3))", "join(T(30),P(3))", "join(T(30),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # T(20) (41 vertices, 11,323 nodes) runs out of budget once; the three
+        # T(30) (61 vertices, 19,326 nodes) runs out of budget once; the three
         # joins (3-8 nodes each) reuse that outcome. T(16) served here until
-        # the new-color-first order solved it in 2,614 nodes
-        assert solved == [41, 44, 44, 46]
+        # the new-color-first order solved it in 2,614 nodes, and T(20) until
+        # testing the idle-class cap before a node is spent solved it in 3,350
+        assert solved == [61, 64, 64, 66]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()

@@ -33,6 +33,8 @@ from util_graphs import (
     BOUNDS_TOTALDOM,
     FRONTIER,
     FRONTIER_ROUNDS_PATH,
+    RANDOM_ROUNDS_PATH,
+    RANDOM_ROUNDS_SEEDS,
     TOTALDOM_PHASE,
     TOTALDOM_PHASE_PATH,
     brute_force_chromatic,
@@ -49,11 +51,13 @@ from util_graphs import (
     reference_gain_sum_can_cover,
     reference_gain_sum_dom_search,
     reference_order_clique_chromatic_search,
+    reference_placement_td_exact_k,
     reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
     reference_value_order_td_exact_k,
     recorded_solve,
+    sparse_connected_graph,
     with_filled,
     with_neighbor_lists,
 )
@@ -136,10 +140,11 @@ class TestForcedColorPropagation:
     def test_td_of_a_long_odd_cycle(self):
         # past the recursion limit before the propagation cut: the chromatic
         # round recursed once per vertex. The total-domination search took
-        # 1,659 nodes in all branching on the lowest-index undominated vertex
+        # 1,659 nodes in all branching on the lowest-index undominated vertex,
+        # and 911 with the idle-class cap tested after a node was spent
         g = fam.cycle_graph(1501)
         res = td_chromatic_number(g)
-        assert (res.value, res.nodes_explored) == (753, 911)
+        assert (res.value, res.nodes_explored) == (753, 887)
         assert is_td_coloring(g, res.witness) and res.witness.num_colors == 753
 
 
@@ -286,13 +291,14 @@ class TestTdChromaticNumber:
         assert res.witness.num_colors == expected
 
     @pytest.mark.parametrize(
-        "text,expected,nodes", [("G(4,10)", 16, 1_638), ("G(4,12)", 18, 1_369)]
+        "text,expected,nodes", [("G(4,10)", 16, 910), ("G(4,12)", 18, 748)]
     )
     def test_grids_with_the_placement_and_idle_class_cuts(self, text, expected, nodes):
         # single-method pins with exact node counts. Without the cap on
         # classes that dominate nobody and the placement check, G(4,10) took
         # 18,932 nodes and G(4,12) 10,330; with the total-domination search
-        # branching on the lowest-index undominated vertex, 1,674 and 1,558
+        # branching on the lowest-index undominated vertex, 1,674 and 1,558;
+        # with the cap tested after a node was spent, 1,638 and 1,369
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g)
         assert (res.value, res.nodes_explored) == (expected, nodes)
@@ -469,8 +475,9 @@ class TestSearchNodeTotals:
         # idle-class cap and the placement check, 1,076; without forced-color
         # propagation in the chromatic rounds, 86 chromatic nodes; branching
         # on the lowest-index undominated vertex, 352 domination nodes, and
-        # 770 merge and k-loop nodes from the incumbents its witnesses gave
-        assert (chi, dom, rest) == (30, 276, 748)
+        # 770 merge and k-loop nodes from the incumbents its witnesses gave;
+        # with the idle-class cap tested after a node was spent, 748
+        assert (chi, dom, rest) == (30, 276, 635)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -561,13 +568,13 @@ def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
     return budget.nodes, found
 
 
-def _solver_round(gamma: int):
-    """``solvers._td_exact_k`` for a graph with total domination number gamma."""
+def _solver_round(gamma: int, td_exact_k=None):
+    """``solvers._td_exact_k``, or a copy of it, for a graph with total domination number gamma."""
 
-    def td_exact_k(g, k, order, nbr_mask, budget):
-        return solvers._td_exact_k(k, gamma, order, nbr_mask, budget)
+    def round_(g, k, order, nbr_mask, budget):
+        return (td_exact_k or solvers._td_exact_k)(k, gamma, order, nbr_mask, budget)
 
-    return td_exact_k
+    return round_
 
 
 def _upward_k_loop_value(g: Graph) -> int:
@@ -590,16 +597,24 @@ def _check_td_rounds(g: Graph, *references):
     each round that runs must find the value-order copy's coloring at the
     same k, in no more nodes. A round that finds no coloring visits the same
     nodes in any color order, so it must also take no more than the
-    ascending copy's nodes, or a reference's. The rounds run downward from
+    ascending copy's nodes, or a reference's. Testing the idle-class cap
+    before a node is spent drops only children and subtrees with no
+    coloring and keeps the order of the rest, so each round also finds the
+    placement copy's coloring, which tests the cap after the node, in no
+    more nodes. The rounds run downward from
     the merged incumbent, one color fewer each, and stop at the first that
     finds none or at the lower bound.
     """
     res, (constructed, merged, merge_nodes), rounds = recorded_solve(g)
     value_order = with_filled(reference_value_order_td_exact_k)
     ascending = with_filled(reference_ascending_td_exact_k)
+    dom = total_domination_number(g)
+    placement = _solver_round(dom.value, reference_placement_td_exact_k)
     for k, nodes, found in rounds:
         copy_nodes, copy_found = _round_alone(g, k, value_order)
         assert copy_found == found and nodes <= copy_nodes
+        placement_nodes, placement_found = _round_alone(g, k, placement)
+        assert placement_found == found and nodes <= placement_nodes
         if found is None:
             assert nodes <= _round_alone(g, k, ascending)[0]
         for reference in references:
@@ -619,8 +634,8 @@ def _check_td_rounds(g: Graph, *references):
     assert (res.value, res.witness) == (max(best), normalize(Coloring(tuple(best))))
     assert res.value == _upward_k_loop_value(g)
     chi = chromatic_number(g).nodes_explored
-    dom = total_domination_number(g).nodes_explored
-    assert res.nodes_explored == chi + dom + merge_nodes + sum(n for _, n, _ in rounds)
+    round_nodes = sum(n for _, n, _ in rounds)
+    assert res.nodes_explored == chi + dom.nodes_explored + merge_nodes + round_nodes
     assert is_td_coloring(g, res.witness)
     assert res.witness.num_colors == res.value
     return res, rounds
@@ -669,6 +684,23 @@ def test_td_cuts_are_sound(g: Graph):
 
 
 @settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_idle_cap_admissibility_keeps_every_round(g: Graph):
+    # the idle-class cap tested when a color is chosen, and in can_place's
+    # joinable set, drops only children and subtrees with no coloring: every
+    # round from the lower bound to n, run alone, finds the frozen placement
+    # copy's coloring (or none), which tests the cap after spending a node
+    # on the child, in no more nodes
+    chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    placement = _solver_round(gamma, reference_placement_td_exact_k)
+    for k in range(max(chi, gamma), g.vertex_count + 1):
+        nodes, found = _round_alone(g, k, _solver_round(gamma))
+        placement_nodes, placement_found = _round_alone(g, k, placement)
+        assert found == placement_found and nodes <= placement_nodes
+
+
+@settings(max_examples=60, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=12))
 def test_incumbent_is_a_td_coloring(g: Graph):
     # the gamma_t + chi construction and each merge keep a TD-coloring
@@ -699,6 +731,18 @@ def test_td_frontier_rounds_match_reference_k_loop(text):
     _, rounds = _check_td_rounds(fam.realize(parse_expr(text)), reference_capacity_td_exact_k)
     table = json.loads(FRONTIER_ROUNDS_PATH.read_text(encoding="utf-8"))
     assert [list(r) for r in rounds] == table[text]
+
+
+@pytest.mark.parametrize("seed", RANDOM_ROUNDS_SEEDS)
+def test_td_random_rounds_match_table(seed):
+    # sparse random graphs of 10-16 vertices, with each round's (k, nodes,
+    # coloring) pinned exactly by the table tests/make_frontier_rounds.py
+    # generates, and checked against the frozen copies
+    g = sparse_connected_graph(random.Random(seed))
+    entry = json.loads(RANDOM_ROUNDS_PATH.read_text(encoding="utf-8"))[str(seed)]
+    assert (g.vertex_count, [list(e) for e in g.edges()]) == (entry["n"], entry["edges"])
+    _, rounds = _check_td_rounds(g)
+    assert [list(r) for r in rounds] == entry["rounds"]
 
 
 @pytest.mark.parametrize("text", TOTALDOM_PHASE)

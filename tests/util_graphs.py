@@ -19,6 +19,7 @@ from tdcolor.solvers import (
     _branch_order,
     _Budget,
     _can_cover,
+    _in_exactly_one,
     _neighbor_masks,
 )
 
@@ -47,6 +48,13 @@ BOUNDS_TOTALDOM = ["P(32)", "C(32)", "G(5,6)", "O(10)", "D(5,7)", "L(14)"]
 # nodes, witness] in TOTALDOM_PHASE_PATH, written by make_frontier_rounds.py
 TOTALDOM_PHASE = [*FRONTIER, *BOUNDS_TOTALDOM, "T(30)"]
 TOTALDOM_PHASE_PATH = Path(__file__).parent / "data" / "totaldom_phase.json"
+
+
+# seeded sparse random graphs, each pinned with its rounds as {"n", "edges",
+# "rounds"} in RANDOM_ROUNDS_PATH by make_frontier_rounds.py; sparse, since
+# few colors per class leave the cap on classes that dominate nobody tight
+RANDOM_ROUNDS_SEEDS = range(60)
+RANDOM_ROUNDS_PATH = Path(__file__).parent / "data" / "random_rounds.json"
 
 
 def recorded_solve(g: Graph):
@@ -86,6 +94,19 @@ def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Grap
         g = Graph.from_edges(n, edges)
         if g.is_connected():
             return g
+
+
+def sparse_connected_graph(rng: random.Random, lo: int = 10, hi: int = 16) -> Graph:
+    """A random spanning tree on lo..hi vertices plus up to n // 2 random edges.
+
+    Deterministic per rng.
+    """
+    n = rng.randint(lo, hi)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n // 2)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
 
 
 def planted_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
@@ -957,6 +978,167 @@ def reference_value_order_td_exact_k(
         return False
 
     extend(0, 0, (1 << n) - 1)
+    return result
+
+
+def reference_placement_td_exact_k(
+    k: int, gamma: int, order: list[int], nbr_mask: list[int], budget: _Budget
+) -> list[int] | None:
+    """Search for a total dominator coloring with at most k classes.
+
+    Branches vertex by vertex in the fixed order with a canonical color order
+    (at most one color beyond the maximum used so far), trying the new color
+    first and then the used colors by descending index. A new color's class
+    {v} lies inside N(w) for every w in N(v); small classes like it are what
+    a TD-coloring needs. Besides each vertex's color, the state is two
+    bitmasks per color: ``reach[c]``, the union of the class members'
+    neighborhoods, and ``dom[c]``, the common neighbors of its members, that
+    is the vertices w whose N(w) contains the whole class, so the class can
+    still be w's witness. Color c is allowed on v when v lies outside
+    ``reach[c]``. A new color's ``dom`` is N(v); a reused color's shrinks to
+    ``dom[c] & N(v)``.
+
+    A vertex is *needy* when it lies in no used color's ``dom``. A new color
+    removes N(v) from the needy set; a reused color adds the vertices that
+    just left its ``dom`` and lie in no other used one. Classes only grow, so
+    a class can come to lie inside N(w) only as a new color on an uncolored
+    vertex of N(w).
+
+    Three cuts run after each placement, each only when the one before
+    passes. The first is :func:`_can_cover`. One of the k - max_used colors
+    not used yet must dominate each needy vertex. Each of those colors ends
+    up with a class of uncolored vertices; pick one member u of each,
+    distinct because classes are disjoint. The class lies inside N(u), so it
+    dominates only needy vertices in N(u), and a class that dominates a
+    needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
+    the k - max_used unused colors as picks and the uncolored vertices
+    (``uncolored[depth]``) as the available ones. Its empty-region case is
+    the filled-neighborhood cut: a needy vertex with no uncolored neighbor
+    can never be dominated.
+
+    The second caps the classes that dominate nobody. One member of each
+    class that dominates someone lies in N(w) for every w the class
+    dominates, so together they form a total dominating set: at least
+    ``gamma`` (gamma_t) classes dominate someone, and at most k - gamma
+    dominate nobody. A used color whose ``dom`` is empty keeps it empty,
+    since classes only grow, so the search counts these colors (``idle``)
+    and cuts once the count passes k - gamma.
+
+    The third, ``can_place``, runs once at most one color is unused and
+    some vertex is uncolored. Each uncolored vertex still needs a class, and
+    it cannot join one that would leave a vertex undominated for good.
+
+    The cuts drop only subtrees with no coloring, and the search order is
+    fixed, so the first coloring found does not depend on them. No state
+    carries from one sibling to the next and the cuts read only the current
+    node, so a round with no coloring visits the same nodes in any color
+    order; the color order moves only the round that finds a coloring.
+
+    A round visits a subtree of an exactly-k search. The slack, uncolored
+    vertices minus unused colors, starts at n - k >= 0 (k = n always
+    succeeds), and only a reused color lowers it. At slack 0 every needy
+    vertex the cuts let through has an uncolored neighbor, so the all-new
+    path, tried first, succeeds before any reuse and the slack never goes
+    negative: every coloring found has exactly k colors.
+
+    Kept as the reference that the search testing the idle-class cap before
+    it spends a node is compared against: each round finds the same
+    coloring (or none) in no more nodes.
+    """
+    n = len(order)
+    max_deg = max(m.bit_count() for m in nbr_mask)
+    # uncolored[d]: the vertices after depth d in the order
+    uncolored = [0] * n
+    for d in range(n - 2, -1, -1):
+        uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
+    colors = [0] * n  # valid for the vertices colored so far
+    dom = [0] * (k + 1)  # indexed by 1-based color
+    reach = [0] * (k + 1)
+    result: list[int] | None = None
+
+    def can_place(depth: int, used: int, needy: int) -> bool:
+        """False when the uncolored vertices cannot all find a class.
+
+        For a node with at most one color unused. A vertex w is *fatal* when
+        exactly one used color c dominates it and, if a color is unused, all
+        of N(w) is colored: no used color can come to dominate w, and no new
+        class can come to lie inside N(w), so c must keep w. An uncolored
+        vertex u can join c only when u lies outside ``reach[c]`` and every
+        fatal vertex of c lies in N(u). With no color unused, a vertex that
+        can join no used color has no class. With one unused, all such
+        vertices share the new class: they must be pairwise non-adjacent,
+        and each needy vertex, which only the new class can dominate, must
+        be adjacent to all of them.
+        """
+        rest = uncolored[depth]
+        single = _in_exactly_one(dom[1 : used + 1])
+        joinable = 0
+        for c in range(1, used + 1):
+            free = rest & ~reach[c]
+            only = dom[c] & single  # the vertices c alone dominates
+            while only and free:
+                low = only & -only
+                nbrs = nbr_mask[low.bit_length() - 1]
+                if used == k or not nbrs & rest:  # fatal
+                    free &= nbrs
+                only ^= low
+            joinable |= free
+        stuck = rest & ~joinable
+        if stuck and used == k:
+            return False
+        while stuck:
+            low = stuck & -stuck
+            nbrs = nbr_mask[low.bit_length() - 1]
+            if nbrs & stuck or needy & ~nbrs:
+                return False
+            stuck ^= low
+        return True
+
+    def extend(depth: int, max_used: int, needy: int, idle: int) -> bool:
+        # needy: vertices in no dom[c] for c in 1..max_used; idle: used
+        # colors whose dom is empty
+        nonlocal result
+        if depth == n:
+            result = colors[:]
+            return True
+        v = order[depth]
+        nbrs = nbr_mask[v]
+        for c in range(min(max_used + 1, k), 0, -1):
+            if reach[c] >> v & 1:
+                continue
+            budget.spend()
+            old_dom, old_reach = dom[c], reach[c]
+            idle_after = idle
+            if c > max_used:
+                used_after = c
+                dom[c] = nbrs
+                needy_after = needy & ~nbrs
+            else:
+                used_after = max_used
+                dom[c] = old_dom & nbrs
+                left = old_dom & ~nbrs
+                for other in dom[1 : max_used + 1]:  # dom[c] is disjoint from left
+                    left &= ~other
+                needy_after = needy | left
+                if old_dom and not dom[c]:
+                    idle_after += 1
+            colors[v] = c
+            reach[c] |= nbrs
+            unused, rest = k - used_after, uncolored[depth]
+            # each unused color dominates needy vertices around one distinct
+            # uncolored vertex only; at least gamma classes dominate someone;
+            # every uncolored vertex needs a class it can still join
+            ok = (
+                (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg))
+                and idle_after <= k - gamma
+                and (unused > 1 or not rest or can_place(depth, used_after, needy_after))
+            )
+            if ok and extend(depth + 1, used_after, needy_after, idle_after):
+                return True
+            dom[c], reach[c] = old_dom, old_reach
+        return False
+
+    extend(0, 0, (1 << n) - 1, 0)
     return result
 
 

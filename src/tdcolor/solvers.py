@@ -20,13 +20,17 @@ whose neighborhood holds the whole class. At most k - gamma_t classes may
 dominate nobody, since one member of each class that dominates someone forms
 a total dominating set. So a used color is admissible on a vertex outside
 its members' neighborhoods and, once k - gamma_t classes dominate nobody,
-only when the vertex joining does not make one more; the search tests this
-before it spends a node on the child. It has two cuts. The unused colors,
-each dominating only neighbors of one distinct uncolored vertex, must reach
-the vertices no used color can still dominate; a needy vertex with a fully
-colored neighborhood is the empty case. And once at most one color is
-unused, every uncolored vertex must still have an admissible class it can
-join without leaving some vertex undominated for good. The first cut and the
+only when the vertex joining does not make one more. Nor may a reuse leave
+some vertex with no possible dominator: a vertex no used class dominates
+whose neighborhood is now fully colored needs the vertex's own new class,
+and a vertex that the reused class alone dominates, outside the vertex's
+neighborhood and with its own neighborhood fully colored, would be dropped
+by the growing class for good. The search tests all this before it spends
+a node on the child. It has two cuts. The unused colors, each dominating
+only neighbors of one distinct uncolored vertex, must reach the vertices no
+used color can still dominate. And once at most one color is unused, every
+uncolored vertex must still have an admissible class it can join without
+leaving some vertex undominated for good. The first cut and the
 total-domination search share a covering test, :func:`_can_cover`: a count
 against the maximum degree, an open packing (vertices whose available
 neighborhoods are disjoint each need a pick of their own) and a sum of the
@@ -535,9 +539,26 @@ def _td_exact_k(
 
     A vertex is *needy* when it lies in no used color's ``dom``. A new color
     removes N(v) from the needy set; a reused color adds the vertices that
-    just left its ``dom`` and lie in no other used one. Classes only grow, so
-    a class can come to lie inside N(w) only as a new color on an uncolored
-    vertex of N(w).
+    just left its ``dom`` and lie in no other used one: those of ``single``,
+    the vertices exactly one used color dominates (:func:`_in_exactly_one`).
+    Classes only grow, so a class can come to lie inside N(w) only as a new
+    color on an uncolored vertex of N(w). Once all of N(w) is colored (w in
+    ``closed[depth]``, built once per round from the position of each
+    vertex's last neighbor in the order), no class can come to dominate w,
+    so a reuse of c on v is also inadmissible in two cases:
+
+    - *forced new color*: some needy vertex lies in ``closed[depth]``. It
+      lies in N(v), as the cut below removed any other at the parent, and
+      only v's class can still dominate it, so v must open a new class;
+    - *stranded vertex*: c alone dominates some w outside N(v) in
+      ``closed[depth]``, so the reuse would drop w from the only class that
+      can dominate it. These are ``dom[c] & single & closed[depth] &
+      ~N(v)``; ``single`` is computed once per node, and only when a reuse
+      gets past the cheaper tests.
+
+    Each such child would leave a needy vertex with no uncolored neighbor,
+    which the first cut below kills at once, so rejecting it before a node
+    is spent drops only children with no completion.
 
     Two cuts run after each placement, the second only when the first
     passes. The first is :func:`_can_cover`. One of the k - max_used colors
@@ -547,14 +568,15 @@ def _td_exact_k(
     dominates only needy vertices in N(u), and a class that dominates a
     needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
     the k - max_used unused colors as picks and the uncolored vertices
-    (``uncolored[depth]``) as the available ones. Its empty-region case is
-    the filled-neighborhood cut: a needy vertex with no uncolored neighbor
-    can never be dominated.
+    (``uncolored[depth]``) as the available ones. Its empty-region case, a
+    needy vertex with no uncolored neighbor, no longer arises: the
+    admissibility test rejects every child that would make one.
 
     The second, ``can_place``, runs once at most one color is unused and
     some vertex is uncolored. Each uncolored vertex still needs a class it
     is admissible on, and it cannot join one that would leave a vertex
-    undominated for good.
+    undominated for good: it reads the same ``closed`` table for those
+    vertices.
 
     The admissibility test and the cuts drop only subtrees with no coloring,
     and the search order is fixed, so the first coloring found does not
@@ -572,10 +594,24 @@ def _td_exact_k(
     """
     n = len(order)
     max_deg = max(m.bit_count() for m in nbr_mask)
-    # uncolored[d]: the vertices after depth d in the order
+    # uncolored[d]: the vertices after depth d in the order; closed[d]: the
+    # vertices whose whole neighborhood is colored at depth d, each entered
+    # at the position of its last neighbor
     uncolored = [0] * n
     for d in range(n - 2, -1, -1):
         uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
+    last = [0] * n
+    for d, v in enumerate(order):
+        ws = nbr_mask[v]
+        while ws:
+            low = ws & -ws
+            last[low.bit_length() - 1] = d
+            ws ^= low
+    closed = [0] * n
+    for w, d in enumerate(last):
+        closed[d] |= 1 << w
+    for d in range(1, n):
+        closed[d] |= closed[d - 1]
     colors = [0] * n  # valid for the vertices colored so far
     dom = [0] * (k + 1)  # indexed by 1-based color
     reach = [0] * (k + 1)
@@ -586,20 +622,23 @@ def _td_exact_k(
         """False when the uncolored vertices cannot all find a class.
 
         For a node with at most one color unused. A vertex w is *fatal* when
-        exactly one used color c dominates it and, if a color is unused, all
-        of N(w) is colored: no used color can come to dominate w, and no new
-        class can come to lie inside N(w), so c must keep w. An uncolored
-        vertex u can join c only when c is admissible on u and every fatal
-        vertex of c lies in N(u). Admissibility only gets stricter further
-        down: ``reach[c]`` grows, and once ``idle`` is at the cap it stays
-        there, so a non-empty ``dom[c]`` stays non-empty and only shrinks.
+        exactly one used color c dominates it and, if a color is unused, w
+        lies in ``closed[depth]``: no used color can come to dominate w, and
+        no new class can come to lie inside N(w), so c must keep w. An
+        uncolored vertex u can join c only when c is admissible on u and
+        every fatal vertex of c lies in N(u). Admissibility only gets
+        stricter further down: ``reach[c]`` grows, and once ``idle`` is at
+        the cap it stays there, so a non-empty ``dom[c]`` stays non-empty and
+        only shrinks.
         With no color unused, a vertex that can join no used color has no
         class. With one unused, all such vertices share the new class: they
         must be pairwise non-adjacent, and each needy vertex, which only the
         new class can dominate, must be adjacent to all of them.
         """
         rest = uncolored[depth]
-        single = _in_exactly_one(dom[1 : used + 1])
+        fatal = _in_exactly_one(dom[1 : used + 1])
+        if used < k:
+            fatal &= closed[depth]
         joinable = 0
         for c in range(1, used + 1):
             free = rest & ~reach[c]
@@ -610,13 +649,11 @@ def _td_exact_k(
                     keeps |= nbr_mask[low.bit_length() - 1]
                     ws ^= low
                 free &= keeps
-            only = dom[c] & single  # the vertices c alone dominates
-            while only and free:
-                low = only & -only
-                nbrs = nbr_mask[low.bit_length() - 1]
-                if used == k or not nbrs & rest:  # fatal
-                    free &= nbrs
-                only ^= low
+            ws = dom[c] & fatal
+            while ws and free:
+                low = ws & -ws
+                free &= nbr_mask[low.bit_length() - 1]
+                ws ^= low
             joinable |= free
         stuck = rest & ~joinable
         if stuck and used == k:
@@ -638,12 +675,24 @@ def _td_exact_k(
             return True
         v = order[depth]
         nbrs = nbr_mask[v]
-        for c in range(min(max_used + 1, k), 0, -1):
+        # a needy vertex with no uncolored neighbor left needs v's class
+        # alone: only a new color is admissible
+        lowest = max_used + 1 if needy & closed[depth] else 1
+        single = None  # the vertices exactly one used color dominates
+        for c in range(min(max_used + 1, k), lowest - 1, -1):
             old_dom, old_reach = dom[c], reach[c]
             # admissible: v outside c's reach, and at the idle cap no reuse
             # that leaves c's class dominating nobody
             if old_reach >> v & 1 or (idle == cap and old_dom and not old_dom & nbrs):
                 continue
+            if c <= max_used:
+                if single is None:
+                    single = _in_exactly_one(dom[1 : max_used + 1])
+                    stranded = single & closed[depth] & ~nbrs
+                # nor one that drops a vertex c alone dominates and that no
+                # new class can come to dominate
+                if old_dom & stranded:
+                    continue
             budget.spend()
             idle_after = idle
             if c > max_used:
@@ -653,10 +702,7 @@ def _td_exact_k(
             else:
                 used_after = max_used
                 dom[c] = old_dom & nbrs
-                left = old_dom & ~nbrs
-                for other in dom[1 : max_used + 1]:  # dom[c] is disjoint from left
-                    left &= ~other
-                needy_after = needy | left
+                needy_after = needy | old_dom & single & ~nbrs
                 if old_dom and not dom[c]:
                     idle_after += 1
             colors[v] = c

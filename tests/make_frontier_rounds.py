@@ -17,7 +17,9 @@ it exactly.
 ``test_total_domination_phase_matches_table`` checks it exactly.
 
 Regenerate them only when a change to the rounds or to the
-total-domination search is intended.
+total-domination search is intended. Each row whose node count changed is
+printed as ``table instance: old -> new``, a row of rounds counting the
+nodes of all its rounds.
 """
 
 from __future__ import annotations
@@ -42,9 +44,18 @@ from util_graphs import (
 )
 
 
-def write_table(path: Path, table: dict[str, list]) -> None:
+def write_table(path: Path, table: dict[str, list], nodes) -> None:
+    """Write ``table`` to ``path``; print each row whose ``nodes(row)`` changed, old -> new."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for text, row in table.items():
+        if text in old and nodes(old[text]) != nodes(row):
+            print(f"{path.name} {text}: {nodes(old[text]):,} -> {nodes(row):,}")
     lines = [f"  {json.dumps(text)}: {json.dumps(row)}" for text, row in table.items()]
     path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+def round_nodes(rounds: list) -> int:
+    return sum(nodes for _, nodes, _ in rounds)
 
 
 def main() -> None:
@@ -52,7 +63,7 @@ def main() -> None:
     for text in FRONTIER:
         _, _, solve_rounds = recorded_solve(families.realize(parse_expr(text)))
         rounds[text] = [list(r) for r in solve_rounds]
-    write_table(FRONTIER_ROUNDS_PATH, rounds)
+    write_table(FRONTIER_ROUNDS_PATH, rounds, round_nodes)
 
     pinned = {}
     for seed in RANDOM_ROUNDS_SEEDS:
@@ -63,13 +74,13 @@ def main() -> None:
             "edges": [list(e) for e in g.edges()],
             "rounds": [list(r) for r in solve_rounds],
         }
-    write_table(RANDOM_ROUNDS_PATH, pinned)
+    write_table(RANDOM_ROUNDS_PATH, pinned, lambda entry: round_nodes(entry["rounds"]))
 
     phase = {}
     for text in TOTALDOM_PHASE:
         res = total_domination_number(families.realize(parse_expr(text)))
         phase[text] = [res.value, res.lower_bound_used, res.nodes_explored, list(res.witness)]
-    write_table(TOTALDOM_PHASE_PATH, phase)
+    write_table(TOTALDOM_PHASE_PATH, phase, lambda row: row[2])
 
 
 if __name__ == "__main__":

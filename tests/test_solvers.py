@@ -50,8 +50,8 @@ from util_graphs import (
     reference_dsatur_proper_exact_k,
     reference_gain_sum_can_cover,
     reference_gain_sum_dom_search,
+    reference_idle_td_exact_k,
     reference_order_clique_chromatic_search,
-    reference_placement_td_exact_k,
     reference_td_exact_k,
     reference_td_oracle,
     reference_total_dom_search,
@@ -141,10 +141,11 @@ class TestForcedColorPropagation:
         # past the recursion limit before the propagation cut: the chromatic
         # round recursed once per vertex. The total-domination search took
         # 1,659 nodes in all branching on the lowest-index undominated vertex,
-        # and 911 with the idle-class cap tested after a node was spent
+        # 911 with the idle-class cap tested after a node was spent, and 887
+        # with reuses that leave a vertex no possible dominator spent
         g = fam.cycle_graph(1501)
         res = td_chromatic_number(g)
-        assert (res.value, res.nodes_explored) == (753, 887)
+        assert (res.value, res.nodes_explored) == (753, 815)
         assert is_td_coloring(g, res.witness) and res.witness.num_colors == 753
 
 
@@ -476,8 +477,9 @@ class TestSearchNodeTotals:
         # propagation in the chromatic rounds, 86 chromatic nodes; branching
         # on the lowest-index undominated vertex, 352 domination nodes, and
         # 770 merge and k-loop nodes from the incumbents its witnesses gave;
-        # with the idle-class cap tested after a node was spent, 748
-        assert (chi, dom, rest) == (30, 276, 635)
+        # with the idle-class cap tested after a node was spent, 748; with
+        # reuses that leave a vertex no possible dominator spent, 635
+        assert (chi, dom, rest) == (30, 276, 523)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -568,13 +570,28 @@ def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
     return budget.nodes, found
 
 
-def _solver_round(gamma: int, td_exact_k=None):
-    """``solvers._td_exact_k``, or a copy of it, for a graph with total domination number gamma."""
+def _solver_round(gamma: int):
+    """``solvers._td_exact_k`` for a graph with total domination number gamma."""
 
     def round_(g, k, order, nbr_mask, budget):
-        return (td_exact_k or solvers._td_exact_k)(k, gamma, order, nbr_mask, budget)
+        return solvers._td_exact_k(k, gamma, order, nbr_mask, budget)
 
     return round_
+
+
+def _idle_round_alone(g: Graph, k: int, gamma: int) -> tuple[int, list[int] | None, int]:
+    """The idle copy's round at k, run alone: its nodes, its coloring and its dead ends.
+
+    A dead end is a child it spends a node on whose needy set holds a
+    vertex with no uncolored neighbor.
+    """
+    dead_ends: list[int] = []
+
+    def round_(g, k, order, nbr_mask, budget):
+        return reference_idle_td_exact_k(k, gamma, order, nbr_mask, budget, dead_ends)
+
+    nodes, found = _round_alone(g, k, round_)
+    return nodes, found, len(dead_ends)
 
 
 def _upward_k_loop_value(g: Graph) -> int:
@@ -597,24 +614,23 @@ def _check_td_rounds(g: Graph, *references):
     each round that runs must find the value-order copy's coloring at the
     same k, in no more nodes. A round that finds no coloring visits the same
     nodes in any color order, so it must also take no more than the
-    ascending copy's nodes, or a reference's. Testing the idle-class cap
-    before a node is spent drops only children and subtrees with no
-    coloring and keeps the order of the rest, so each round also finds the
-    placement copy's coloring, which tests the cap after the node, in no
-    more nodes. The rounds run downward from
-    the merged incumbent, one color fewer each, and stop at the first that
-    finds none or at the lower bound.
+    ascending copy's nodes, or a reference's. Rejecting a reuse that
+    leaves some vertex with no possible dominator, before a node is spent,
+    drops only children with no coloring and keeps the order of the rest,
+    so each round also finds the idle copy's coloring, which spends a node
+    on each such child, in exactly that many nodes fewer. The rounds run
+    downward from the merged incumbent, one color fewer each, and stop at
+    the first that finds none or at the lower bound.
     """
     res, (constructed, merged, merge_nodes), rounds = recorded_solve(g)
     value_order = with_filled(reference_value_order_td_exact_k)
     ascending = with_filled(reference_ascending_td_exact_k)
     dom = total_domination_number(g)
-    placement = _solver_round(dom.value, reference_placement_td_exact_k)
     for k, nodes, found in rounds:
         copy_nodes, copy_found = _round_alone(g, k, value_order)
         assert copy_found == found and nodes <= copy_nodes
-        placement_nodes, placement_found = _round_alone(g, k, placement)
-        assert placement_found == found and nodes <= placement_nodes
+        idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, dom.value)
+        assert idle_found == found and nodes == idle_nodes - dead_ends
         if found is None:
             assert nodes <= _round_alone(g, k, ascending)[0]
         for reference in references:
@@ -685,19 +701,33 @@ def test_td_cuts_are_sound(g: Graph):
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(min_vertices=2, max_vertices=10))
-def test_idle_cap_admissibility_keeps_every_round(g: Graph):
-    # the idle-class cap tested when a color is chosen, and in can_place's
-    # joinable set, drops only children and subtrees with no coloring: every
-    # round from the lower bound to n, run alone, finds the frozen placement
-    # copy's coloring (or none), which tests the cap after spending a node
-    # on the child, in no more nodes
+def test_fatal_admissibility_keeps_every_round(g: Graph):
+    # rejecting a reuse that leaves a needy vertex with no uncolored
+    # neighbor, or strands a vertex its color alone dominates, drops only
+    # children with no coloring: every round from the lower bound to n, run
+    # alone, finds the frozen idle copy's coloring (or none), which spends a
+    # node on each such child, in exactly that many nodes fewer
     chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
     gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
-    placement = _solver_round(gamma, reference_placement_td_exact_k)
     for k in range(max(chi, gamma), g.vertex_count + 1):
         nodes, found = _round_alone(g, k, _solver_round(gamma))
-        placement_nodes, placement_found = _round_alone(g, k, placement)
-        assert found == placement_found and nodes <= placement_nodes
+        idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, gamma)
+        assert found == idle_found and nodes == idle_nodes - dead_ends
+
+
+def test_fatal_admissibility_accounts_for_every_frontier_node():
+    # over every round the frontier instances run, the idle copy's nodes
+    # minus the search's are exactly its dead ends: the children the
+    # admissibility test now rejects before a node is spent
+    live = idle = dead = 0
+    for text in FRONTIER:
+        g = fam.realize(parse_expr(text))
+        gamma = total_domination_number(g).value
+        for k, nodes, found in recorded_solve(g)[2]:
+            idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, gamma)
+            assert idle_found == found and idle_nodes - nodes == dead_ends
+            live, idle, dead = live + nodes, idle + idle_nodes, dead + dead_ends
+    assert (live, idle, dead) == (1_626, 2_427, 801)
 
 
 @settings(max_examples=60, deadline=None)

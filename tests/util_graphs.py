@@ -981,69 +981,34 @@ def reference_value_order_td_exact_k(
     return result
 
 
-def reference_placement_td_exact_k(
-    k: int, gamma: int, order: list[int], nbr_mask: list[int], budget: _Budget
+def reference_idle_td_exact_k(
+    k: int,
+    gamma: int,
+    order: list[int],
+    nbr_mask: list[int],
+    budget: _Budget,
+    dead_ends: list[int] | None = None,
 ) -> list[int] | None:
     """Search for a total dominator coloring with at most k classes.
 
-    Branches vertex by vertex in the fixed order with a canonical color order
-    (at most one color beyond the maximum used so far), trying the new color
-    first and then the used colors by descending index. A new color's class
-    {v} lies inside N(w) for every w in N(v); small classes like it are what
-    a TD-coloring needs. Besides each vertex's color, the state is two
-    bitmasks per color: ``reach[c]``, the union of the class members'
-    neighborhoods, and ``dom[c]``, the common neighbors of its members, that
-    is the vertices w whose N(w) contains the whole class, so the class can
-    still be w's witness. Color c is allowed on v when v lies outside
-    ``reach[c]``. A new color's ``dom`` is N(v); a reused color's shrinks to
-    ``dom[c] & N(v)``.
+    The round of ``solvers._td_exact_k`` that tests only two things before
+    it spends a node on a child: a used color c is admissible on v when v
+    lies outside ``reach[c]`` and, once ``idle`` colors (used colors whose
+    ``dom`` is empty) reach the cap k - gamma, c is idle already or
+    ``dom[c] & N(v)`` is not empty. After each placement it runs the same
+    two cuts: :func:`_can_cover` on the needy vertices, with the unused
+    colors as picks and the uncolored vertices as the available ones, and,
+    once at most one color is unused, ``can_place``. Its ``can_place`` finds
+    the fatal vertices with its own ``not nbrs & rest`` test.
 
-    A vertex is *needy* when it lies in no used color's ``dom``. A new color
-    removes N(v) from the needy set; a reused color adds the vertices that
-    just left its ``dom`` and lie in no other used one. Classes only grow, so
-    a class can come to lie inside N(w) only as a new color on an uncolored
-    vertex of N(w).
+    A child whose needy set holds a vertex w with no uncolored neighbor is
+    spent and then cut by :func:`_can_cover`: no used color can come to
+    dominate w, and no new class can come to lie inside N(w). When
+    ``dead_ends`` is given, the depth of each such child is appended to it.
 
-    Three cuts run after each placement, each only when the one before
-    passes. The first is :func:`_can_cover`. One of the k - max_used colors
-    not used yet must dominate each needy vertex. Each of those colors ends
-    up with a class of uncolored vertices; pick one member u of each,
-    distinct because classes are disjoint. The class lies inside N(u), so it
-    dominates only needy vertices in N(u), and a class that dominates a
-    needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
-    the k - max_used unused colors as picks and the uncolored vertices
-    (``uncolored[depth]``) as the available ones. Its empty-region case is
-    the filled-neighborhood cut: a needy vertex with no uncolored neighbor
-    can never be dominated.
-
-    The second caps the classes that dominate nobody. One member of each
-    class that dominates someone lies in N(w) for every w the class
-    dominates, so together they form a total dominating set: at least
-    ``gamma`` (gamma_t) classes dominate someone, and at most k - gamma
-    dominate nobody. A used color whose ``dom`` is empty keeps it empty,
-    since classes only grow, so the search counts these colors (``idle``)
-    and cuts once the count passes k - gamma.
-
-    The third, ``can_place``, runs once at most one color is unused and
-    some vertex is uncolored. Each uncolored vertex still needs a class, and
-    it cannot join one that would leave a vertex undominated for good.
-
-    The cuts drop only subtrees with no coloring, and the search order is
-    fixed, so the first coloring found does not depend on them. No state
-    carries from one sibling to the next and the cuts read only the current
-    node, so a round with no coloring visits the same nodes in any color
-    order; the color order moves only the round that finds a coloring.
-
-    A round visits a subtree of an exactly-k search. The slack, uncolored
-    vertices minus unused colors, starts at n - k >= 0 (k = n always
-    succeeds), and only a reused color lowers it. At slack 0 every needy
-    vertex the cuts let through has an uncolored neighbor, so the all-new
-    path, tried first, succeeds before any reuse and the slack never goes
-    negative: every coloring found has exactly k colors.
-
-    Kept as the reference that the search testing the idle-class cap before
-    it spends a node is compared against: each round finds the same
-    coloring (or none) in no more nodes.
+    Kept as the reference for the search that rejects those children
+    before it spends a node: each round finds the same coloring (or none)
+    in exactly as many nodes fewer as this copy has such children.
     """
     n = len(order)
     max_deg = max(m.bit_count() for m in nbr_mask)
@@ -1054,27 +1019,37 @@ def reference_placement_td_exact_k(
     colors = [0] * n  # valid for the vertices colored so far
     dom = [0] * (k + 1)  # indexed by 1-based color
     reach = [0] * (k + 1)
+    cap = k - gamma  # at most this many classes dominate nobody
     result: list[int] | None = None
 
-    def can_place(depth: int, used: int, needy: int) -> bool:
+    def can_place(depth: int, used: int, needy: int, idle: int) -> bool:
         """False when the uncolored vertices cannot all find a class.
 
         For a node with at most one color unused. A vertex w is *fatal* when
         exactly one used color c dominates it and, if a color is unused, all
         of N(w) is colored: no used color can come to dominate w, and no new
         class can come to lie inside N(w), so c must keep w. An uncolored
-        vertex u can join c only when u lies outside ``reach[c]`` and every
-        fatal vertex of c lies in N(u). With no color unused, a vertex that
-        can join no used color has no class. With one unused, all such
-        vertices share the new class: they must be pairwise non-adjacent,
-        and each needy vertex, which only the new class can dominate, must
-        be adjacent to all of them.
+        vertex u can join c only when c is admissible on u and every fatal
+        vertex of c lies in N(u). Admissibility only gets stricter further
+        down: ``reach[c]`` grows, and once ``idle`` is at the cap it stays
+        there, so a non-empty ``dom[c]`` stays non-empty and only shrinks.
+        With no color unused, a vertex that can join no used color has no
+        class. With one unused, all such vertices share the new class: they
+        must be pairwise non-adjacent, and each needy vertex, which only the
+        new class can dominate, must be adjacent to all of them.
         """
         rest = uncolored[depth]
         single = _in_exactly_one(dom[1 : used + 1])
         joinable = 0
         for c in range(1, used + 1):
             free = rest & ~reach[c]
+            if idle == cap and dom[c]:  # u must leave c dominating someone
+                keeps, ws = 0, dom[c]
+                while ws:
+                    low = ws & -ws
+                    keeps |= nbr_mask[low.bit_length() - 1]
+                    ws ^= low
+                free &= keeps
             only = dom[c] & single  # the vertices c alone dominates
             while only and free:
                 low = only & -only
@@ -1104,10 +1079,12 @@ def reference_placement_td_exact_k(
         v = order[depth]
         nbrs = nbr_mask[v]
         for c in range(min(max_used + 1, k), 0, -1):
-            if reach[c] >> v & 1:
+            old_dom, old_reach = dom[c], reach[c]
+            # admissible: v outside c's reach, and at the idle cap no reuse
+            # that leaves c's class dominating nobody
+            if old_reach >> v & 1 or (idle == cap and old_dom and not old_dom & nbrs):
                 continue
             budget.spend()
-            old_dom, old_reach = dom[c], reach[c]
             idle_after = idle
             if c > max_used:
                 used_after = c
@@ -1125,13 +1102,18 @@ def reference_placement_td_exact_k(
             colors[v] = c
             reach[c] |= nbrs
             unused, rest = k - used_after, uncolored[depth]
+            ws = needy_after if dead_ends is not None else 0
+            while ws:
+                low = ws & -ws
+                if not nbr_mask[low.bit_length() - 1] & rest:
+                    dead_ends.append(depth)
+                    break
+                ws ^= low
             # each unused color dominates needy vertices around one distinct
-            # uncolored vertex only; at least gamma classes dominate someone;
-            # every uncolored vertex needs a class it can still join
-            ok = (
-                (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg))
-                and idle_after <= k - gamma
-                and (unused > 1 or not rest or can_place(depth, used_after, needy_after))
+            # uncolored vertex only; every uncolored vertex needs a class it
+            # can still join
+            ok = (not needy_after or _can_cover(needy_after, unused, rest, nbr_mask, max_deg)) and (
+                unused > 1 or not rest or can_place(depth, used_after, needy_after, idle_after)
             )
             if ok and extend(depth + 1, used_after, needy_after, idle_after):
                 return True

@@ -23,6 +23,7 @@ __all__ = [
     "FamilySpec",
     "Family",
     "FAMILIES",
+    "DOMAINS",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -38,91 +39,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Path:
-    n: int
+class _Atom:
+    """An atom's integer fields, each checked against its least value in DOMAINS."""
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("path order must be >= 1")
+        for name, (noun, least) in DOMAINS[type(self)].items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{noun} must be >= {least}")
 
 
 @dataclass(frozen=True)
-class Cycle:
+class Path(_Atom):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("cycle order must be >= 3")
-
 
 @dataclass(frozen=True)
-class Complete:
+class Cycle(_Atom):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("complete graph order must be >= 1")
-
 
 @dataclass(frozen=True)
-class Empty:
+class Complete(_Atom):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("empty graph order must be >= 0")
+
+@dataclass(frozen=True)
+class Empty(_Atom):
+    n: int
 
 
 @dataclass(frozen=True)
-class Friendship:
+class Friendship(_Atom):
     """n cycles of length q sharing one common vertex (q = 3: friendship graph)."""
 
     q: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.q < 3:
-            raise ValueError("blade cycle length must be >= 3")
-        if self.n < 1:
-            raise ValueError("blade count must be >= 1")
-
 
 @dataclass(frozen=True)
-class Ladder:
+class Ladder(_Atom):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ladder length must be >= 1")
-
 
 @dataclass(frozen=True)
-class Grid:
+class Grid(_Atom):
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError("grid dimensions must be >= 1")
+
+@dataclass(frozen=True)
+class TriChain(_Atom):
+    n: int
 
 
 @dataclass(frozen=True)
-class TriChain:
+class OrthoChain(_Atom):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("chain length must be >= 1")
 
-
-@dataclass(frozen=True)
-class OrthoChain:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("chain length must be >= 1")
+# each atom's integer fields -> (the noun its error names, least value); the
+# public constructors check their arguments by building the atom
+DOMAINS: dict[type, dict[str, tuple[str, int]]] = {
+    Path: {"n": ("path order", 1)},
+    Cycle: {"n": ("cycle order", 3)},
+    Complete: {"n": ("complete graph order", 1)},
+    Empty: {"n": ("empty graph order", 0)},
+    Friendship: {"q": ("blade cycle length", 3), "n": ("blade count", 1)},
+    Ladder: {"n": ("ladder length", 1)},
+    Grid: {"m": ("grid dimensions", 1), "n": ("grid dimensions", 1)},
+    TriChain: {"n": ("chain length", 1)},
+    OrthoChain: {"n": ("chain length", 1)},
+}
 
 
 @dataclass(frozen=True)
@@ -160,26 +147,22 @@ FamilySpec = Union[
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("path order must be >= 1")
+    Path(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle order must be >= 3")
+    Cycle(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph order must be >= 1")
+    Complete(n)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def empty_graph(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("empty graph order must be >= 0")
+    Empty(n)
     return Graph.from_edges(n, [])
 
 
@@ -226,10 +209,7 @@ def friendship_family(q: int, n: int) -> Graph:
     Blade i occupies vertices ``1 + i*(q-1) .. (i+1)*(q-1)``, forming a path
     whose two endpoints both join the center.
     """
-    if q < 3:
-        raise ValueError("blade cycle length must be >= 3")
-    if n < 1:
-        raise ValueError("blade count must be >= 1")
+    Friendship(q, n)
     edges: list[tuple[int, int]] = []
     for i in range(n):
         first = 1 + i * (q - 1)
@@ -251,8 +231,7 @@ def triangle_chain(n: int) -> Graph:
     Cut-vertices are labeled 0..n and are adjacent along the chain; triangle
     i is (i, apex_i, i+1) with apex_i = n + 1 + i.
     """
-    if n < 1:
-        raise ValueError("chain length must be >= 1")
+    TriChain(n)
     edges = [(i, i + 1) for i in range(n)]
     for i in range(n):
         apex = n + 1 + i
@@ -267,8 +246,7 @@ def square_chain(n: int) -> Graph:
     is the 4-cycle (i, x_i, y_i, i+1), so the two cut-vertices of a square are
     adjacent inside it.
     """
-    if n < 1:
-        raise ValueError("chain length must be >= 1")
+    OrthoChain(n)
     edges = [(i, i + 1) for i in range(n)]
     for i in range(n):
         x = n + 1 + 2 * i

@@ -1,11 +1,15 @@
 """Verification harness: formula vs. exact solver vs. brute-force oracle.
 
-Each family instance yields one :class:`VerificationRecord`. The closed form
-comes from :func:`tdcolor.formulas.formula_for_spec`; a join formula's factor
-values come from the run's exact solves, one per labeled graph, under the
-run's node budget. A disagreement between the solver and the oracle is an
-internal inconsistency and raises; a disagreement between a formula and the
-solver is an honest, reportable outcome (``match = "refuted"``).
+Each family instance yields one :class:`VerificationRecord`, through one
+path: :func:`run_suite` (:func:`verify_instance` is a one-instance suite
+with no cache and no output files). The closed form comes from
+:func:`tdcolor.formulas.formula_for_spec`; a join formula's factor values
+come from the run's exact solves, one per labeled graph, under the run's
+node budget. One builder, :func:`_record`, makes every record: the fresh
+ones, and the record a cache hit is compared against before it replays. A
+disagreement between the solver and the oracle is an internal
+inconsistency and raises; a disagreement between a formula and the solver
+is an honest, reportable outcome (``match = "refuted"``).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import pathlib
 import time
@@ -86,12 +91,6 @@ class VerificationRecord:
         )
 
 
-def _match_flag(formula_value: int | None, solver_value: int | None) -> str:
-    if formula_value is None or solver_value is None:
-        return "unknown"
-    return "confirmed" if formula_value == solver_value else "refuted"
-
-
 def _budget_cut(rec: VerificationRecord, oracle_cap: int) -> bool:
     """True when the budget cut off the solver, the oracle or a formula's own solves.
 
@@ -146,7 +145,11 @@ def _factor_solver(opts: SolveOptions | None, solves: Solves | None = None) -> F
     return solve
 
 
-def _closed_form(spec: FamilySpec, factor_value: FactorValue) -> tuple[str | None, int | None]:
+# (theorem tag, value) of an instance's closed form
+Form = tuple[str | None, int | None]
+
+
+def _closed_form(spec: FamilySpec, factor_value: FactorValue) -> Form:
     """(theorem tag, value) of spec's closed form, (None, None) when none applies.
 
     A join formula whose factor solves run out of budget gives ("join", None).
@@ -159,31 +162,52 @@ def _closed_form(spec: FamilySpec, factor_value: FactorValue) -> tuple[str | Non
     return (formula.theorem_tag, formula.value) if formula is not None else (None, None)
 
 
+def _record(
+    text: str, g: Graph, form: Form, witness: Coloring | None, oracle: int | None, elapsed: float
+) -> VerificationRecord:
+    """The one builder of records: fresh ones, and the image a cache hit must equal.
+
+    The solver value is the witness's color count, absent with no witness.
+    """
+    tag, formula_value = form
+    solver_value = None if witness is None else witness.num_colors
+    if formula_value is None or solver_value is None:
+        match = "unknown"
+    else:
+        match = "confirmed" if formula_value == solver_value else "refuted"
+    return VerificationRecord(
+        spec_text=text,
+        vertex_count=g.vertex_count,
+        formula_value=formula_value,
+        theorem_tag=tag,
+        solver_value=solver_value,
+        oracle_value=oracle,
+        match=match,
+        elapsed=elapsed,
+        witness=None if witness is None else witness.colors,
+    )
+
+
 def verify_instance(
     spec: FamilySpec | str,
     opts: SolveOptions | None = None,
     oracle_cap: int = 10,
 ) -> VerificationRecord:
-    """Realize one instance, evaluate formula/solver/oracle, build the record.
+    """One instance's record: a one-instance :func:`run_suite` with no cache and no output files.
 
-    Budget exhaustion leaves the affected value absent: a cut solver makes
-    the match "unknown", a join formula cut off that way keeps its tag with
-    no value, and a cut oracle leaves no oracle value. Each search gets the
+    The record is the one ``tdcolor verify`` gives for the instance under
+    the same node budget and oracle cap, apart from ``elapsed``. Budget
+    exhaustion leaves the affected value absent: a cut solver makes the
+    match "unknown", a join formula cut off that way keeps its tag with no
+    value, and a cut oracle leaves no oracle value. Each search gets the
     whole budget. Solver/oracle disagreement raises
-    :class:`OracleMismatchError`.
+    :class:`OracleMismatchError`; an ``oracle_cap`` below 2 raises
+    ``ValueError("oracle cap must be >= 2")``, as a suite file does.
     """
-    if isinstance(spec, str):
-        spec = parse_expr(spec)
-    solves: Solves = {}
-    return _verify(
-        spec,
-        pretty(spec),
-        families.realize(spec),
-        opts,
-        oracle_cap,
-        _factor_solver(opts, solves),
-        solves,
-    )
+    text = spec if isinstance(spec, str) else pretty(spec)
+    budget = None if opts is None else opts.node_budget
+    config = SuiteConfig(instances=(text,), node_budget=budget, oracle_cap=oracle_cap)
+    return run_suite(config).records[0]
 
 
 def _verify(
@@ -195,20 +219,15 @@ def _verify(
     factor_value: FactorValue,
     solves: Solves,
 ) -> VerificationRecord:
-    """:func:`verify_instance` on an instance already parsed and realized.
+    """Evaluate formula, solver and oracle on an instance already parsed and realized.
 
     The TD solve goes through ``solves``, the table ``factor_value`` reads.
     """
     started = time.perf_counter()
-    theorem_tag, formula_value = _closed_form(spec, factor_value)
-
-    solver_value: int | None = None
-    witness: tuple[int, ...] | None = None
+    form = _closed_form(spec, factor_value)
+    witness: Coloring | None = None
     try:
-        res = _td_solve(g, opts, solves)
-        solver_value = res.value
-        assert isinstance(res.witness, Coloring)
-        witness = res.witness.colors
+        witness = _td_solve(g, opts, solves).witness
     except BudgetExhaustedError:
         pass
 
@@ -218,22 +237,12 @@ def _verify(
             oracle_value = solvers.td_chromatic_oracle(g, cap=oracle_cap, opts=opts).value
         except BudgetExhaustedError:
             pass
-        if None not in (solver_value, oracle_value) and oracle_value != solver_value:
+        if witness is not None and oracle_value not in (None, witness.num_colors):
             raise OracleMismatchError(
-                f"{spec_text}: solver found {solver_value}, oracle found {oracle_value}"
+                f"{spec_text}: solver found {witness.num_colors}, oracle found {oracle_value}"
             )
 
-    return VerificationRecord(
-        spec_text=spec_text,
-        vertex_count=g.vertex_count,
-        formula_value=formula_value,
-        theorem_tag=theorem_tag,
-        solver_value=solver_value,
-        oracle_value=oracle_value,
-        match=_match_flag(formula_value, solver_value),
-        elapsed=time.perf_counter() - started,
-        witness=witness,
-    )
+    return _record(spec_text, g, form, witness, oracle_value, time.perf_counter() - started)
 
 
 def _default_instances() -> tuple[str, ...]:
@@ -364,37 +373,41 @@ def _load_cache(
 
 
 def _replayable(
-    rec: VerificationRecord,
+    hit: VerificationRecord,
+    spec_text: str,
     spec: FamilySpec,
     g: Graph,
     factor_value: FactorValue,
     oracle_cap: int,
 ) -> bool:
-    """True when ``rec``'s vertex count, witness, oracle value and form hold for g.
+    """True when ``hit`` is, as JSON, the record this run would write from its witness.
 
     A record cut off by the budget (:func:`_budget_cut`) is never replayed.
-    The oracle value must equal the solver value within ``oracle_cap`` and
-    be absent past it, so a hit whose oracle value was blanked is not
-    replayed. The closed form is recomputed for ``spec``, so neither is a
-    hit whose formula value, tag or match flag was edited, nor one whose
-    join factors now run out of budget: its form is ("join", None), which
-    only a budget-cut record carries.
+    Otherwise the witness must be a TD-coloring of g, and the record is
+    rebuilt from it by :func:`_record`: this run's spec text, g's vertex
+    count, the closed form recomputed for ``spec``, the witness's color
+    count as the solver value and, within ``oracle_cap``, as the oracle
+    value, and the match flag those give. So a hit with any field edited,
+    retyped or blanked is not replayed, nor one whose join factors now run
+    out of budget: its form is ("join", None), which only a budget-cut
+    record carries. ``elapsed`` must be a finite non-negative float.
     """
-    if _budget_cut(rec, oracle_cap):
-        return False
-    form = _closed_form(spec, factor_value)
     try:
-        witness = Coloring(rec.witness)
-        return (
-            rec.vertex_count == g.vertex_count
-            and witness.num_colors == rec.solver_value
-            and rec.oracle_value == (rec.solver_value if g.vertex_count <= oracle_cap else None)
-            and (rec.theorem_tag, rec.formula_value) == form
-            and rec.match == _match_flag(rec.formula_value, rec.solver_value)
-            and is_td_coloring(g, witness)
-        )
-    except (ValueError, TypeError):  # not a coloring of g at all
+        if _budget_cut(hit, oracle_cap):
+            return False
+        witness = Coloring(hit.witness)
+        if not is_td_coloring(g, witness):
+            return False
+    except (ValueError, TypeError):  # a field of the wrong type, or not a coloring of g at all
         return False
+    oracle_value = witness.num_colors if g.vertex_count <= oracle_cap else None
+    form = _closed_form(spec, factor_value)
+    rebuilt = _record(spec_text, g, form, witness, oracle_value, hit.elapsed)
+    return (
+        rebuilt.to_json() == hit.to_json()
+        and isinstance(hit.elapsed, float)
+        and 0 <= hit.elapsed < math.inf
+    )
 
 
 def _write_cache(cache_dir: str, lines: list[str]) -> None:
@@ -441,7 +454,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             key = f"{spec_text}|{g.canonical_key()}|{SOLVER_VERSION}|{config.oracle_cap}"
             hit, _ = cache.get(key, (None, ""))
             if hit is not None:
-                if _replayable(hit, spec, g, factor_value, config.oracle_cap):
+                if _replayable(hit, spec_text, spec, g, factor_value, config.oracle_cap):
                     records[spec_text] = hit
                     continue
                 rejected += 1  # a damaged or budget-cut record; its instance is solved again

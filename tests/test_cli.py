@@ -295,6 +295,50 @@ class TestVerify:
 
         assert rows(warm) == rows(cold)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"spec_text": "P(999)"},
+            {"solver_value": 3.0},
+            {"oracle_value": 3.0},
+            {"solver_value": 3.0, "oracle_value": 3.0},
+            {"elapsed": "x"},
+        ],
+    )
+    def test_damaged_record_is_re_solved(self, capsys, tmp_path, damage):
+        # a hit replays only if it is, as JSON, the record this run would
+        # write from its witness, so a renamed, retyped or unprintable field
+        # is solved again, not shown or fatal
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": ["P(4)", "C(6)"]}), encoding="utf-8")
+        report = tmp_path / "report.txt"
+        argv = ("verify", "--suite", str(suite), "--cache", str(tmp_path / "cache"),
+                "--report", str(report))
+
+        def rows() -> list[dict]:  # the JSONL report without elapsed
+            lines = (tmp_path / "report.txt.jsonl").read_text(encoding="utf-8").splitlines()
+            return [{k: v for k, v in json.loads(x).items() if k != "elapsed"} for x in lines]
+
+        def table(text: str) -> list[str]:  # the table without its seconds column
+            return [re.sub(r" +\d+\.\d{3}$", "", line) for line in text.splitlines()]
+
+        code, cold, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        cold_rows = rows()
+        path = tmp_path / "cache" / "records.jsonl"
+        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        (p4,) = [e for e in entries if e["record"]["spec_text"] == "P(4)"]
+        p4["record"].update(damage)
+        damaged = "".join(json.dumps(e) + "\n" for e in entries)
+        path.write_text(damaged, encoding="utf-8")
+        code, warm, err = run(capsys, *argv)
+        assert code == 0
+        assert err == "warning: re-solved 1 cache record(s) that failed a re-check\n"
+        assert table(warm) == table(cold) and rows() == cold_rows
+        assert path.read_text(encoding="utf-8") != damaged
+        code, again, err = run(capsys, *argv)
+        assert (code, err, again) == (0, "", warm)
+
     def test_truncated_cache_line_skipped(self, capsys, tmp_path):
         suite = tmp_path / "suite.json"
         suite.write_text(json.dumps({"instances": ["P(4)", "C(6)"]}), encoding="utf-8")

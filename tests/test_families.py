@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import typing
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tdcolor import families as fam
+from tdcolor.expr import ExprSyntaxError, parse_expr
 
 
 class TestBasicFamilies:
@@ -177,6 +179,40 @@ class TestRealize:
         assert set(typing.get_args(fam.FamilySpec)) == set(fam.FAMILIES)
         heads = [family.head.lower() for family in fam.FAMILIES.values()]
         assert len(set(heads)) == len(heads)
+
+    @pytest.mark.parametrize(
+        "cls,field", [(cls, f) for cls, domain in fam.DOMAINS.items() for f in domain]
+    )
+    def test_domain_table(self, cls, field):
+        # one below a field's least value fails with the table's message,
+        # written out or built by the public constructor; the least builds.
+        # Ladder and Grid are built from paths, so their constructors fail
+        # on the path's order
+        least = {f: low for f, (_, low) in fam.DOMAINS[cls].items()}
+        below = {**least, field: least[field] - 1}
+        noun = fam.DOMAINS[cls][field][0]
+        head = fam.FAMILIES[cls].head
+        message = f"^{noun} must be >= {least[field]}$"
+        text = f"{head}({','.join(map(str, below.values()))})"
+        with pytest.raises(ValueError, match=message):
+            cls(**below)
+        if below[field] < 0:  # the grammar has no sign, so E(-1) fails as syntax
+            with pytest.raises(ExprSyntaxError, match="^expected an integer"):
+                parse_expr(text)
+        else:
+            with pytest.raises(ValueError, match=message):
+                parse_expr(text)
+        build = fam.FAMILIES[cls].build
+        if cls in (fam.Ladder, fam.Grid):
+            message = "^path order must be >= 1$"
+        with pytest.raises(ValueError, match=message):
+            build(*below.values())
+        assert fam.realize(cls(**least)) == build(*least.values())
+
+    def test_domain_table_covers_every_atom(self):
+        atoms = [cls for cls in fam.FAMILIES if all(f.type == "int" for f in fields(cls))]
+        assert list(fam.DOMAINS) == atoms
+        assert all(list(fam.DOMAINS[cls]) == [f.name for f in fields(cls)] for cls in atoms)
 
     def test_non_spec_rejected(self):
         with pytest.raises(TypeError, match="not a family spec"):

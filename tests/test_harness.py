@@ -11,6 +11,7 @@ import pytest
 
 from tdcolor import families as fam
 from tdcolor import harness, solvers
+from tdcolor.expr import parse_expr
 from tdcolor.formulas import formula_for_spec
 from tdcolor.harness import (
     EXIT_BUDGET,
@@ -141,6 +142,29 @@ class TestVerifyInstance:
         monkeypatch.setattr(solvers, "td_chromatic_oracle", wrong_oracle)
         with pytest.raises(OracleMismatchError):
             verify_instance("P(4)")
+
+    @pytest.mark.parametrize(
+        "text,budget,cap,form",
+        [
+            ("P(7)", None, 10, ("path", 5)),
+            ("G(4,5)", 5_000, 20, ("grid", 11)),
+            # T(30) runs out of the budget as a join factor (T(20) solves
+            # in it), so the form is cut off
+            ("join(T(30),K(3))", 5_000, 10, ("join", None)),
+        ],
+    )
+    def test_record_is_the_suite_record(self, text, budget, cap, form):
+        rec = verify_instance(text, opts=SolveOptions(node_budget=budget), oracle_cap=cap)
+        config = SuiteConfig(instances=(text,), node_budget=budget, oracle_cap=cap)
+        (suite_rec,) = run_suite(config).records
+        assert (rec.theorem_tag, rec.formula_value) == form
+        assert rec == dataclasses.replace(suite_rec, elapsed=rec.elapsed)
+        again = verify_instance(parse_expr(text), opts=SolveOptions(node_budget=budget), oracle_cap=cap)
+        assert again == dataclasses.replace(rec, elapsed=again.elapsed)
+
+    def test_oracle_cap_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^oracle cap must be >= 2$"):
+            verify_instance("P(4)", oracle_cap=1)
 
     def test_spec_text_is_canonical(self):
         rec = verify_instance("  d( 3 , 2 ) ")

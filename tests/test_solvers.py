@@ -43,7 +43,6 @@ from util_graphs import (
     graphs,
     planted_graph,
     random_connected_graph,
-    reference_ascending_td_exact_k,
     reference_capacity_td_exact_k,
     reference_chromatic_search,
     reference_degree_bound_dom_search,
@@ -613,8 +612,8 @@ def _check_td_rounds(g: Graph, *references):
     same color order, and its cuts drop only subtrees with no coloring, so
     each round that runs must find the value-order copy's coloring at the
     same k, in no more nodes. A round that finds no coloring visits the same
-    nodes in any color order, so it must also take no more than the
-    ascending copy's nodes, or a reference's. Rejecting a reuse that
+    nodes in any color order, so it must also take no more than a
+    reference's nodes. Rejecting a reuse that
     leaves some vertex with no possible dominator, before a node is spent,
     drops only children with no coloring and keeps the order of the rest,
     so each round also finds the idle copy's coloring, which spends a node
@@ -624,15 +623,12 @@ def _check_td_rounds(g: Graph, *references):
     """
     res, (constructed, merged, merge_nodes), rounds = recorded_solve(g)
     value_order = with_filled(reference_value_order_td_exact_k)
-    ascending = with_filled(reference_ascending_td_exact_k)
     dom = total_domination_number(g)
     for k, nodes, found in rounds:
         copy_nodes, copy_found = _round_alone(g, k, value_order)
         assert copy_found == found and nodes <= copy_nodes
         idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, dom.value)
         assert idle_found == found and nodes == idle_nodes - dead_ends
-        if found is None:
-            assert nodes <= _round_alone(g, k, ascending)[0]
         for reference in references:
             ref_nodes, ref_found = _round_alone(g, k, with_neighbor_lists(reference))
             assert (ref_found is None) == (found is None)

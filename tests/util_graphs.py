@@ -760,114 +760,6 @@ def reference_capacity_td_exact_k(
     return result
 
 
-def reference_ascending_td_exact_k(
-    g: Graph,
-    k: int,
-    order: list[int],
-    nbr_mask: list[int],
-    filled: list[int],
-    budget: _Budget,
-) -> list[int] | None:
-    """Search for a total dominator coloring with exactly k classes.
-
-    Branches vertex by vertex in the fixed order with a canonical color order
-    (at most one color beyond the maximum used so far). The state is one
-    bitmask pair per color: ``class_mask[c]`` holds the class, and ``dom[c]``
-    the common neighbors of its members, that is the vertices w whose N(w)
-    contains the whole class, so the class can still be w's witness. Color c
-    is allowed on v when its class misses N(v). A new color's ``dom`` is
-    N(v); a reused color's shrinks to ``dom[c] & N(v)``.
-
-    A vertex is *needy* when it lies in no used color's ``dom``. A new color
-    removes N(v) from the needy set; a reused color adds the vertices that
-    just left its ``dom`` and lie in no other used one. Classes only grow, so
-    a class can come to lie inside N(w) only as a new color on an uncolored
-    vertex of N(w). A needy vertex whose neighborhood is fully colored
-    (``filled[depth]``, fixed by the static order) can thus never be
-    dominated, and the branch is cut.
-
-    Then prunes on domination capacity. One of the k - max_used colors not
-    used yet must dominate each needy vertex. Each of those colors ends up
-    with a class of uncolored vertices; pick one member u of each, distinct
-    because classes are disjoint. The class lies inside N(u), so it
-    dominates only needy vertices in N(u), and a class that dominates a
-    needy w lies inside N(w) & uncolored. So :func:`_can_cover` applies with
-    the k - max_used unused colors as picks and the uncolored vertices
-    (``uncolored[depth]``) as the available ones: it cuts when too many
-    needy vertices remain for the maximum degree, when more needy vertices
-    than unused colors have pairwise disjoint uncolored neighborhoods (an
-    open packing, each needing a class of its own), or when the largest
-    ``|N(u) & needy|`` gains cannot reach the needy count.
-
-    Both cuts drop only subtrees with no k-coloring, and the search order is
-    fixed, so the first coloring found does not depend on them.
-
-    Tries colors in ascending order. Kept as the reference that the
-    new-color-first k-loop's rounds are compared against: a round that finds
-    no coloring visits the same nodes in either order.
-    """
-    n = g.vertex_count
-    if k > n:
-        return None
-    max_deg = max(m.bit_count() for m in nbr_mask)
-    # uncolored[d]: the vertices after depth d in the order
-    uncolored = [0] * n
-    for d in range(n - 2, -1, -1):
-        uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
-    class_mask = [0] * (k + 1)  # indexed by 1-based color
-    dom = [0] * (k + 1)
-    result: list[int] | None = None
-
-    def extend(depth: int, max_used: int, needy: int) -> bool:
-        # needy: vertices in no dom[c] for c in 1..max_used
-        nonlocal result
-        if depth == n:
-            if max_used == k:
-                result = [
-                    next(c for c in range(1, k + 1) if class_mask[c] >> v & 1) for v in range(n)
-                ]
-                return True
-            return False
-        v = order[depth]
-        nbrs = nbr_mask[v]
-        remaining_after = n - depth - 1
-        if k - max_used > remaining_after + 1:
-            return False
-        must_new = k - max_used == remaining_after + 1
-        start_c = max_used + 1 if must_new else 1
-        for c in range(start_c, min(max_used + 1, k) + 1):
-            if class_mask[c] & nbrs:
-                continue
-            budget.spend()
-            old_dom = dom[c]
-            if c > max_used:
-                used_after = c
-                dom[c] = nbrs
-                needy_after = needy & ~nbrs
-            else:
-                used_after = max_used
-                dom[c] = old_dom & nbrs
-                left = old_dom & ~nbrs
-                for other in dom[1 : max_used + 1]:  # dom[c] is disjoint from left
-                    left &= ~other
-                needy_after = needy | left
-            class_mask[c] |= 1 << v
-            # a filled needy vertex can never be dominated; each unused color
-            # dominates needy vertices around one distinct uncolored vertex only
-            ok = not needy_after or (
-                not needy_after & filled[depth]
-                and _can_cover(needy_after, k - used_after, uncolored[depth], nbr_mask, max_deg)
-            )
-            if ok and extend(depth + 1, used_after, needy_after):
-                return True
-            class_mask[c] ^= 1 << v
-            dom[c] = old_dom
-        return False
-
-    extend(0, 0, (1 << n) - 1)
-    return result
-
-
 def reference_value_order_td_exact_k(
     g: Graph,
     k: int,

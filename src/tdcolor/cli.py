@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("--budget", type=int, metavar="N", help="node budget per join factor")
     p_formula.set_defaults(func=_cmd_formula)
 
-    p_bounds = sub.add_parser("bounds", help="domination/chromatic interval")
+    p_bounds = sub.add_parser("bounds", help="the counting lower bound and gamma_t + chi")
     p_bounds.add_argument("expr")
     p_bounds.add_argument("--budget", type=int, metavar="N", help="node budget")
     p_bounds.set_defaults(func=_cmd_bounds)

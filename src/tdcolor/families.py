@@ -33,6 +33,7 @@ __all__ = [
     "cartesian_product",
     "friendship_family",
     "grid",
+    "ladder",
     "triangle_chain",
     "square_chain",
     "realize",
@@ -222,7 +223,14 @@ def friendship_family(q: int, n: int) -> Graph:
 
 def grid(m: int, n: int) -> Graph:
     """m-by-n grid with row-major labels; equals cartesian_product of paths."""
+    Grid(m, n)
     return cartesian_product(path_graph(m), path_graph(n))
+
+
+def ladder(n: int) -> Graph:
+    """The ladder with n rungs: the 2-by-n grid."""
+    Ladder(n)
+    return grid(2, n)
 
 
 def triangle_chain(n: int) -> Graph:
@@ -269,7 +277,7 @@ FAMILIES: dict[type, Family] = {
     Complete: Family("K", complete_graph),
     Empty: Family("E", empty_graph),
     Friendship: Family("D", friendship_family),
-    Ladder: Family("L", lambda n: grid(2, n)),
+    Ladder: Family("L", ladder),
     Grid: Family("G", grid),
     TriChain: Family("T", triangle_chain),
     OrthoChain: Family("O", square_chain),

@@ -47,9 +47,14 @@ minimum total dominating set, then a proper coloring of the rest), with
 classes merged while it stays a TD-coloring. Rounds then run downward, each
 for at most one color fewer than the incumbent. Since a round allows at most
 k colors, the first round that finds none proves that no smaller count
-works either, so it proves the incumbent optimal. A node budget, the only
-limit on a search, aborts with :class:`BudgetExhaustedError` rather than
-returning a wrong answer.
+works either, so it proves the incumbent optimal. No round runs below a
+counting bound, which spends no node. Each class of a TD-coloring either
+dominates nobody (at most k - gamma_t classes can) or lies inside some
+N(w), where it has few members and dominates only its members' common
+neighbors. Since k classes must hold all n vertices and dominate each one,
+a k whose classes are too few or too small for that has no coloring. A
+node budget, the only limit on a search, aborts with
+:class:`BudgetExhaustedError` rather than returning a wrong answer.
 """
 
 from __future__ import annotations
@@ -775,20 +780,151 @@ def _require_td_defined(g: Graph) -> None:
         raise ValueError("TD-coloring undefined: graph has an isolated vertex")
 
 
+def _clique_cover(verts: int, nbr_mask: list[int]) -> int:
+    """The number of cliques in a greedy cover of ``verts``, at least its alpha.
+
+    Each clique starts at the lowest vertex left and adds the lowest common
+    neighbor left. An independent set has at most one vertex in each clique.
+    """
+    count = 0
+    while verts:
+        cand = verts
+        while cand:
+            low = cand & -cand
+            verts ^= low
+            cand &= nbr_mask[low.bit_length() - 1]
+        count += 1
+    return count
+
+
+def _triple_common(verts: int, nbr_mask: list[int]) -> int:
+    """The most common neighbors of three pairwise non-adjacent vertices of ``verts``."""
+    best = 0
+    us = verts
+    while us:
+        low = us & -us
+        u = low.bit_length() - 1
+        us ^= low
+        vs = us & ~nbr_mask[u]
+        while vs:
+            low = vs & -vs
+            v = low.bit_length() - 1
+            vs ^= low
+            common, xs = nbr_mask[u] & nbr_mask[v], vs & ~nbr_mask[v]
+            while xs:
+                low = xs & -xs
+                count = (common & nbr_mask[low.bit_length() - 1]).bit_count()
+                if count > best:
+                    best = count
+                xs ^= low
+    return best
+
+
+def _mix_covers(local: int, members: int, n: int, p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether ``local`` classes of profiles p and q hold ``members`` and dominate ``n``.
+
+    x of the classes take p and the rest q, x real in [0, local]. Each need
+    reads a * x >= b; a positive a gives a least x and a negative one a
+    most, and the test compares every least with every most, in integers.
+    """
+    least, most = [(0, 1)], [(local, 1)]
+    for at_p, at_q, need in ((p[0], q[0], members), (p[1], q[1], n)):
+        a, b = at_p - at_q, need - local * at_q
+        if a > 0:
+            least.append((b, a))
+        elif a < 0:
+            most.append((-b, -a))
+        elif b > 0:
+            return False
+    return all(lo * hd <= hi * ld for lo, ld in least for hi, hd in most)
+
+
+def _counting_bound(lower: int, gamma: int, nbr_mask: list[int]) -> int:
+    """The least k >= ``lower`` that class sizes and domination counts allow.
+
+    In a TD-coloring with k classes each vertex has a class inside its
+    neighborhood, so each class is *idle* (inside no N(w)) or *local*
+    (inside some N(w), and dominating exactly its members' common
+    neighbors). At most k - gamma classes are idle (gamma = gamma_t: one
+    member of each local class gives a total dominating set). An idle class
+    is an independent set, so it holds at most alpha_hat members, the greedy
+    clique cover count of V (:func:`_clique_cover`). Every local class fits
+    one of three (members, dominated) profiles:
+
+    - one member v: (1, Delta), as it dominates N(v);
+    - two members: (2, c2), c2 the most common neighbors of two
+      non-adjacent vertices that share one;
+    - three or more inside N(w): (a3, c3). They are pairwise non-adjacent,
+      so at most the clique cover count of N(w), and they dominate at most
+      the common neighbors of any three of them. For N(w) of degree at most
+      16, c3 scans its triples of pairwise non-adjacent vertices; a larger
+      N(w) takes c2, a bound for any two of them, so triples stay cheap.
+
+    So k fails when, for every count I of idle classes from 0 to k - gamma,
+    k - I local classes cannot hold the n - I * alpha_hat members the idle
+    ones leave and dominate n times, even mixing the profiles fractionally
+    (:func:`_mix_covers`); with two needs, a mix of two profiles does
+    whatever a mix of three does. The classes of a TD-coloring with k
+    classes pass at k, so the bound is at most td; k = n passes with n
+    singletons, so the loop ends. It spends no node, and its cost is
+    O(sum of deg^2) plus the bounded triple scan.
+    """
+    n = len(nbr_mask)
+    c2 = a3 = c3 = 0
+    for u, nu in enumerate(nbr_mask):
+        two, ws = 0, nu
+        while ws:
+            low = ws & -ws
+            two |= nbr_mask[low.bit_length() - 1]
+            ws ^= low
+        vs = two & ~nu & -(2 << u)  # the non-neighbors v > u that share a neighbor
+        while vs:
+            low = vs & -vs
+            common = (nu & nbr_mask[low.bit_length() - 1]).bit_count()
+            if common > c2:
+                c2 = common
+            vs ^= low
+    for nw in nbr_mask:
+        if nw.bit_count() < 3:
+            continue
+        cover = _clique_cover(nw, nbr_mask)
+        if cover < 3:
+            continue
+        best = c2 if nw.bit_count() > 16 else _triple_common(nw, nbr_mask)
+        if best:
+            a3, c3 = max(a3, cover), max(c3, best)
+    max_deg = max(m.bit_count() for m in nbr_mask)
+    profiles = [(1, max_deg)] + [(2, c2)] * (c2 > 0) + [(a3, c3)] * (c3 > 0)
+    pairs = [(p, q) for i, p in enumerate(profiles) for q in profiles[i:]]
+    alpha_hat = _clique_cover((1 << n) - 1, nbr_mask)
+    for k in range(lower, n + 1):
+        for idle in range(k - gamma + 1):
+            members = max(0, n - idle * alpha_hat)
+            if any(_mix_covers(k - idle, members, n, p, q) for p, q in pairs):
+                return k
+    raise AssertionError("unreachable: n singleton classes pass the count")
+
+
 def _bounding_phase(
     order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
 ) -> tuple[int, int, int, list[int]]:
-    """max(chi, gamma_t), gamma_t + chi, gamma_t, and a TD-coloring with gamma_t + chi colors."""
+    """The counting bound, gamma_t + chi, gamma_t, and a TD-coloring with gamma_t + chi colors."""
     chi, proper, _, _ = _chromatic_search(order, nbr, nbr_mask, budget)
     gamma, tds, _, _ = _total_dom_search(nbr_mask, budget)
     constructed = [c + gamma for c in proper]
     for i, v in enumerate(tds):
         constructed[v] = i + 1
-    return max(chi, gamma), gamma + chi, gamma, constructed
+    lower = _counting_bound(max(chi, gamma), gamma, nbr_mask)
+    return lower, gamma + chi, gamma, constructed
 
 
 def td_chromatic_bounds(g: Graph, opts: SolveOptions | None = None) -> tuple[int, int]:
-    """``(max(chi, gamma_t), gamma_t + chi)``, where :func:`td_chromatic_number` starts."""
+    """``(lower, gamma_t + chi)``, where :func:`td_chromatic_number` starts.
+
+    ``lower`` is the counting bound of :func:`_counting_bound`, at least
+    max(chi, gamma_t): the least k whose k classes can, by their sizes and
+    the vertices each can dominate, hold every vertex and dominate each one.
+    """
     _require_td_defined(g)
     lower, upper, _, _ = _bounding_phase(*_tables(g), _Budget(opts))
     return lower, upper
@@ -797,8 +933,14 @@ def td_chromatic_bounds(g: Graph, opts: SolveOptions | None = None) -> tuple[int
 def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
     """Exact TD-chromatic number with a verified witness coloring.
 
-    The bounds are max(chromatic number, total domination number) and their
-    sum. :func:`_bounding_phase` builds a coloring with the sum: each member
+    The bounds are the counting bound (:func:`_counting_bound`), at least
+    max(chromatic number, total domination number), and the sum of those
+    two. Every class of a TD-coloring either dominates nobody (at most
+    k - gamma_t classes can) or lies inside some N(w), so it has few members
+    and dominates only its members' common neighbors. A k whose classes
+    cannot hold all n vertices and dominate each one has no coloring, so
+    the bound drops only rounds that find none. It spends no node.
+    :func:`_bounding_phase` builds a coloring with the sum: each member
     of a minimum total dominating set gets a private color, and every other
     vertex its chromatic color shifted past them. Every vertex has a
     neighbor in the set, whose singleton class dominates it, and the rest

@@ -148,10 +148,11 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # T(30) takes 19,326 nodes, more than the budget. T(20) served here
+        # G(3,20) takes 7,617 nodes, more than the budget. T(20) served here
         # until testing the idle-class cap before a node is spent solved it
-        # in 3,350 nodes
-        code, out, err = run(capsys, "formula", "join(T(30),K(3))", "--budget", "5000")
+        # in 3,350 nodes, and T(30) (19,326 nodes) until the counting bound
+        # ruled out its UNSAT round and it solved in 811
+        code, out, err = run(capsys, "formula", "join(G(3,20),K(3))", "--budget", "5000")
         assert code == 4
         assert out == ""
         assert "error: node budget exhausted" in err
@@ -197,13 +198,15 @@ class TestBounds:
     def test_one_budget_for_both_searches(self, capsys):
         # C(11) spends 1 node on chi and 6 on gamma_t, 7 in all; before
         # forced-color propagation chi took 10 nodes, and gamma_t took 9
-        # branching on the lowest-index undominated vertex
+        # branching on the lowest-index undominated vertex. The counting
+        # bound spends none and raises the lower end from max(chi, gamma_t)
+        # = 6 to 7 (td is 8)
         for budget in ("4", "6"):
             code, out, err = run(capsys, "bounds", "C(11)", "--budget", budget)
             assert (code, out) == (4, "")
             assert "error: node budget exhausted" in err
         code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "7")
-        assert (code, out) == (0, "bounds [6, 9]\n")
+        assert (code, out) == (0, "bounds [7, 9]\n")
 
 
 class TestVerify:
@@ -243,17 +246,19 @@ class TestVerify:
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
         # within 5000 nodes the solver finishes the join (3 nodes), but the
-        # formula's solve of its factor T(30) (19,326 nodes) does not; T(16)
+        # formula's solve of its factor G(3,20) (7,617 nodes) does not; T(16)
         # served here until the new-color-first order solved it in 2,614
-        # nodes, and T(20) until testing the idle-class cap before a node is
-        # spent solved it in 3,350
+        # nodes, T(20) until testing the idle-class cap before a node is
+        # spent solved it in 3,350, and T(30) (row "join(T(30),K(3)) 64 25
+        # 6") until the counting bound ruled out its UNSAT round and it
+        # solved in 811
         cut = tmp_path / "cut.json"
         cut.write_text(
-            json.dumps({"instances": ["join(T(30),K(3))"], "node_budget": 5000}),
+            json.dumps({"instances": ["join(G(3,20),K(3))"], "node_budget": 5000}),
             encoding="utf-8",
         )
         full = tmp_path / "full.json"
-        full.write_text(json.dumps({"instances": ["join(T(30),K(3))"]}), encoding="utf-8")
+        full.write_text(json.dumps({"instances": ["join(G(3,20),K(3))"]}), encoding="utf-8")
         cache = str(tmp_path / "cache")
         code, out, _ = run(capsys, "verify", "--suite", str(cut), "--cache", cache)
         assert code == 4
@@ -265,7 +270,7 @@ class TestVerify:
         for extra in (("--cache", cache), ()):
             code, out, _ = run(capsys, "verify", "--suite", str(full), *extra)
             assert code == 3
-            assert "join(T(30),K(3))           64       25       6" in out
+            assert "join(G(3,20),K(3))         63       25       5" in out
             assert "refuted 1" in out
 
     def test_edited_refutations_are_not_replayed(self, capsys, tmp_path):

@@ -186,8 +186,9 @@ class TestRealize:
     def test_domain_table(self, cls, field):
         # one below a field's least value fails with the table's message,
         # written out or built by the public constructor; the least builds.
-        # Ladder and Grid are built from paths, so their constructors fail
-        # on the path's order
+        # The Ladder and Grid constructors failed on the order of the paths
+        # they are built from ("path order must be >= 1") until they checked
+        # their own spec
         least = {f: low for f, (_, low) in fam.DOMAINS[cls].items()}
         below = {**least, field: least[field] - 1}
         noun = fam.DOMAINS[cls][field][0]
@@ -203,8 +204,6 @@ class TestRealize:
             with pytest.raises(ValueError, match=message):
                 parse_expr(text)
         build = fam.FAMILIES[cls].build
-        if cls in (fam.Ladder, fam.Grid):
-            message = "^path order must be >= 1$"
         with pytest.raises(ValueError, match=message):
             build(*below.values())
         assert fam.realize(cls(**least)) == build(*least.values())

@@ -148,9 +148,10 @@ class TestVerifyInstance:
         [
             ("P(7)", None, 10, ("path", 5)),
             ("G(4,5)", 5_000, 20, ("grid", 11)),
-            # T(30) runs out of the budget as a join factor (T(20) solves
-            # in it), so the form is cut off
-            ("join(T(30),K(3))", 5_000, 10, ("join", None)),
+            # G(3,20) runs out of the budget as a join factor (T(20) solves
+            # in it, and T(30) in 811 nodes since the counting bound), so the
+            # form is cut off
+            ("join(G(3,20),K(3))", 5_000, 10, ("join", None)),
         ],
     )
     def test_record_is_the_suite_record(self, text, budget, cap, form):
@@ -401,14 +402,16 @@ class TestSuite:
             return td_chromatic_number(g, opts)
 
         monkeypatch.setattr(solvers, "td_chromatic_number", counting)
-        texts = ("join(T(30),K(3))", "join(T(30),P(3))", "join(T(30),C(5))")
+        texts = ("join(G(3,20),K(3))", "join(G(3,20),P(3))", "join(G(3,20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # T(30) (61 vertices, 19,326 nodes) runs out of budget once; the three
-        # joins (3-8 nodes each) reuse that outcome. T(16) served here until
-        # the new-color-first order solved it in 2,614 nodes, and T(20) until
-        # testing the idle-class cap before a node is spent solved it in 3,350
-        assert solved == [61, 64, 64, 66]
+        # G(3,20) (60 vertices, 7,617 nodes) runs out of budget once; the
+        # three joins (3-8 nodes each) reuse that outcome. T(16) served here
+        # until the new-color-first order solved it in 2,614 nodes, T(20)
+        # until testing the idle-class cap before a node is spent solved it in
+        # 3,350, and T(30) (solved [61, 64, 64, 66]) until the counting bound
+        # solved it in 811
+        assert solved == [60, 63, 63, 65]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET
         assert not (tmp_path / "records.jsonl").exists()

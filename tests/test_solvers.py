@@ -477,8 +477,9 @@ class TestSearchNodeTotals:
         # on the lowest-index undominated vertex, 352 domination nodes, and
         # 770 merge and k-loop nodes from the incumbents its witnesses gave;
         # with the idle-class cap tested after a node was spent, 748; with
-        # reuses that leave a vertex no possible dominator spent, 635
-        assert (chi, dom, rest) == (30, 276, 523)
+        # reuses that leave a vertex no possible dominator spent, 635; with
+        # rounds down to max(chi, gamma_t) before the counting bound, 523
+        assert (chi, dom, rest) == (30, 276, 404)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -560,6 +561,36 @@ def test_oracle_matches_reference_oracle(g: Graph):
 def test_bounds_are_the_td_solve_bounds(g: Graph):
     res = td_chromatic_number(g)
     assert td_chromatic_bounds(g) == (res.lower_bound_used, res.upper_bound_used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=10))
+def test_counting_bound_is_sound(g: Graph):
+    # no TD-coloring has fewer classes than the count allows, whether it
+    # starts from max(chi, gamma_t) or from gamma_t alone
+    nbr_mask = _neighbor_masks(g)
+    gamma = solvers._total_dom_search(nbr_mask, _Budget(None))[0]
+    count = solvers._counting_bound(gamma, gamma, nbr_mask)
+    assert count <= td_chromatic_bounds(g)[0] <= td_chromatic_oracle(g).value
+
+
+def test_counting_bound_is_sound_on_sparse_graphs():
+    # sparse graphs leave the idle-class cap tight; the upward k-loop finds
+    # the value without the bound. The bound is the value on 9 of the 200
+    for seed in range(200):
+        g = sparse_connected_graph(random.Random(seed))
+        assert td_chromatic_bounds(g)[0] <= _upward_k_loop_value(g)
+
+
+def test_counting_bound_is_td_on_triangle_chains():
+    # td(T(n)) is ceil(2n/3) + 2 from n = 3 on, as the UNSAT rounds below it
+    # proved before the bound (326 nodes on T(14), 13,022 on T(30)); the
+    # bound now meets it, so no round runs below the merged incumbent
+    for n in range(1, 31):
+        g = fam.triangle_chain(n)
+        td = 3 if n < 3 else -(-2 * n // 3) + 2
+        res = td_chromatic_number(g)
+        assert td_chromatic_bounds(g)[0] == res.lower_bound_used == res.value == td
 
 
 def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
@@ -714,7 +745,8 @@ def test_fatal_admissibility_keeps_every_round(g: Graph):
 def test_fatal_admissibility_accounts_for_every_frontier_node():
     # over every round the frontier instances run, the idle copy's nodes
     # minus the search's are exactly its dead ends: the children the
-    # admissibility test now rejects before a node is spent
+    # admissibility test now rejects before a node is spent. Before the
+    # counting bound removed 11 final UNSAT rounds, (1,626, 2,427, 801)
     live = idle = dead = 0
     for text in FRONTIER:
         g = fam.realize(parse_expr(text))
@@ -723,7 +755,7 @@ def test_fatal_admissibility_accounts_for_every_frontier_node():
             idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, gamma)
             assert idle_found == found and idle_nodes - nodes == dead_ends
             live, idle, dead = live + nodes, idle + idle_nodes, dead + dead_ends
-    assert (live, idle, dead) == (1_626, 2_427, 801)
+    assert (live, idle, dead) == (1_031, 1_505, 474)
 
 
 @settings(max_examples=60, deadline=None)

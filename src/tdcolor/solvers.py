@@ -38,8 +38,22 @@ largest gains. Every bound cuts only subtrees with no solution and leaves
 the search order alone, so it changes no value or witness. The chromatic
 search tries colors in ascending order. The TD search tries a new color
 first, then the used colors by descending index: a new color's class is one
-vertex, which dominates its whole neighborhood. The color order moves only
-the round that finds a coloring, and with it the witness.
+vertex, which dominates its whole neighborhood. Without the symmetry cut
+below, the color order moves only the round that finds a coloring, and with
+it the witness.
+
+The TD rounds also break symmetry with lex-leader cuts (Crawford, Ginsberg,
+Luks and Roy, 1996). An automorphism maps every TD-coloring to one, and the
+search meets the colorings in a fixed order: position by position in the
+branch order, by its own child order. A child is rejected before a node is
+spent when some automorphism, found on the graph itself, maps every
+completion of its colored prefix to a coloring the search meets earlier.
+The first coloring a round finds is the earliest of its orbit, so no prefix
+of it is rejected: the cut changes no value or witness and no round visits
+more nodes. A round with no coloring, though, no longer visits the same
+nodes in any color order, since the cut reads that order. The maps are
+found at most once per solve, by a bounded search, and only once a round
+has spent a few nodes per vertex, so small rounds never pay for them.
 
 The TD solve starts from an incumbent rather than searching upward: the
 coloring behind the bound gamma_t + chi (a private color for each member of a
@@ -60,7 +74,9 @@ node budget, the only limit on a search, aborts with
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coloring import Coloring, _first_appearance, is_proper, is_td_coloring
@@ -236,6 +252,94 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
         reach ^= low
     gains.sort(reverse=True)
     return regions[0] if total + sum(gains[:free]) >= short else 0
+
+
+_FINDER_STEPS = 32  # per vertex: the cap on the steps of _automorphisms
+
+
+def _automorphisms(order: list[int], nbr_mask: list[int]) -> list[list[int]]:
+    """Automorphisms of the graph other than the identity, as image lists; not always all.
+
+    First color refinement: each vertex starts in the cell of its degree,
+    and each round splits the cells by the multiset of cells around their
+    members until no cell splits. An automorphism maps each cell onto
+    itself. Then a backtracking search maps the vertices in branch order
+    ``order``, each to an unused vertex u of its cell, and keeps u only when
+    the mapped neighbors agree both ways: each mapped neighbor's image is a
+    neighbor of u, and u has no other neighbor among the images. So every
+    complete map is an automorphism, and the maps are listed in the order
+    the search finds them. The finder counts a step per vertex or neighbor a refinement
+    round reads and per image the search tries, and stops at a cap of
+    ``_FINDER_STEPS`` steps per vertex. Refinement starts no round past half
+    of it and keeps the cells it has, which every automorphism still
+    respects; the search returns the maps found by the cap. So it may miss
+    maps, and it spends no node.
+    """
+    n = len(nbr_mask)
+    cap = _FINDER_STEPS * n
+    nbrs = []
+    for m in nbr_mask:
+        ws = []
+        while m:
+            low = m & -m
+            ws.append(low.bit_length() - 1)
+            m ^= low
+        nbrs.append(ws)
+    cell = [len(ws) for ws in nbrs]
+    cells = len(set(cell))
+    steps, per_round = n, n + sum(cell)
+    while cells < n and 2 * steps < cap:
+        index: dict[tuple, int] = {}
+        split = [
+            index.setdefault((cell[v], tuple(sorted(cell[w] for w in ws))), len(index))
+            for v, ws in enumerate(nbrs)
+        ]
+        steps += per_round
+        if len(index) == cells:
+            break
+        cell, cells = split, len(index)
+    members: dict[int, int] = {}
+    for v, c in enumerate(cell):
+        members[c] = members.get(c, 0) | 1 << v
+
+    maps: list[list[int]] = []
+    image = list(range(n))
+    cand = [0] * n  # cand[d]: the images left to try for order[d]
+    cand[0] = members[cell[order[0]]]
+    d = mapped = used = 0
+    while d >= 0 and steps < cap:
+        v = order[d]
+        rest = cand[d]
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest ^= 1 << u
+            steps += 1
+            if (nbr_mask[u] & used).bit_count() == (nbr_mask[v] & mapped).bit_count():
+                break
+        else:  # no image left: back to the vertex before
+            d -= 1
+            if d >= 0:
+                mapped ^= 1 << order[d]
+                used ^= 1 << image[order[d]]
+            continue
+        cand[d] = rest
+        image[v] = u
+        if d == n - 1:
+            if any(image[w] != w for w in range(n)):
+                maps.append(image[:])
+            continue
+        mapped |= 1 << v
+        used |= 1 << u
+        d += 1
+        w = order[d]
+        allowed = members[cell[w]] & ~used
+        ms = nbr_mask[w] & mapped
+        while ms:
+            low = ms & -ms
+            allowed &= nbr_mask[image[low.bit_length() - 1]]
+            ms ^= low
+        cand[d] = allowed
+    return maps
 
 
 def _in_exactly_one(masks: Iterable[int]) -> int:
@@ -463,9 +567,32 @@ def _total_dom_search(
     """
     n = len(nbr_mask)
     full = (1 << n) - 1
-    max_deg = max(m.bit_count() for m in nbr_mask)
-    # the root case of the packing bound below
-    lower = next(p for p in range(2, n + 1) if _can_cover(full, p, full, nbr_mask, max_deg))
+    deg = [m.bit_count() for m in nbr_mask]
+    max_deg = max(deg)
+    # the root case of the packing bound below, the least p >= 2 that
+    # _can_cover(full, p, full, ...) passes, in one pass: a pick for each
+    # region of its open packing over every N(w), which gains the region's
+    # best degree, then picks by descending degree from the other vertices
+    # until the gains reach n
+    packed = taken = gain = picks = 0
+    for region in sorted(nbr_mask, key=int.bit_count):
+        if not region & packed:
+            packed |= region
+            picks += 1
+            best = 0
+            while region:  # the first vertex of highest degree
+                low = region & -region
+                if deg[low.bit_length() - 1] > best:
+                    best, best_bit = deg[low.bit_length() - 1], low
+                region ^= low
+            gain += best
+            taken |= best_bit
+    for more in sorted((d for u, d in enumerate(deg) if not taken >> u & 1), reverse=True):
+        if gain >= n:
+            break
+        gain += more
+        picks += 1
+    lower = max(2, -(-n // max_deg), picks)
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
@@ -515,8 +642,34 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
 # TD-chromatic number
 
 
+_SYMMETRY_START = 4  # per vertex: the nodes a round spends before it finds automorphisms
+
+
+class _Symmetry:
+    """The automorphisms one solve's TD rounds cut with, found at most once.
+
+    Built with ``maps``, every round cuts with them from its first node.
+    Built without, the first round to spend ``_SYMMETRY_START`` nodes per
+    vertex calls :func:`_automorphisms` and keeps what it returns here, for
+    its own later nodes and for every later round. The finder's step cap
+    makes it cost no more than those nodes did (ski rental): a solve whose
+    rounds stay small never pays for it, and one whose round runs on pays
+    at most about what that round had already spent.
+    """
+
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: list[list[int]] | None = None) -> None:
+        self.maps = maps
+
+
 def _td_exact_k(
-    k: int, gamma: int, order: list[int], nbr_mask: list[int], budget: _Budget
+    k: int,
+    gamma: int,
+    order: list[int],
+    nbr_mask: list[int],
+    budget: _Budget,
+    symmetry: _Symmetry,
 ) -> list[int] | None:
     """Search for a total dominator coloring with at most k classes.
 
@@ -586,9 +739,28 @@ def _td_exact_k(
     The admissibility test and the cuts drop only subtrees with no coloring,
     and the search order is fixed, so the first coloring found does not
     depend on them. No state carries from one sibling to the next and they
-    read only the current node, so a round with no coloring visits the same
-    nodes in any color order; the color order moves only the round that
-    finds a coloring.
+    read only the current node, so without the symmetry cut a round with no
+    coloring visits the same nodes in any color order.
+
+    *Symmetry cut.* An automorphism s of G maps each TD-coloring P with at
+    most k classes to another, s(P), whose classes are the images of P's
+    classes. The search meets the colorings it could find in a fixed
+    order: compare them position by position in the branch order,
+    numbering each one's classes in order of appearance, and at the first
+    position that differs the one whose class there the search tries
+    earlier comes first, a new class before the used ones by descending
+    index, so a higher number. Hence the first coloring a round finds comes
+    no later than any image of it. Beside the admissibility tests, before a
+    node is spent, a child is rejected when some map of ``symmetry``
+    already shows, from the colored positions alone, that the image of
+    every completion comes earlier than the completion: with positions
+    compared only while both a position's vertex and the vertex it reads
+    from are colored. A completion that is a coloring would then have an
+    image the round meets first, so the first coloring found is never under
+    a rejected child: the cut keeps every coloring a round finds and only
+    lowers node counts, but a round with no coloring now visits nodes that
+    depend on the color order. :func:`_automorphisms` finds the maps, at
+    most once per solve; see :class:`_Symmetry` for when.
 
     A round visits a subtree of an exactly-k search. The slack, uncolored
     vertices minus unused colors, starts at n - k >= 0 (k = n always
@@ -622,6 +794,64 @@ def _td_exact_k(
     reach = [0] * (k + 1)
     cap = k - gamma  # at most this many classes dominate nobody
     result: list[int] | None = None
+    # live[d]: the lex-leader states at a node of depth d, each (wake, steps,
+    # i, relabel), by ascending wake depth
+    live: list[list] = [[]] * (n + 1)
+    start = budget.nodes + _SYMMETRY_START * n
+
+    def follow(states: list, depth: int, drop: bool = False) -> list | None:
+        """The states after the child at ``depth`` is colored; None when a map sends it earlier.
+
+        A state's map s gives the image coloring: each vertex v takes the
+        color of s(v), and the colors are renumbered in order of appearance
+        in the branch order (``relabel``, from color to number, so far).
+        The state compares the two colorings position by position from
+        position ``i`` and stops at the first position whose vertex or image
+        is still uncolored, waking at the depth that colors both. At the
+        first position where they differ, a higher image number is a color
+        the search tries earlier, so the child is rejected (with ``drop``,
+        only the map is), and a lower one ends the map's say in this
+        subtree. A map whose image coloring is the coloring itself is
+        dropped too.
+        """
+        woken = 0
+        while woken < len(states) and states[woken][0] == depth:
+            woken += 1
+        after = states[woken:]
+        for _, steps, i, relabel in states[:woken]:
+            while True:
+                v, u, wake = steps[i]
+                if wake > depth:
+                    insort(after, (wake, steps, i, relabel), key=itemgetter(0))
+                    break
+                mine, theirs = colors[v], relabel.get(colors[u], len(relabel) + 1)
+                if mine != theirs:
+                    if theirs > mine and not drop:
+                        return None
+                    break
+                if theirs > len(relabel):
+                    relabel = {**relabel, colors[u]: theirs}
+                i += 1
+        return after
+
+    def watch(depth: int) -> None:
+        """Start a state for each map at the root and follow them down to ``depth``."""
+        at = [0] * n
+        for p, v in enumerate(order):
+            at[v] = p
+        states = []
+        for image in symmetry.maps:
+            # steps[i]: position i's vertex, its image and the depth that
+            # colors both; a last step at depth n never wakes
+            steps = [(v, image[v], max(p, at[image[v]])) for p, v in enumerate(order)]
+            steps.append((0, 0, n))
+            states.append((steps[0][2], steps, 0, {}))
+        live[0] = sorted(states, key=itemgetter(0))
+        for d in range(depth):
+            live[d + 1] = follow(live[d], d, drop=True)
+
+    if symmetry.maps:
+        watch(0)
 
     def can_place(depth: int, used: int, needy: int, idle: int) -> bool:
         """False when the uncolored vertices cannot all find a class.
@@ -678,6 +908,9 @@ def _td_exact_k(
         if depth == n:
             result = colors[:]
             return True
+        if symmetry.maps is None and budget.nodes >= start:
+            symmetry.maps = _automorphisms(order, nbr_mask)
+            watch(depth)
         v = order[depth]
         nbrs = nbr_mask[v]
         # a needy vertex with no uncolored neighbor left needs v's class
@@ -698,6 +931,14 @@ def _td_exact_k(
                 # new class can come to dominate
                 if old_dom & stranded:
                     continue
+            colors[v] = c
+            # nor one that some automorphism maps to a coloring tried earlier
+            states = live[depth]
+            if states and states[0][0] == depth:
+                states = follow(states, depth)
+                if states is None:
+                    continue
+            live[depth + 1] = states
             budget.spend()
             idle_after = idle
             if c > max_used:
@@ -710,7 +951,6 @@ def _td_exact_k(
                 needy_after = needy | old_dom & single & ~nbrs
                 if old_dom and not dom[c]:
                     idle_after += 1
-            colors[v] = c
             reach[c] |= nbrs
             unused, rest = k - used_after, uncolored[depth]
             # each unused color dominates needy vertices around one distinct
@@ -958,8 +1198,9 @@ def td_chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResu
     lower, upper, gamma, constructed = _bounding_phase(order, nbr, nbr_mask, budget)
     best = _merge_classes(constructed, nbr_mask, budget)
     k = max(best)
+    symmetry = _Symmetry()
     while k > lower:
-        found = _td_exact_k(k - 1, gamma, order, nbr_mask, budget)
+        found = _td_exact_k(k - 1, gamma, order, nbr_mask, budget, symmetry)
         if found is None:
             break
         best, k = found, max(found)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +19,11 @@ from tdcolor.graph import Graph
 from tdcolor.solvers import (
     BudgetExhaustedError,
     SolveOptions,
+    _automorphisms,
     _Budget,
     _can_cover,
     _neighbor_masks,
+    _Symmetry,
     chromatic_number,
     is_total_dominating_set,
     td_chromatic_bounds,
@@ -291,14 +294,15 @@ class TestTdChromaticNumber:
         assert res.witness.num_colors == expected
 
     @pytest.mark.parametrize(
-        "text,expected,nodes", [("G(4,10)", 16, 910), ("G(4,12)", 18, 748)]
+        "text,expected,nodes", [("G(4,10)", 16, 603), ("G(4,12)", 18, 685)]
     )
     def test_grids_with_the_placement_and_idle_class_cuts(self, text, expected, nodes):
         # single-method pins with exact node counts. Without the cap on
         # classes that dominate nobody and the placement check, G(4,10) took
         # 18,932 nodes and G(4,12) 10,330; with the total-domination search
         # branching on the lowest-index undominated vertex, 1,674 and 1,558;
-        # with the cap tested after a node was spent, 1,638 and 1,369
+        # with the cap tested after a node was spent, 1,638 and 1,369;
+        # without the lex-leader cut from the grids' automorphisms, 910 and 748
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g)
         assert (res.value, res.nodes_explored) == (expected, nodes)
@@ -448,9 +452,9 @@ class TestSearchNodeTotals:
 
     Totals, not rows: a single small graph may take a node or two more than
     under the static-order searches (corona(C(5),K(1)): 33 -> 35 total
-    domination nodes). A k-loop round that finds no coloring visits the same
-    nodes in any color order, so the new-color-first order leaves those
-    rounds unchanged; the round that finds a coloring may grow on a single
+    domination nodes). Without automorphisms, a k-loop round that finds no
+    coloring visits the same nodes in any color order, so the
+    new-color-first order left those rounds unchanged; the round that finds a coloring may grow on a single
     instance (join(C(5),C(5)): 10 -> 28 nodes) while the total falls. The
     merges and the rounds below the incumbent may cost a node or two more
     than the upward k-loop on a small instance (P(6): 13 -> 14 nodes).
@@ -478,8 +482,9 @@ class TestSearchNodeTotals:
         # 770 merge and k-loop nodes from the incumbents its witnesses gave;
         # with the idle-class cap tested after a node was spent, 748; with
         # reuses that leave a vertex no possible dominator spent, 635; with
-        # rounds down to max(chi, gamma_t) before the counting bound, 523
-        assert (chi, dom, rest) == (30, 276, 404)
+        # rounds down to max(chi, gamma_t) before the counting bound, 523;
+        # without the lex-leader cut from automorphisms, 404
+        assert (chi, dom, rest) == (30, 276, 381)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -600,11 +605,14 @@ def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
     return budget.nodes, found
 
 
-def _solver_round(gamma: int):
-    """``solvers._td_exact_k`` for a graph with total domination number gamma."""
+def _solver_round(gamma: int, maps: list[list[int]] | None = None):
+    """``solvers._td_exact_k`` for a graph with total domination number gamma.
+
+    It cuts with ``maps`` from its first node; by default with none.
+    """
 
     def round_(g, k, order, nbr_mask, budget):
-        return solvers._td_exact_k(k, gamma, order, nbr_mask, budget)
+        return solvers._td_exact_k(k, gamma, order, nbr_mask, budget, _Symmetry(maps or []))
 
     return round_
 
@@ -642,15 +650,17 @@ def _check_td_rounds(g: Graph, *references):
     The at-most-k search visits a subtree of the exactly-k search with the
     same color order, and its cuts drop only subtrees with no coloring, so
     each round that runs must find the value-order copy's coloring at the
-    same k, in no more nodes. A round that finds no coloring visits the same
-    nodes in any color order, so it must also take no more than a
-    reference's nodes. Rejecting a reuse that
+    same k, in no more nodes. Without automorphisms, a round that finds no
+    coloring visits the same nodes in any color order, so it must also take
+    no more than a reference's nodes. Rejecting a reuse that
     leaves some vertex with no possible dominator, before a node is spent,
     drops only children with no coloring and keeps the order of the rest,
-    so each round also finds the idle copy's coloring, which spends a node
-    on each such child, in exactly that many nodes fewer. The rounds run
-    downward from the merged incumbent, one color fewer each, and stop at
-    the first that finds none or at the lower bound.
+    so each round with no maps also finds the idle copy's coloring, which
+    spends a node on each such child, in exactly that many nodes fewer. The
+    solve's own round cuts with the automorphisms it finds, which only
+    rejects children, so it finds the same coloring in no more nodes. The
+    rounds run downward from the merged incumbent, one color fewer each,
+    and stop at the first that finds none or at the lower bound.
     """
     res, (constructed, merged, merge_nodes), rounds = recorded_solve(g)
     value_order = with_filled(reference_value_order_td_exact_k)
@@ -658,8 +668,10 @@ def _check_td_rounds(g: Graph, *references):
     for k, nodes, found in rounds:
         copy_nodes, copy_found = _round_alone(g, k, value_order)
         assert copy_found == found and nodes <= copy_nodes
+        plain_nodes, plain_found = _round_alone(g, k, _solver_round(dom.value))
         idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, dom.value)
-        assert idle_found == found and nodes == idle_nodes - dead_ends
+        assert idle_found == plain_found and plain_nodes == idle_nodes - dead_ends
+        assert found == plain_found and nodes <= plain_nodes
         for reference in references:
             ref_nodes, ref_found = _round_alone(g, k, with_neighbor_lists(reference))
             assert (ref_found is None) == (found is None)
@@ -744,18 +756,120 @@ def test_fatal_admissibility_keeps_every_round(g: Graph):
 
 def test_fatal_admissibility_accounts_for_every_frontier_node():
     # over every round the frontier instances run, the idle copy's nodes
-    # minus the search's are exactly its dead ends: the children the
-    # admissibility test now rejects before a node is spent. Before the
-    # counting bound removed 11 final UNSAT rounds, (1,626, 2,427, 801)
-    live = idle = dead = 0
+    # minus those of the search with no automorphisms are exactly its dead
+    # ends: the children the admissibility test now rejects before a node
+    # is spent. Before the counting bound removed 11 final UNSAT rounds,
+    # (1,626, 2,427, 801). The solve's own rounds, which cut with the
+    # automorphisms they find, find the same colorings in no more nodes:
+    # 832 of the 1,031
+    live = idle = dead = solve = 0
     for text in FRONTIER:
         g = fam.realize(parse_expr(text))
         gamma = total_domination_number(g).value
         for k, nodes, found in recorded_solve(g)[2]:
+            plain_nodes, plain_found = _round_alone(g, k, _solver_round(gamma))
             idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, gamma)
-            assert idle_found == found and idle_nodes - nodes == dead_ends
-            live, idle, dead = live + nodes, idle + idle_nodes, dead + dead_ends
+            assert idle_found == plain_found and idle_nodes - plain_nodes == dead_ends
+            assert found == plain_found and nodes <= plain_nodes
+            live, idle, dead = live + plain_nodes, idle + idle_nodes, dead + dead_ends
+            solve += nodes
     assert (live, idle, dead) == (1_031, 1_505, 474)
+    assert solve == 832
+
+
+def _is_automorphism(g: Graph, image: list[int]) -> bool:
+    """Whether ``image`` permutes g's vertices and maps each neighborhood onto its image's."""
+    n = g.vertex_count
+    return sorted(image) == list(range(n)) and all(
+        {image[w] for w in g.adjacency[v]} == set(g.adjacency[image[v]]) for v in range(n)
+    )
+
+
+def _found_maps(g: Graph) -> list[list[int]]:
+    """The finder's maps for g, each re-checked on g's adjacency sets."""
+    order, _, nbr_mask = solvers._tables(g)
+    maps = _automorphisms(order, nbr_mask)
+    assert all(_is_automorphism(g, image) for image in maps)
+    assert list(range(g.vertex_count)) not in maps
+    return maps
+
+
+@st.composite
+def circulants(draw, max_vertices: int = 10):
+    """Connected circulant graphs: v joined to v + j mod n for 1 and the drawn jumps j."""
+    n = draw(st.integers(3, max_vertices))
+    jumps = draw(st.sets(st.integers(1, n // 2))) | {1}
+    edges = {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps}
+    return Graph.from_edges(n, sorted(edges))
+
+
+class TestAutomorphisms:
+    """The finder behind the TD rounds' lex-leader cut, checked without ``solvers``."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_path_reflection(self, n):
+        assert _found_maps(fam.path_graph(n)) == [[n - 1 - v for v in range(n)]]
+
+    @pytest.mark.parametrize("rows,cols,count", [(4, 5, 3), (4, 4, 7), (6, 10, 3), (8, 8, 7)])
+    def test_grid_symmetries(self, rows, cols, count):
+        # the reflections of the rows and the columns, their product and,
+        # on a square grid, the transpose and its products: all of them
+        def cell(r, c):
+            return r * cols + c
+
+        flips = [
+            [cell(rows - 1 - r if a else r, cols - 1 - c if b else c) for r in range(rows) for c in range(cols)]
+            for a in (0, 1) for b in (0, 1)
+        ]
+        if rows == cols:
+            flips += [[f[cell(c, r)] for r in range(rows) for c in range(cols)] for f in flips]
+        maps = _found_maps(fam.grid(rows, cols))
+        assert len(maps) == count
+        assert sorted(maps) == sorted(f for f in flips if f != list(range(rows * cols)))
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 10, 18])
+    def test_cycle_rotation_and_reflection(self, n):
+        maps = _found_maps(fam.cycle_graph(n))
+        rotations = [[(v + r) % n for v in range(n)] for r in range(1, n)]
+        reflections = [[(r - v) % n for v in range(n)] for r in range(n)]
+        assert any(m in rotations for m in maps) and any(m in reflections for m in maps)
+        if n <= 10:  # the whole dihedral group fits the step cap
+            assert sorted(maps) == sorted(rotations + reflections)
+
+    def test_none_on_an_asymmetric_graph(self):
+        g = Graph.from_edges(6, [(0, 4), (0, 5), (1, 4), (2, 3), (2, 5), (4, 5)])
+        perms = [list(p) for p in itertools.permutations(range(6))]
+        assert [p for p in perms if _is_automorphism(g, p)] == [list(range(6))]
+        assert _found_maps(g) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_graphs(min_vertices=2, max_vertices=10), circulants()))
+def test_symmetry_cut_keeps_every_round(g: Graph):
+    # a child is rejected only when an automorphism maps every completion
+    # to a coloring the search tries earlier, and the first coloring a round
+    # finds is the earliest of its orbit. So every round from max(chi,
+    # gamma_t) to n, cut with the finder's maps from its first node, finds
+    # the coloring (or none) it finds with no maps, in no more nodes, and a
+    # solve has the value and witness of one that never cuts, whether its
+    # maps are found at its default start, before its first round or a
+    # few nodes into one (then the path to the node is replayed)
+    maps = _found_maps(g)
+    chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    for k in range(max(chi, gamma), g.vertex_count + 1):
+        nodes, found = _round_alone(g, k, _solver_round(gamma, maps))
+        plain_nodes, plain_found = _round_alone(g, k, _solver_round(gamma))
+        assert found == plain_found and nodes <= plain_nodes
+    with mock.patch.object(solvers, "_automorphisms", lambda order, nbr_mask: []):
+        plain = td_chromatic_number(g)
+    solves = [td_chromatic_number(g)]
+    for start in (0, 0.25):
+        with mock.patch.object(solvers, "_SYMMETRY_START", start):
+            solves.append(td_chromatic_number(g))
+    for solve in solves:
+        assert (solve.value, solve.witness) == (plain.value, plain.witness)
+        assert solve.nodes_explored <= plain.nodes_explored
 
 
 @settings(max_examples=60, deadline=None)
@@ -814,6 +928,30 @@ def test_total_domination_phase_matches_table(text):
     assert [res.value, res.lower_bound_used, res.nodes_explored, list(res.witness)] == table[text]
     assert is_total_dominating_set(g, res.witness)
     assert res.value == reference_total_dom_search(g, _Budget(None))[0]
+
+
+def _root_bound_loop(g: Graph) -> int:
+    """The total-domination search's root bound as a loop: the least p >= 2 the covering test passes."""
+    nbr_mask = _neighbor_masks(g)
+    full = (1 << g.vertex_count) - 1
+    max_deg = max(m.bit_count() for m in nbr_mask)
+    return next(
+        p for p in range(2, g.vertex_count + 1) if _can_cover(full, p, full, nbr_mask, max_deg)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=14))
+def test_total_domination_root_bound_is_the_loop(g: Graph):
+    # the one-pass root bound is the least p the covering test passes with
+    # every vertex available, which the search found by trying p = 2, 3, ...
+    assert total_domination_number(g).lower_bound_used == _root_bound_loop(g)
+
+
+def test_total_domination_root_bound_is_the_loop_on_sparse_graphs():
+    for seed in range(300):
+        g = sparse_connected_graph(random.Random(seed), 4, 40)
+        assert total_domination_number(g).lower_bound_used == _root_bound_loop(g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -69,9 +69,9 @@ def recorded_solve(g: Graph):
         merges.append((colors, merged, budget.nodes - before))
         return merged
 
-    def round_(k, gamma, order, nbr_mask, budget):
+    def round_(k, gamma, order, nbr_mask, budget, symmetry):
         before = budget.nodes
-        found = td_exact_k(k, gamma, order, nbr_mask, budget)
+        found = td_exact_k(k, gamma, order, nbr_mask, budget, symmetry)
         rounds.append((k, budget.nodes - before, found))
         return found
 

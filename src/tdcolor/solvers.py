@@ -13,34 +13,39 @@ total-domination search is fail-first too: it branches on the undominated
 vertex with the fewest non-excluded neighbors, ties to the lowest index,
 and tries those neighbors by descending gain, ties by index. It cuts a
 branch once the picks left cannot reach the undominated vertices: each
-pick u dominates only N(u). The TD search colors vertices in the chromatic
-search's fixed tie-break order with at most k colors and keeps two bitmasks
-per color: the union of its class members' neighborhoods, and the vertices
-whose neighborhood holds the whole class. At most k - gamma_t classes may
-dominate nobody, since one member of each class that dominates someone forms
-a total dominating set. So a used color is admissible on a vertex outside
-its members' neighborhoods and, once k - gamma_t classes dominate nobody,
-only when the vertex joining does not make one more. Nor may a reuse leave
-some vertex with no possible dominator: a vertex no used class dominates
-whose neighborhood is now fully colored needs the vertex's own new class,
-and a vertex that the reused class alone dominates, outside the vertex's
-neighborhood and with its own neighborhood fully colored, would be dropped
-by the growing class for good. The search tests all this before it spends
-a node on the child. It has two cuts. The unused colors, each dominating
-only neighbors of one distinct uncolored vertex, must reach the vertices no
-used color can still dominate. And once at most one color is unused, every
-uncolored vertex must still have an admissible class it can join without
-leaving some vertex undominated for good. The first cut and the
-total-domination search share a covering test, :func:`_can_cover`: a count
-against the maximum degree, an open packing (vertices whose available
-neighborhoods are disjoint each need a pick of their own) and a sum of the
-largest gains. Every bound cuts only subtrees with no solution and leaves
-the search order alone, so it changes no value or witness. The chromatic
-search tries colors in ascending order. The TD search tries a new color
-first, then the used colors by descending index: a new color's class is one
-vertex, which dominates its whole neighborhood. Without the symmetry cut
-below, the color order moves only the round that finds a coloring, and with
-it the witness.
+pick u dominates only N(u). It runs once per covering part: two vertices
+interact only when they share a neighbor, so V splits into parts whose
+possible dominators are disjoint (a connected bipartite graph's two sides,
+or all of a connected graph that is not bipartite), and gamma_t is the sum
+of the parts' least covers. A part's dead ends are then proved once, not
+again under every state of the other parts. The TD search colors vertices
+in the chromatic search's fixed tie-break order with at most k colors and
+keeps two bitmasks per color: the union of its class members'
+neighborhoods, and the vertices whose neighborhood holds the whole class.
+At most k - gamma_t classes may dominate nobody, since one member of each
+class that dominates someone forms a total dominating set. So a used color
+is admissible on a vertex outside its members' neighborhoods and, once k -
+gamma_t classes dominate nobody, only when the vertex joining does not make
+one more. Nor may a reuse leave some vertex with no possible dominator: a
+vertex no used class dominates whose neighborhood is now fully colored
+needs the vertex's own new class, and a vertex that the reused class alone
+dominates, outside the vertex's neighborhood and with its own neighborhood
+fully colored, would be dropped by the growing class for good. The search
+tests all this before it spends a node on the child. It has two cuts. The
+unused colors, each dominating only neighbors of one distinct uncolored
+vertex, must reach the vertices no used color can still dominate. And once
+at most one color is unused, every uncolored vertex must still have an
+admissible class it can join without leaving some vertex undominated for
+good. The first cut and the total-domination search share a covering test,
+:func:`_can_cover`: a count against the maximum degree, an open packing
+(vertices whose available neighborhoods are disjoint each need a pick of
+their own) and a sum of the largest gains. Every bound cuts only subtrees
+with no solution and leaves the search order alone, so it changes no value
+or witness. The chromatic search tries colors in ascending order. The TD
+search tries a new color first, then the used colors by descending index: a
+new color's class is one vertex, which dominates its whole neighborhood.
+Without the symmetry cut below, the color order moves only the round that
+finds a coloring, and with it the witness.
 
 The TD rounds also break symmetry with lex-leader cuts (Crawford, Ginsberg,
 Luks and Roy, 1996). An automorphism maps every TD-coloring to one, and the
@@ -539,76 +544,122 @@ def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     return all(g.adjacency[v] & members for v in range(g.vertex_count))
 
 
-def _total_dom_search(
-    nbr_mask: list[int], budget: _Budget
-) -> tuple[int, tuple[int, ...], int, int]:
-    """Exact total domination number by increasing-cardinality search.
+def _union(verts: int, nbr_mask: list[int]) -> int:
+    """The union of N(v) over the vertices v of ``verts``."""
+    out = 0
+    while verts:
+        low = verts & -verts
+        out |= nbr_mask[low.bit_length() - 1]
+        verts ^= low
+    return out
 
-    For each target size, branches fail-first on the undominated vertex w
-    with the fewest non-excluded neighbors, ties to the lowest index: one of
-    them must be in the set. It tries them by descending gain, the number of
-    undominated vertices each dominates, ties by ascending index. A neighbor
-    refuted for one branch is excluded from its later siblings, so each set
-    is reached at most once. w's candidates are the first region of the
-    open packing in :func:`_can_cover`, which returns them when it does not
-    cut, so choosing w costs no extra pass.
 
-    Packing bound: each remaining pick is a distinct vertex u that is not
-    excluded, and it dominates nothing outside N(u). So a branch is cut when
-    :func:`_can_cover` shows that ``picks_left`` such picks cannot dominate
-    the undominated vertices: too many of them for the maximum degree, more
-    of them with disjoint non-excluded neighborhoods than picks left (each
-    needs a pick of its own), or more of them than the best gains of such
-    picks can reach. The size loop starts at the root case, with every
-    vertex available: the fewest picks that pass the same test, so never
-    below a greedy open packing of G or ceil(n / max degree). Both cut only
-    subtrees that hold no total dominating set of the target size, and both
-    hold under any branch vertex and candidate order.
+def _covering_parts(nbr_mask: list[int]) -> list[tuple[int, int]]:
+    """The independent parts of total domination, as ``(part, candidates)`` bitmasks.
+
+    Two vertices interact in the covering problem only when they share a
+    neighbor, so the parts are the classes of "w and w' lie in a common
+    N(u)": each grows from its lowest vertex by the union of N(u) over its
+    candidates u until it is stable. A part's candidates, the union of N(w)
+    over its members w, are the only vertices that dominate any of them,
+    and they dominate nothing outside it: all of N(u) lies in one part. So
+    the candidate sets of different parts are disjoint, and a total
+    dominating set is the union of one cover per part. A connected graph
+    has two parts, its color classes, exactly when it is bipartite, and one
+    part otherwise. Parts come in the order of their lowest vertex.
     """
-    n = len(nbr_mask)
-    full = (1 << n) - 1
-    deg = [m.bit_count() for m in nbr_mask]
-    max_deg = max(deg)
-    # the root case of the packing bound below, the least p >= 2 that
-    # _can_cover(full, p, full, ...) passes, in one pass: a pick for each
-    # region of its open packing over every N(w), which gains the region's
-    # best degree, then picks by descending degree from the other vertices
-    # until the gains reach n
-    packed = taken = gain = picks = 0
-    for region in sorted(nbr_mask, key=int.bit_count):
+    rest = (1 << len(nbr_mask)) - 1
+    parts = []
+    while rest:
+        part = grown = rest & -rest
+        cand = 0
+        while grown:
+            new_cand = _union(grown, nbr_mask) & ~cand
+            cand |= new_cand
+            grown = _union(new_cand, nbr_mask) & ~part
+            part |= grown
+        parts.append((part, cand))
+        rest &= ~part
+    return parts
+
+
+def _cover_search(
+    need: int, avail: int, nbr_mask: list[int], budget: _Budget
+) -> tuple[int, tuple[int, ...], int]:
+    """The fewest vertices of ``avail`` whose neighborhoods cover ``need``, by increasing size.
+
+    Returns the size, the first such set found (sorted) and the size the
+    loop started at. For each target size, branches fail-first on the
+    uncovered vertex w of ``need`` with the fewest non-excluded neighbors,
+    ties to the lowest index: one of them must be picked. It tries them by
+    descending gain, the number of uncovered vertices each covers, ties by
+    ascending index. A neighbor refuted for one branch is excluded from its
+    later siblings, so each set is reached at most once. w's candidates are
+    the first region of the open packing in :func:`_can_cover`, which
+    returns them when it does not cut, so choosing w costs no extra pass.
+
+    Packing bound: each remaining pick is a distinct vertex u of ``avail``
+    that is not excluded, and it covers nothing outside N(u). So a branch is
+    cut when :func:`_can_cover` shows that ``picks_left`` such picks cannot
+    cover the uncovered vertices: too many of them for the largest gain,
+    more of them with disjoint non-excluded neighborhoods than picks left
+    (each needs a pick of its own), or more of them than the best gains of
+    such picks can reach. The size loop starts at the root case, with all
+    of ``avail`` open: the fewest picks that pass the same test, so never
+    below a greedy open packing of ``need`` or ceil(|need| / largest gain).
+    Both cut only subtrees that hold no cover of the target size, and both
+    hold under any branch vertex and candidate order. Every vertex of
+    ``need`` must have a neighbor in ``avail``.
+    """
+    count = need.bit_count()
+    gain = [(m & need).bit_count() if avail >> u & 1 else 0 for u, m in enumerate(nbr_mask)]
+    max_deg = max(gain)
+    # the root case of the packing bound below, the least p that
+    # _can_cover(need, p, avail, ...) passes, in one pass: a pick for each
+    # region of its open packing over every N(w) & avail, which gains the
+    # region's best gain, then picks by descending gain from the other
+    # vertices until the gains reach |need|
+    regions = []
+    rest = need
+    while rest:
+        low = rest & -rest
+        regions.append(nbr_mask[low.bit_length() - 1] & avail)
+        rest ^= low
+    packed = taken = reached = picks = 0
+    for region in sorted(regions, key=int.bit_count):
         if not region & packed:
             packed |= region
             picks += 1
             best = 0
-            while region:  # the first vertex of highest degree
+            while region:  # the first vertex of highest gain
                 low = region & -region
-                if deg[low.bit_length() - 1] > best:
-                    best, best_bit = deg[low.bit_length() - 1], low
+                if gain[low.bit_length() - 1] > best:
+                    best, best_bit = gain[low.bit_length() - 1], low
                 region ^= low
-            gain += best
+            reached += best
             taken |= best_bit
-    for more in sorted((d for u, d in enumerate(deg) if not taken >> u & 1), reverse=True):
-        if gain >= n:
+    for more in sorted((d for u, d in enumerate(gain) if not taken >> u & 1), reverse=True):
+        if reached >= count:
             break
-        gain += more
+        reached += more
         picks += 1
-    lower = max(2, -(-n // max_deg), picks)
+    lower = max(-(-count // max_deg), picks)
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
     def extend(picks_left: int, covered: int, excluded: int) -> bool:
         nonlocal witness
-        undominated = full & ~covered
-        if not undominated:
+        uncovered = need & ~covered
+        if not uncovered:
             witness = tuple(sorted(chosen))
             return True
-        # each pick is a distinct non-excluded u and dominates only N(u)
-        cand = _can_cover(undominated, picks_left, full & ~excluded, nbr_mask, max_deg)
+        # each pick is a distinct non-excluded u and covers only N(u)
+        cand = _can_cover(uncovered, picks_left, avail & ~excluded, nbr_mask, max_deg)
         by_gain = []
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
-            by_gain.append((-(nbr_mask[v] & undominated).bit_count(), v))
+            by_gain.append((-(nbr_mask[v] & uncovered).bit_count(), v))
             cand ^= low
         for _, v in sorted(by_gain):
             budget.spend()
@@ -619,14 +670,46 @@ def _total_dom_search(
             excluded |= 1 << v
         return False
 
-    for size in range(lower, n + 1):
+    for size in range(lower, avail.bit_count() + 1):
         if extend(size, 0, 0):
-            return size, witness, lower, n
-    raise AssertionError("unreachable: V itself totally dominates an isolated-free graph")
+            return size, witness, lower
+    raise AssertionError("unreachable: all of avail covers need")
+
+
+def _total_dom_search(
+    nbr_mask: list[int], budget: _Budget
+) -> tuple[int, tuple[int, ...], int, int]:
+    """Exact total domination number: one :func:`_cover_search` per covering part.
+
+    A total dominating set is the union of one cover per part of
+    :func:`_covering_parts`, each part covered by its own candidates, so
+    gamma_t is the sum of the parts' least covers. Returns that sum, the
+    sorted union of the parts' first covers, the sum of the sizes their
+    loops started at (the least picks that pass each part's covering test)
+    and n. A part's branch choices, exclusions and gains read only its own
+    state, and a set of size gamma_t takes exactly its part's least cover in
+    each part, so this is the set a search over the whole graph finds first.
+    Each part's search is as deep as its cover, so a bipartite graph's
+    searches are half as deep. A graph with one part, as every connected
+    graph that is not bipartite, runs the whole-graph search unchanged.
+    """
+    value = lower = 0
+    picks: list[int] = []
+    for need, avail in _covering_parts(nbr_mask):
+        size, cover, start = _cover_search(need, avail, nbr_mask, budget)
+        value += size
+        picks += cover
+        lower += start
+    return value, tuple(sorted(picks)), lower, len(nbr_mask)
 
 
 def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Exact total domination number with a witness vertex set."""
+    """Exact total domination number with a witness vertex set.
+
+    ``lower_bound_used`` is the sum, over the covering parts of
+    :func:`_covering_parts`, of the size each part's search started at: the
+    least number of picks that pass that part's covering test.
+    """
     budget = _Budget(opts)
     if g.vertex_count == 0:
         return SolveResult(0, (), 0, budget.elapsed(), 0, 0)

@@ -6,7 +6,9 @@ For each instance, ``td_chromatic_number`` runs once with no budget, and
 the table gives n, td and gamma_t, then the nodes and seconds of the
 chromatic search, the total-domination search, the merge and each round
 below the merged incumbent as ``kS`` (it found a coloring) or ``kU`` (it
-found none), and the whole solve's. The phases are timed by wrapping the
+found none), and the whole solve's. The total-domination cell also gives
+each covering part's least cover and the nodes its search spent, as
+``value in nodes``, one term per part. The phases are timed by wrapping the
 ``solvers`` functions that run them, so the seconds include the wrappers'
 small cost. ``--json`` prints one JSON object per instance instead of the
 table's rows. pytest does not collect this file.
@@ -26,9 +28,12 @@ PHASES = {"chi": "_chromatic_search", "gamma_t": "_total_dom_search", "merge": "
 
 
 def profile(text: str) -> dict:
-    """The solve of ``text`` with each phase's [nodes, seconds] and each round's [k, S/U, nodes, seconds]."""
+    """The solve of ``text`` with each phase's [nodes, seconds] and each round's [k, S/U, nodes, seconds].
+
+    ``gamma_t_parts`` holds each covering part's [value, nodes].
+    """
     g = families.realize(parse_expr(text))
-    row: dict = {"instance": text, "n": g.vertex_count, "rounds": []}
+    row: dict = {"instance": text, "n": g.vertex_count, "rounds": [], "gamma_t_parts": []}
 
     def timed(name: str, fn):
         def wrapper(*args):
@@ -38,6 +43,8 @@ def profile(text: str) -> dict:
             cost = [budget.nodes - before, round(time.perf_counter() - started, 3)]
             if name == "round":
                 row["rounds"].append([args[0], "U" if out is None else "S", *cost])
+            elif name == "part":
+                row["gamma_t_parts"].append([out[0], cost[0]])
             else:
                 row[name] = cost
                 if name == "gamma_t":
@@ -49,6 +56,7 @@ def profile(text: str) -> dict:
     patches = [mock.patch.object(solvers, attr, timed(name, getattr(solvers, attr)))
                for name, attr in PHASES.items()]
     patches.append(mock.patch.object(solvers, "_td_exact_k", timed("round", solvers._td_exact_k)))
+    patches.append(mock.patch.object(solvers, "_cover_search", timed("part", solvers._cover_search)))
     for patch in patches:
         patch.start()
     try:
@@ -78,9 +86,10 @@ def main(argv: list[str]) -> None:
             print(json.dumps(row), flush=True)
             continue
         rounds = ", ".join(f"{k}{kind} {nodes:,} ({s} s)" for k, kind, nodes, s in row["rounds"])
+        parts = " + ".join(f"{value} in {nodes:,}" for value, nodes in row["gamma_t_parts"])
         print(
             f"| `{text}` | {row['n']} | {row['td']} | {row['gamma_t_value']} | {cells(row['chi'])} "
-            f"| {cells(row['gamma_t'])} | {cells(row['merge'])} | {rounds or '–'} "
+            f"| {cells(row['gamma_t'])}: {parts} | {cells(row['merge'])} | {rounds or '–'} "
             f"| {cells(row['total'])} |",
             flush=True,
         )

@@ -98,19 +98,29 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("P(2100)",),
+            ("C(2101)",),
             ("join(C(1001),C(1001))", "--what", "chromatic"),
-            ("P(3000)", "--what", "totaldom"),
+            ("C(3001)", "--what", "totaldom"),
         ],
     )
     def test_search_past_recursion_limit_exit_four(self, capsys, argv):
         # the searches recurse once per vertex or pick; no traceback, no
         # answer. C(1501) took this path until forced-color propagation cut
-        # its chromatic round after one node
+        # its chromatic round after one node, and P(2100) and P(3000)
+        # --what totaldom until the total-domination search ran once per
+        # covering part, each half as deep; an odd cycle has one part
         code, out, err = run(capsys, "solve", *argv)
         assert code == 4
         assert out == ""
         assert err == "error: search too deep for the recursion limit; no answer\n"
+
+    def test_path_once_past_recursion_limit_answers(self, capsys):
+        # exit 4 until the total-domination search ran once per covering
+        # part: a path's two parts each need 525 picks, not 1,050 in one
+        code, out, err = run(capsys, "solve", "P(2100)")
+        assert code == 0
+        assert out.startswith("value 1052\n")
+        assert err == ""
 
     def test_dimacs_input(self, capsys, tmp_path):
         path = tmp_path / "g.col"
@@ -148,7 +158,9 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # G(3,20) takes 7,617 nodes, more than the budget. T(20) served here
+        # G(3,20) takes 6,195 nodes, more than the budget (6,231 before the
+        # total-domination search ran once per covering part, and 7,617
+        # before the lex-leader cut). T(20) served here
         # until testing the idle-class cap before a node is spent solved it
         # in 3,350 nodes, and T(30) (19,326 nodes) until the counting bound
         # ruled out its UNSAT round and it solved in 811
@@ -182,8 +194,10 @@ class TestBounds:
         assert "error: node_budget must be positive" in err
 
     def test_budget_exhausted_exit_four(self, capsys):
-        # one budget for both searches; G(10,10) needs more
-        code, out, err = run(capsys, "bounds", "G(10,10)", "--budget", "1000")
+        # one budget for both searches; T(36) needs more (3,706 nodes).
+        # G(10,10) served here until the total-domination search ran once
+        # per covering part and it took 219 nodes, not 24,441
+        code, out, err = run(capsys, "bounds", "T(36)", "--budget", "1000")
         assert code == 4
         assert out == ""
         assert "error: node budget exhausted" in err
@@ -246,7 +260,9 @@ class TestVerify:
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
         # within 5000 nodes the solver finishes the join (3 nodes), but the
-        # formula's solve of its factor G(3,20) (7,617 nodes) does not; T(16)
+        # formula's solve of its factor G(3,20) (6,195 nodes; 6,231 before
+        # the total-domination search ran once per covering part, and 7,617
+        # before the lex-leader cut) does not; T(16)
         # served here until the new-color-first order solved it in 2,614
         # nodes, T(20) until testing the idle-class cap before a node is
         # spent solved it in 3,350, and T(30) (row "join(T(30),K(3)) 64 25

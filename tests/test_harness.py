@@ -405,7 +405,9 @@ class TestSuite:
         texts = ("join(G(3,20),K(3))", "join(G(3,20),P(3))", "join(G(3,20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # G(3,20) (60 vertices, 7,617 nodes) runs out of budget once; the
+        # G(3,20) (60 vertices, 6,195 nodes; 6,231 before the total-domination
+        # search ran once per covering part, 7,617 before the lex-leader cut)
+        # runs out of budget once; the
         # three joins (3-8 nodes each) reuse that outcome. T(16) served here
         # until the new-color-first order solved it in 2,614 nodes, T(20)
         # until testing the idle-class cap before a node is spent solved it in

@@ -40,6 +40,7 @@ from util_graphs import (
     RANDOM_ROUNDS_SEEDS,
     TOTALDOM_PHASE,
     TOTALDOM_PHASE_PATH,
+    bipartite_graphs,
     brute_force_chromatic,
     brute_force_gamma_t,
     connected_graphs,
@@ -59,7 +60,9 @@ from util_graphs import (
     reference_total_dom_search,
     reference_value_order_td_exact_k,
     recorded_solve,
+    sparse_bipartite_graph,
     sparse_connected_graph,
+    two_component_graphs,
     with_filled,
     with_neighbor_lists,
 )
@@ -294,7 +297,7 @@ class TestTdChromaticNumber:
         assert res.witness.num_colors == expected
 
     @pytest.mark.parametrize(
-        "text,expected,nodes", [("G(4,10)", 16, 603), ("G(4,12)", 18, 685)]
+        "text,expected,nodes", [("G(4,10)", 16, 443), ("G(4,12)", 18, 496)]
     )
     def test_grids_with_the_placement_and_idle_class_cuts(self, text, expected, nodes):
         # single-method pins with exact node counts. Without the cap on
@@ -302,7 +305,10 @@ class TestTdChromaticNumber:
         # 18,932 nodes and G(4,12) 10,330; with the total-domination search
         # branching on the lowest-index undominated vertex, 1,674 and 1,558;
         # with the cap tested after a node was spent, 1,638 and 1,369;
-        # without the lex-leader cut from the grids' automorphisms, 910 and 748
+        # without the lex-leader cut from the grids' automorphisms, 910 and
+        # 748; with the total-domination search over the whole graph rather
+        # than once per covering part, 603 and 685 (its phase 191 and 230,
+        # now 31 and 41)
         g = fam.realize(parse_expr(text))
         res = td_chromatic_number(g)
         assert (res.value, res.nodes_explored) == (expected, nodes)
@@ -483,17 +489,20 @@ class TestSearchNodeTotals:
         # with the idle-class cap tested after a node was spent, 748; with
         # reuses that leave a vertex no possible dominator spent, 635; with
         # rounds down to max(chi, gamma_t) before the counting bound, 523;
-        # without the lex-leader cut from automorphisms, 404
-        assert (chi, dom, rest) == (30, 276, 381)
+        # without the lex-leader cut from automorphisms, 404; with the
+        # total-domination search run over the whole graph rather than once
+        # per covering part, 276 domination nodes
+        assert (chi, dom, rest) == (30, 267, 381)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
         # 51,575 with only the picks-left-times-max-degree prune, 1,768 with
         # the sum-of-gains covering test in place of the open-packing one and
-        # 197 branching on the lowest-index undominated vertex
+        # 197 branching on the lowest-index undominated vertex and 85 searching
+        # the whole graph rather than once per covering part (L(14): 15 -> 12)
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in BOUNDS_TOTALDOM]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
-        assert sum(r.nodes_explored for r in results) == 85
+        assert sum(r.nodes_explored for r in results) == 82
 
 
 class TestClosedFormDeviations:
@@ -931,27 +940,130 @@ def test_total_domination_phase_matches_table(text):
 
 
 def _root_bound_loop(g: Graph) -> int:
-    """The total-domination search's root bound as a loop: the least p >= 2 the covering test passes."""
+    """The total-domination search's root bound as a loop, summed over the covering parts.
+
+    For each part, the least p >= 1 that the covering test passes with the
+    part to cover and its candidates available. On a graph with one part
+    this is the least p >= 2 over every vertex, as the search once found it.
+    """
     nbr_mask = _neighbor_masks(g)
-    full = (1 << g.vertex_count) - 1
-    max_deg = max(m.bit_count() for m in nbr_mask)
-    return next(
-        p for p in range(2, g.vertex_count + 1) if _can_cover(full, p, full, nbr_mask, max_deg)
-    )
+    total = 0
+    for need, avail in solvers._covering_parts(nbr_mask):
+        gains = [(m & need).bit_count() for u, m in enumerate(nbr_mask) if avail >> u & 1]
+        total += next(
+            p for p in range(1, len(gains) + 1) if _can_cover(need, p, avail, nbr_mask, max(gains))
+        )
+    return total
 
 
 @settings(max_examples=100, deadline=None)
-@given(connected_graphs(min_vertices=2, max_vertices=14))
+@given(st.one_of(connected_graphs(2, 14), bipartite_graphs(2, 14)))
 def test_total_domination_root_bound_is_the_loop(g: Graph):
-    # the one-pass root bound is the least p the covering test passes with
-    # every vertex available, which the search found by trying p = 2, 3, ...
+    # the one-pass root bound of each part is the least p the covering test
+    # passes with that part's candidates available, which the search found
+    # by trying p = 2, 3, ... over the whole graph before it split into parts
     assert total_domination_number(g).lower_bound_used == _root_bound_loop(g)
 
 
 def test_total_domination_root_bound_is_the_loop_on_sparse_graphs():
     for seed in range(300):
-        g = sparse_connected_graph(random.Random(seed), 4, 40)
-        assert total_domination_number(g).lower_bound_used == _root_bound_loop(g)
+        rng = random.Random(seed)
+        for g in (sparse_connected_graph(rng, 4, 40), sparse_bipartite_graph(rng, 4, 40)):
+            assert total_domination_number(g).lower_bound_used == _root_bound_loop(g)
+
+
+def _two_coloring(g: Graph) -> list[int] | None:
+    """A connected graph's 2-coloring by breadth-first search, or None when it has an odd cycle."""
+    side = [-1] * g.vertex_count
+    side[0] = 0
+    queue = [0]
+    for v in queue:
+        for u in g.adjacency[v]:
+            if side[u] < 0:
+                side[u] = 1 - side[v]
+                queue.append(u)
+            elif side[u] == side[v]:
+                return None
+    return side
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graphs(1, 12), connected_graphs(2, 12), bipartite_graphs(2, 12)))
+def test_covering_parts(g: Graph):
+    # the parts partition V, each part's candidates are the union of its
+    # members' neighborhoods, and candidate sets are disjoint; two vertices
+    # with a common neighbor share a part
+    n = g.vertex_count
+    parts = solvers._covering_parts(_neighbor_masks(g))
+    part_of = {}
+    cands = 0
+    for i, (part, cand) in enumerate(parts):
+        members = [w for w in range(n) if part >> w & 1]
+        part_of.update((w, i) for w in members)
+        assert cand == sum(1 << u for u in set().union(*(g.adjacency[w] for w in members)))
+        assert not cand & cands
+        cands |= cand
+    assert sorted(part_of) == list(range(n))
+    lows = [part & -part for part, _ in parts]
+    assert lows == sorted(lows)
+    for part, _ in parts:
+        # each part is one class: its lowest vertex reaches every member
+        # through common neighbors, and no vertex outside it
+        reached = [(part & -part).bit_length() - 1]
+        for w in reached:
+            reached += sorted({x for u in g.adjacency[w] for x in g.adjacency[u]} - set(reached))
+        assert sum(1 << w for w in reached) == part
+    if n > 1 and g.is_connected():
+        side = _two_coloring(g)
+        if side is None:
+            assert parts == [((1 << n) - 1, (1 << n) - 1)]
+        else:
+            classes = sorted(sum(1 << w for w in range(n) if side[w] == s) for s in (0, 1))
+            assert sorted(part for part, _ in parts) == classes
+
+
+def _check_split(g: Graph) -> int:
+    """The per-part search against the whole vertex set as one part; returns the nodes saved.
+
+    The whole set as one part is the search as it ran before the split, so
+    both must give the same value and witness, the split in no more nodes.
+    """
+    nbr_mask = _neighbor_masks(g)
+    full = (1 << g.vertex_count) - 1
+    whole, split = _Budget(None), _Budget(None)
+    value, witness, _ = solvers._cover_search(full, full, nbr_mask, whole)
+    assert solvers._total_dom_search(nbr_mask, split)[:2] == (value, witness)
+    assert is_total_dominating_set(g, witness)
+    assert split.nodes <= whole.nodes
+    return whole.nodes - split.nodes
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_graphs(2, 16))
+def test_covering_parts_keep_the_witness_on_bipartite_graphs(g: Graph):
+    _check_split(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_component_graphs(max_vertices=8))
+def test_covering_parts_keep_the_witness_on_disconnected_graphs(g: Graph):
+    _check_split(g)
+
+
+def test_covering_parts_keep_the_witness_on_sparse_bipartite_graphs():
+    saved = [_check_split(sparse_bipartite_graph(random.Random(seed), 10, 40)) for seed in range(100)]
+    assert sum(saved) > 0
+
+
+def test_total_domination_of_paths_and_cycles_is_henning_form():
+    # gamma_t(P_n) = gamma_t(C_n) = floor(n/2) + ceil(n/4) - floor(n/4)
+    # (Henning, Discrete Math. 309, 2009): a second method for two families
+    for n in range(3, 151):
+        form = n // 2 + -(-n // 4) - n // 4
+        for g in (fam.path_graph(n), fam.cycle_graph(n)):
+            res = total_domination_number(g)
+            assert res.value == form == len(res.witness)
+            assert is_total_dominating_set(g, res.witness)
 
 
 @settings(max_examples=60, deadline=None)

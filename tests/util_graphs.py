@@ -109,6 +109,25 @@ def sparse_connected_graph(rng: random.Random, lo: int = 10, hi: int = 16) -> Gr
     return Graph.from_edges(n, sorted(edges))
 
 
+def sparse_bipartite_graph(rng: random.Random, lo: int = 10, hi: int = 16) -> Graph:
+    """A random spanning tree on lo..hi vertices plus up to n // 2 random edges between its sides.
+
+    Deterministic per rng. The sides are the tree's two color classes.
+    """
+    n = rng.randint(lo, hi)
+    side = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        side[v] = 1 - side[u]
+        edges.add((u, v))
+    for _ in range(rng.randint(0, n // 2)):
+        u, v = sorted(rng.sample(range(n), 2))
+        if side[u] != side[v]:
+            edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
 def planted_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
     """Random k-partite graph plus a k-clique across the parts: chi is exactly k."""
     part = [i % k for i in range(n)]
@@ -1070,3 +1089,30 @@ def connected_graphs(draw, min_vertices: int = 2, max_vertices: int = 8):
     if possible:
         edges.update(draw(st.lists(st.sampled_from(possible), unique=True)))
     return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def bipartite_graphs(draw, min_vertices: int = 2, max_vertices: int = 8):
+    """Connected bipartite graphs: a random spanning tree plus extra edges between its sides."""
+    n = draw(st.integers(min_vertices, max_vertices))
+    side = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        side[v] = 1 - side[u]
+        edges.add((u, v))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+    if possible:
+        edges.update(draw(st.lists(st.sampled_from(possible), unique=True)))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def two_component_graphs(draw, max_vertices: int = 8):
+    """Two disjoint connected graphs, each bipartite or not, under a random relabelling."""
+    a, b = (draw(st.one_of(bipartite_graphs(2, max_vertices), connected_graphs(2, max_vertices)))
+            for _ in range(2))
+    label = draw(st.permutations(range(a.vertex_count + b.vertex_count)))
+    edges = [(label[u], label[v]) for u, v in a.edges()]
+    edges += [(label[a.vertex_count + u], label[a.vertex_count + v]) for u, v in b.edges()]
+    return Graph.from_edges(len(label), edges)

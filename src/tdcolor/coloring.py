@@ -37,10 +37,16 @@ class Coloring:
 
     def classes(self) -> dict[int, frozenset[int]]:
         """Non-empty color classes keyed by color, in ascending color order."""
-        grouped: dict[int, set[int]] = {}
-        for v, c in enumerate(self.colors):
-            grouped.setdefault(c, set()).add(v)
+        grouped = _group(self.colors)
         return {c: frozenset(grouped[c]) for c in sorted(grouped)}
+
+
+def _group(colors: tuple[int, ...]) -> dict[int, set[int]]:
+    """The vertices of each color, by color in order of first appearance."""
+    grouped: dict[int, set[int]] = {}
+    for v, c in enumerate(colors):
+        grouped.setdefault(c, set()).add(v)
+    return grouped
 
 
 def _first_appearance(colors: Iterable[int]) -> tuple[int, ...]:
@@ -65,20 +71,18 @@ def _check_sized(g: Graph, coloring: Coloring) -> None:
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """True iff no edge joins two vertices of the same color."""
     _check_sized(g, coloring)
-    classes: dict[int, set[int]] = {}
-    for v, c in enumerate(coloring.colors):
-        classes.setdefault(c, set()).add(v)
-    return all(nbrs.isdisjoint(classes[c]) for nbrs, c in zip(g.adjacency, coloring.colors))
+    return _no_edge_inside(g, coloring.colors, _group(coloring.colors))
+
+
+def _no_edge_inside(g: Graph, colors: tuple[int, ...], classes: dict[int, set[int]]) -> bool:
+    """True iff no vertex has a neighbor in its own class of ``classes``."""
+    return all(nbrs.isdisjoint(classes[c]) for nbrs, c in zip(g.adjacency, colors))
 
 
 def is_td_coloring(g: Graph, coloring: Coloring) -> bool:
     """True iff proper and every vertex is adjacent to all of some color class."""
     _check_sized(g, coloring)
-    if not is_proper(g, coloring):
+    classes = _group(coloring.colors)
+    if not _no_edge_inside(g, coloring.colors, classes):
         return False
-    classes = list(coloring.classes().values())
-    for v in range(g.vertex_count):
-        nbrs = g.adjacency[v]
-        if not any(members <= nbrs for members in classes):
-            return False
-    return True
+    return all(any(members <= nbrs for members in classes.values()) for nbrs in g.adjacency)

@@ -18,7 +18,11 @@ interact only when they share a neighbor, so V splits into parts whose
 possible dominators are disjoint (a connected bipartite graph's two sides,
 or all of a connected graph that is not bipartite), and gamma_t is the sum
 of the parts' least covers. A part's dead ends are then proved once, not
-again under every state of the other parts. The TD search colors vertices
+again under every state of the other parts. The search starts at a root
+bound that it counts by picking vertices; when those picks already cover
+the part, they are a least cover and the part spends no node, much as the
+chromatic search runs no round when the greedy coloring meets the clique
+bound. The TD search colors vertices
 in the chromatic search's fixed tie-break order with at most k colors and
 keeps two bitmasks per color: the union of its class members'
 neighborhoods, and the vertices whose neighborhood holds the whole class.
@@ -71,7 +75,9 @@ counting bound, which spends no node. Each class of a TD-coloring either
 dominates nobody (at most k - gamma_t classes can) or lies inside some
 N(w), where it has few members and dominates only its members' common
 neighbors. Since k classes must hold all n vertices and dominate each one,
-a k whose classes are too few or too small for that has no coloring. A
+a k whose classes are too few or too small for that has no coloring. Some
+classes are known before any round: a leaf's class lies inside N(leaf),
+so each support vertex (a neighbor of a leaf) is a class of its own. A
 node budget, the only limit on a search, aborts with
 :class:`BudgetExhaustedError` rather than returning a wrong answer.
 """
@@ -100,7 +106,7 @@ __all__ = [
     "td_chromatic_oracle",
 ]
 
-SOLVER_VERSION = "5"
+SOLVER_VERSION = "6"
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -588,8 +594,12 @@ def _cover_search(
 ) -> tuple[int, tuple[int, ...], int]:
     """The fewest vertices of ``avail`` whose neighborhoods cover ``need``, by increasing size.
 
-    Returns the size, the first such set found (sorted) and the size the
-    loop started at. For each target size, branches fail-first on the
+    Returns the size, the set (sorted) and the size the loop started at.
+    The root bound below picks vertices as it counts them; when those picks
+    already cover ``need``, they are a cover of the least possible size, so
+    they are returned and no node is spent. Otherwise, for each target size
+    from the root bound up, the search returns the first set it finds. It
+    branches fail-first on the
     uncovered vertex w of ``need`` with the fewest non-excluded neighbors,
     ties to the lowest index: one of them must be picked. It tries them by
     descending gain, the number of uncovered vertices each covers, ties by
@@ -607,43 +617,56 @@ def _cover_search(
     such picks can reach. The size loop starts at the root case, with all
     of ``avail`` open: the fewest picks that pass the same test, so never
     below a greedy open packing of ``need`` or ceil(|need| / largest gain).
-    Both cut only subtrees that hold no cover of the target size, and both
-    hold under any branch vertex and candidate order. Every vertex of
-    ``need`` must have a neighbor in ``avail``.
+    It counts them by picking, in one pass, the first vertex of best gain in
+    each region of that packing, then the other vertices by descending gain,
+    ties by index, until the gains reach |need|. Both bounds cut only
+    subtrees that hold no cover of the target size, and both hold under any
+    branch vertex and candidate order. Every vertex of ``need`` must have a
+    neighbor in ``avail``. The set-up reads only the vertices of ``avail``.
     """
     count = need.bit_count()
-    gain = [(m & need).bit_count() if avail >> u & 1 else 0 for u, m in enumerate(nbr_mask)]
-    max_deg = max(gain)
+    gain = {}  # by ascending index
+    rest = avail
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        gain[u] = (nbr_mask[u] & need).bit_count()
+        rest ^= low
+    max_deg = max(gain.values())
     # the root case of the packing bound below, the least p that
     # _can_cover(need, p, avail, ...) passes, in one pass: a pick for each
     # region of its open packing over every N(w) & avail, which gains the
     # region's best gain, then picks by descending gain from the other
-    # vertices until the gains reach |need|
+    # vertices until the gains reach |need|. The gains of all of avail
+    # reach it, and no pick gains more than max_deg, so there are at least
+    # ceil(|need| / max_deg) picks
     regions = []
     rest = need
     while rest:
         low = rest & -rest
         regions.append(nbr_mask[low.bit_length() - 1] & avail)
         rest ^= low
-    packed = taken = reached = picks = 0
+    packed = taken = reached = 0
     for region in sorted(regions, key=int.bit_count):
         if not region & packed:
             packed |= region
-            picks += 1
             best = 0
-            while region:  # the first vertex of highest gain
+            while region:
                 low = region & -region
                 if gain[low.bit_length() - 1] > best:
                     best, best_bit = gain[low.bit_length() - 1], low
                 region ^= low
             reached += best
             taken |= best_bit
-    for more in sorted((d for u, d in enumerate(gain) if not taken >> u & 1), reverse=True):
+    for u in sorted(gain, key=gain.__getitem__, reverse=True):  # stable: ties by index
         if reached >= count:
             break
-        reached += more
-        picks += 1
-    lower = max(-(-count // max_deg), picks)
+        if not taken >> u & 1:
+            reached += gain[u]
+            taken |= 1 << u
+    lower = taken.bit_count()
+    if not need & ~_union(taken, nbr_mask):  # the root picks attain the bound
+        return lower, tuple(u for u in gain if taken >> u & 1), lower
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
 
@@ -684,14 +707,14 @@ def _total_dom_search(
     A total dominating set is the union of one cover per part of
     :func:`_covering_parts`, each part covered by its own candidates, so
     gamma_t is the sum of the parts' least covers. Returns that sum, the
-    sorted union of the parts' first covers, the sum of the sizes their
+    sorted union of the parts' covers, the sum of the sizes their
     loops started at (the least picks that pass each part's covering test)
-    and n. A part's branch choices, exclusions and gains read only its own
-    state, and a set of size gamma_t takes exactly its part's least cover in
-    each part, so this is the set a search over the whole graph finds first.
-    Each part's search is as deep as its cover, so a bipartite graph's
-    searches are half as deep. A graph with one part, as every connected
-    graph that is not bipartite, runs the whole-graph search unchanged.
+    and n. A set of size gamma_t takes a least cover in each part. Each
+    part's search is as deep as its cover, so a bipartite graph's searches
+    are half as deep, and a part whose root picks already cover it spends
+    no node, even when the other part must search. A graph with one part,
+    as every connected graph that is not bipartite, runs the whole-graph
+    search unchanged.
     """
     value = lower = 0
     picks: list[int] = []
@@ -1092,7 +1115,13 @@ def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> l
             one = _in_exactly_one(dom)
         i += 1
 
-    return [next(c for c, cls in enumerate(classes, 1) if cls >> v & 1) for v in range(n)]
+    merged = [0] * n
+    for c, cls in enumerate(classes, 1):
+        while cls:
+            low = cls & -cls
+            merged[low.bit_length() - 1] = c
+            cls ^= low
+    return merged
 
 
 def _require_td_defined(g: Graph) -> None:
@@ -1183,14 +1212,23 @@ def _counting_bound(lower: int, gamma: int, nbr_mask: list[int]) -> int:
       16, c3 scans its triples of pairwise non-adjacent vertices; a larger
       N(w) takes c2, a bound for any two of them, so triples stay cheap.
 
-    So k fails when, for every count I of idle classes from 0 to k - gamma,
-    k - I local classes cannot hold the n - I * alpha_hat members the idle
-    ones leave and dominate n times, even mixing the profiles fractionally
+    Some classes are known outright. A leaf's class inside its neighborhood
+    N(leaf) = {s} can only be {s}, so each support vertex s (a neighbor of a
+    vertex of degree 1) is a class of its own: s_f such classes, one member
+    each, which dominate the union U of their N(s). The other classes must
+    hold the other n - s_f vertices and dominate the n - |U| outside U.
+
+    So k fails when, for every count I of idle classes from 0 to
+    k - max(gamma, s_f), the k - s_f - I other local classes cannot hold
+    the n - s_f - I * alpha_hat members the idle ones leave and dominate
+    n - |U| times, even mixing the profiles fractionally
     (:func:`_mix_covers`); with two needs, a mix of two profiles does
     whatever a mix of three does. The classes of a TD-coloring with k
-    classes pass at k, so the bound is at most td; k = n passes with n
-    singletons, so the loop ends. It spends no node, and its cost is
-    O(sum of deg^2) plus the bounded triple scan.
+    classes pass at k, so the bound is at most td; k = n passes with the
+    other n - s_f vertices as singletons, which dominate at least the
+    n - |U| <= n - s_f vertices left, since distinct support vertices have
+    distinct leaves in U. So the loop ends. It spends no node, and its cost
+    is O(sum of deg^2) plus the bounded triple scan.
     """
     n = len(nbr_mask)
     c2 = a3 = c3 = 0
@@ -1220,10 +1258,17 @@ def _counting_bound(lower: int, gamma: int, nbr_mask: list[int]) -> int:
     profiles = [(1, max_deg)] + [(2, c2)] * (c2 > 0) + [(a3, c3)] * (c3 > 0)
     pairs = [(p, q) for i, p in enumerate(profiles) for q in profiles[i:]]
     alpha_hat = _clique_cover((1 << n) - 1, nbr_mask)
+    # the support vertices s, each a class {s} that dominates N(s)
+    support = 0
+    for m in nbr_mask:
+        if m.bit_count() == 1:
+            support |= m
+    forced = support.bit_count()
+    left = n - _union(support, nbr_mask).bit_count()
     for k in range(lower, n + 1):
-        for idle in range(k - gamma + 1):
-            members = max(0, n - idle * alpha_hat)
-            if any(_mix_covers(k - idle, members, n, p, q) for p, q in pairs):
+        for idle in range(k - max(gamma, forced) + 1):
+            members = max(0, n - forced - idle * alpha_hat)
+            if any(_mix_covers(k - forced - idle, members, left, p, q) for p, q in pairs):
                 return k
     raise AssertionError("unreachable: n singleton classes pass the count")
 

@@ -281,7 +281,7 @@ class TestSuite:
         path = tmp_path / "records.jsonl"
         entry = json.loads(path.read_text(encoding="utf-8"))
         prefix, version, cap = entry["key"].rsplit("|", 2)
-        assert version == solvers.SOLVER_VERSION == "5"
+        assert version == solvers.SOLVER_VERSION == "6"
         entry["key"] = f"{prefix}|3|{cap}"
         entry["record"]["witness"] = [1, 2, 3, 4, 3, 4]
         old = json.dumps(entry)

@@ -45,6 +45,7 @@ from util_graphs import (
     brute_force_gamma_t,
     connected_graphs,
     graphs,
+    pendant_graphs,
     planted_graph,
     random_connected_graph,
     reference_capacity_td_exact_k,
@@ -491,18 +492,25 @@ class TestSearchNodeTotals:
         # rounds down to max(chi, gamma_t) before the counting bound, 523;
         # without the lex-leader cut from automorphisms, 404; with the
         # total-domination search run over the whole graph rather than once
-        # per covering part, 276 domination nodes
-        assert (chi, dom, rest) == (30, 267, 381)
+        # per covering part, 276 domination nodes; with each part searched
+        # even when its root picks already cover it, 267 domination and 351
+        # merge and k-loop nodes, P(10) taking 7 rather than 12 (its new set
+        # merges into an incumbent one class worse, so a round runs); without
+        # the support vertices as singleton classes in the counting bound,
+        # 388 merge and k-loop nodes
+        assert (chi, dom, rest) == (30, 70, 358)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
         # 51,575 with only the picks-left-times-max-degree prune, 1,768 with
         # the sum-of-gains covering test in place of the open-packing one and
-        # 197 branching on the lowest-index undominated vertex and 85 searching
+        # 197 branching on the lowest-index undominated vertex, 85 searching
         # the whole graph rather than once per covering part (L(14): 15 -> 12)
+        # and 82 searching a part whose root picks already cover it (C(32):
+        # 16 -> 8, O(10): 11 -> 0)
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in BOUNDS_TOTALDOM]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
-        assert sum(r.nodes_explored for r in results) == 82
+        assert sum(r.nodes_explored for r in results) == 63
 
 
 class TestClosedFormDeviations:
@@ -1025,16 +1033,31 @@ def test_covering_parts(g: Graph):
 def _check_split(g: Graph) -> int:
     """The per-part search against the whole vertex set as one part; returns the nodes saved.
 
-    The whole set as one part is the search as it ran before the split, so
-    both must give the same value and witness, the split in no more nodes.
+    The whole set as one part is the search as it ran before the split. Both
+    give the same value, and the split's set is a total dominating set of
+    that size. When neither closes at its root, the split is that search run
+    per part: the same set, in no more nodes. A part that closes at its root
+    keeps its root picks, which may differ from the whole search's set, and
+    only spends fewer nodes. But the whole search may close at its root
+    while a part does not, since its picks draw on all the gains at once, so
+    the node order holds only when the whole search spends a node.
     """
     nbr_mask = _neighbor_masks(g)
     full = (1 << g.vertex_count) - 1
     whole, split = _Budget(None), _Budget(None)
     value, witness, _ = solvers._cover_search(full, full, nbr_mask, whole)
-    assert solvers._total_dom_search(nbr_mask, split)[:2] == (value, witness)
-    assert is_total_dominating_set(g, witness)
-    assert split.nodes <= whole.nodes
+    split_value, split_witness, _, _ = solvers._total_dom_search(nbr_mask, split)
+    assert split_value == value == len(split_witness)
+    assert is_total_dominating_set(g, split_witness)
+    if whole.nodes:
+        assert split.nodes <= whole.nodes
+        searched = []
+        for need, avail in solvers._covering_parts(nbr_mask):
+            budget = _Budget(None)
+            solvers._cover_search(need, avail, nbr_mask, budget)
+            searched.append(budget.nodes)
+        if all(searched):
+            assert split_witness == witness
     return whole.nodes - split.nodes
 
 
@@ -1053,6 +1076,56 @@ def test_covering_parts_keep_the_witness_on_disconnected_graphs(g: Graph):
 def test_covering_parts_keep_the_witness_on_sparse_bipartite_graphs():
     saved = [_check_split(sparse_bipartite_graph(random.Random(seed), 10, 40)) for seed in range(100)]
     assert sum(saved) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graphs(2, 10), bipartite_graphs(2, 10)))
+def test_part_closed_at_its_root_spends_no_node(g: Graph):
+    # a part whose root picks cover it returns them, a cover of the size the
+    # root bound proved, with no node spent; the others search from it
+    nbr_mask = _neighbor_masks(g)
+    for need, avail in solvers._covering_parts(nbr_mask):
+        budget = _Budget(None)
+        size, cover, start = solvers._cover_search(need, avail, nbr_mask, budget)
+        assert all(avail >> u & 1 for u in cover) and len(cover) == size >= start
+        assert not need & ~solvers._union(sum(1 << u for u in cover), nbr_mask)
+        if not budget.nodes:
+            assert size == start
+    res = total_domination_number(g)
+    assert res.value == brute_force_gamma_t(g)
+    if not res.nodes_explored:
+        assert len(res.witness) == res.lower_bound_used == res.value
+
+
+def test_parts_close_at_their_root_on_small_families():
+    # O(10) and both sides of a path with n = 2 mod 4 close at their root
+    for text in ("O(10)", "P(6)", "P(10)", "P(14)"):
+        res = total_domination_number(fam.realize(parse_expr(text)))
+        assert res.nodes_explored == 0
+        assert len(res.witness) == res.lower_bound_used == res.value
+
+
+@settings(max_examples=60, deadline=None)
+@given(pendant_graphs(10))
+def test_counting_bound_with_support_vertices_is_sound(g: Graph):
+    # each support vertex is a singleton class of every TD-coloring
+    res = td_chromatic_oracle(g)
+    assert td_chromatic_bounds(g)[0] <= res.value
+    for s in {next(iter(nbrs)) for nbrs in g.adjacency if len(nbrs) == 1}:
+        assert res.witness.colors.count(res.witness.colors[s]) == 1
+
+
+@pytest.mark.parametrize(
+    "base", ["P(2)", "P(3)", "P(5)", "P(8)", "C(3)", "C(4)", "C(7)", "K(2)", "K(4)", "K(6)", "F(2)", "F(3)"]
+)
+def test_pendant_corona_is_proved_by_the_counting_bound(base):
+    # td(G o K1) = n(G) + 1: every vertex of G is a support vertex, so the
+    # bound meets the value and no TD round spends a node
+    n = fam.realize(parse_expr(base)).vertex_count
+    g = fam.realize(parse_expr(f"corona({base},K(1))"))
+    res, _, rounds = recorded_solve(g)
+    assert td_chromatic_bounds(g)[0] == res.lower_bound_used == res.value == n + 1
+    assert rounds == []
 
 
 def test_total_domination_of_paths_and_cycles_is_henning_form():

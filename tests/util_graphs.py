@@ -1116,3 +1116,13 @@ def two_component_graphs(draw, max_vertices: int = 8):
     edges = [(label[u], label[v]) for u, v in a.edges()]
     edges += [(label[a.vertex_count + u], label[a.vertex_count + v]) for u, v in b.edges()]
     return Graph.from_edges(len(label), edges)
+
+
+@st.composite
+def pendant_graphs(draw, max_vertices: int = 10):
+    """A connected graph with a leaf hung on each of one or more of its vertices."""
+    core = draw(connected_graphs(2, max_vertices - 1))
+    n = core.vertex_count
+    hosts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_vertices - n, unique=True))
+    edges = list(core.edges()) + [(v, n + i) for i, v in enumerate(hosts)]
+    return Graph.from_edges(n + len(hosts), edges)

@@ -8,7 +8,13 @@ completion gives each uncolored vertex a color in 1..k that none of its
 colored neighbors has, so a vertex with one color left must take it, which
 takes that color from its neighbors, and a vertex left with none cuts the
 subtree. The cut holds for every coloring, so it drops only subtrees with
-no coloring; an odd cycle's 2-coloring round fails after one node. The
+no coloring; an odd cycle's 2-coloring round fails after one node. Two
+bounds spend no node. The search's own rule run with no color cap, the
+DSATUR greedy, is the first descent of the round for as many colors as it
+uses, so when it beats the greedy coloring in branch order it stands for
+that round, which would return its coloring. It 2-colors every
+bipartite graph, so 3 or more colors certify an odd cycle and rule out
+k = 2. The
 total-domination search is fail-first too: it branches on the undominated
 vertex with the fewest non-excluded neighbors, ties to the lowest index,
 and tries those neighbors by descending gain, ties by index. It cuts a
@@ -471,20 +477,74 @@ def _proper_exact_k(nbr: list[int], k: int, budget: _Budget) -> list[int] | None
     return color_of if extend(levels[0], levels, 0, 0) else None
 
 
+def _dsatur_greedy(nbr: list[int]) -> list[int]:
+    """A proper coloring by :func:`_proper_exact_k`'s rule with no color cap.
+
+    Colors the uncolored vertex with the most distinct neighbor colors, ties
+    broken by the lowest position, with the least color none of its
+    neighbors has (Brélaz 1979). This is the first descent of the round for
+    as many colors as it uses, so that round returns this coloring. Within
+    a component every vertex after the first has a colored neighbor when it
+    is picked, so a bipartite graph gets at most 2 colors.
+    """
+    n = len(nbr)
+    color_of = [0] * n
+    blocked: list[int] = []  # blocked[c - 1]: vertices with a neighbor colored c
+    uncolored = (1 << n) - 1
+    levels = [uncolored]  # levels[j]: uncolored vertices with j distinct neighbor colors
+    top = 0
+    for _ in range(n):
+        while not levels[top]:
+            top -= 1
+        pick = levels[top] & -levels[top]
+        levels[top] ^= pick
+        uncolored ^= pick
+        p = pick.bit_length() - 1
+        c = 0
+        while c < len(blocked) and blocked[c] & pick:
+            c += 1
+        if c == len(blocked):
+            blocked.append(0)
+        gained = nbr[p] & uncolored & ~blocked[c]  # uncolored neighbors that see c for the first time
+        blocked[c] |= nbr[p]
+        color_of[p] = c + 1
+        j = top
+        while gained:
+            moved = levels[j] & gained
+            if moved:
+                levels[j] ^= moved
+                if j + 1 == len(levels):
+                    levels.append(0)
+                levels[j + 1] |= moved
+                gained ^= moved
+            j -= 1
+        top = len(levels) - 1
+    return color_of
+
+
 def _chromatic_search(
     order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
 ) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound).
 
     Works on the vertices' positions in branch order ``order``: one neighbor
-    bitmask per position (``nbr``) serves the greedy bound, the branch-order
-    clique and every round. The upper bound is a greedy coloring in branch
-    order. The lower bound is the largest of several greedy cliques: one in
-    branch order, and one grown from each vertex by adding the lowest-index
-    common neighbor each time, on the neighbor bitmasks by index
-    (``nbr_mask``). Any clique needs as many colors as it has vertices, so
-    every k below the bound is UNSAT, and skipping those rounds leaves the
-    first feasible k and its coloring unchanged.
+    bitmask per position (``nbr``) serves the greedy bounds, the branch-order
+    clique and every round. The lower bound is the largest of several greedy
+    cliques: one in branch order, and one grown from each vertex by adding
+    the lowest-index common neighbor each time, on the neighbor bitmasks by
+    index (``nbr_mask``). Any clique needs as many colors as it has
+    vertices, so every k below the bound is UNSAT, and skipping those
+    rounds leaves the first feasible k and its coloring unchanged.
+
+    The upper bound is a greedy coloring in branch order. When it exceeds
+    the lower bound, so that a round would run, :func:`_dsatur_greedy`
+    colors the graph too. With d colors it is the first descent of round d,
+    so when d is smaller it becomes the upper bound and its coloring the
+    answer unless a round below d finds one: the round d it skips would
+    have returned it. A tie keeps the branch-order coloring, so the answer
+    is the one the branch-order bound alone gives. And d >= 3 certifies an odd cycle, since DSATUR
+    2-colors every bipartite graph, so the lower bound is at least 3. Both
+    bounds spend no node, and neither changes the value or the coloring.
     """
     n = len(order)
     greedy = [0] * n
@@ -515,6 +575,14 @@ def _chromatic_search(
         if size > lb:
             lb = size
 
+    if ub > lb:
+        dsatur = _dsatur_greedy(nbr)
+        d = max(dsatur)
+        if d < ub:
+            greedy, ub = dsatur, d
+        if d >= 3:  # DSATUR 2-colors every bipartite graph, so g has an odd cycle
+            lb = max(lb, 3)
+
     value, colors = ub, greedy
     for k in range(lb, ub):
         found = _proper_exact_k(nbr, k, budget)
@@ -528,7 +596,12 @@ def _chromatic_search(
 
 
 def chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
-    """Exact chromatic number with a witness proper coloring."""
+    """Exact chromatic number with a witness proper coloring.
+
+    ``lower_bound_used`` is the largest greedy clique, raised to 3 when the
+    DSATUR greedy certifies an odd cycle; ``upper_bound_used`` is the
+    smaller of the two greedy colorings' counts (see :func:`_chromatic_search`).
+    """
     budget = _Budget(opts)
     value, colors, lb, ub = _chromatic_search(*_tables(g), budget)
     witness = Coloring(_first_appearance(colors))

@@ -84,6 +84,15 @@ class TestSolve:
         assert checks(realize(parse_expr(expr)), witness)
         assert len(size(witness)) == value  # classes of a coloring, members of a set
 
+    def test_json_chromatic_bounds_of_an_odd_cycle(self, capsys):
+        # the DSATUR greedy's 3 colors certify an odd cycle, so no round runs;
+        # before, the clique bound was 2 and the k = 2 round spent 1 node
+        code, out, _ = run(capsys, "solve", "C(11)", "--what", "chromatic", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["value"], data["lower_bound_used"], data["upper_bound_used"]) == (3, 3, 3)
+        assert data["nodes_explored"] == 0
+
     def test_budget_exhausted_exit_four(self, capsys):
         code, _, err = run(capsys, "solve", "G(4,4)", "--budget", "10")
         assert code == 4
@@ -210,17 +219,16 @@ class TestBounds:
             assert err == "error: TD-coloring needs at least 2 vertices\n"
 
     def test_one_budget_for_both_searches(self, capsys):
-        # C(11) spends 1 node on chi and 6 on gamma_t, 7 in all; before
-        # forced-color propagation chi took 10 nodes, and gamma_t took 9
-        # branching on the lowest-index undominated vertex. The counting
-        # bound spends none and raises the lower end from max(chi, gamma_t)
-        # = 6 to 7 (td is 8)
-        for budget in ("4", "6"):
-            code, out, err = run(capsys, "bounds", "C(11)", "--budget", budget)
+        # join(C(5),E(2)) spends 2 nodes on chi and 2 on gamma_t, 4 in all, so
+        # a budget that covers chi alone runs out in gamma_t. C(11) served
+        # here (1 node on chi, 6 on gamma_t; budgets 4 and 6 exited 4 and 7
+        # answered) until the odd-cycle bound closed its chi phase at 0 nodes
+        for budget in ("1", "3"):
+            code, out, err = run(capsys, "bounds", "join(C(5),E(2))", "--budget", budget)
             assert (code, out) == (4, "")
             assert "error: node budget exhausted" in err
-        code, out, _ = run(capsys, "bounds", "C(11)", "--budget", "7")
-        assert (code, out) == (0, "bounds [7, 9]\n")
+        code, out, _ = run(capsys, "bounds", "join(C(5),E(2))", "--budget", "4")
+        assert (code, out) == (0, "bounds [4, 6]\n")
 
 
 class TestVerify:

@@ -121,26 +121,36 @@ class TestForcedColorPropagation:
 
     def test_planted_graphs(self):
         # the benchmark's planted graphs (n = 28, k = 6, p = 0.5), 60 of them
-        # from seed 0: every round the search runs finds the frozen copy's
-        # coloring, or none as it does, in no more nodes
+        # from seed 0: every round from the clique bound up to the greedy
+        # coloring in branch order (the search's upper bound before the
+        # DSATUR greedy joined it) finds the frozen copy's coloring, or none
+        # as it does, in no more nodes. The search itself skips the rounds
+        # the DSATUR greedy closes and spends 1,249 nodes; without that
+        # greedy it spent the 1,837 of the live rounds below
         rng = random.Random(0)
-        live = ref = 0
+        live = ref = searched = 0
         for _ in range(60):
             g = planted_graph(rng, 28, 6, 0.5)
             budget = _Budget(None)
-            value, _, lb, ub = solvers._chromatic_search(*solvers._tables(g), budget)
-            a, b = _rounds_against_reference(g, range(lb, min(value + 1, ub)))
-            assert a == budget.nodes
+            value, _, lb, _ = solvers._chromatic_search(*solvers._tables(g), budget)
+            a, b = _rounds_against_reference(g, range(lb, min(value + 1, _branch_order_greedy_bound(g))))
+            assert budget.nodes <= a
             live += a
             ref += b
-        assert (live, ref) == (1_837, 2_344)
+            searched += budget.nodes
+        assert (live, ref, searched) == (1_837, 2_344, 1_249)
 
     def test_odd_cycle_in_one_node(self):
         # the 2-coloring is forced around the cycle, so the k = 2 round fails
         # after its first placement; it used to visit every vertex
         g = fam.cycle_graph(1501)
+        budget = _Budget(None)
+        assert solvers._proper_exact_k(solvers._tables(g)[1], 2, budget) is None
+        assert budget.nodes == 1
+        # the DSATUR greedy's 3 colors certify an odd cycle, so the search now
+        # runs no round at all (it spent the k = 2 round's 1 node before)
         res = chromatic_number(g)
-        assert (res.value, res.nodes_explored) == (3, 1)
+        assert (res.value, res.nodes_explored, res.lower_bound_used) == (3, 0, 3)
         assert is_proper(g, res.witness) and res.witness.num_colors == 3
 
     def test_td_of_a_long_odd_cycle(self):
@@ -148,11 +158,21 @@ class TestForcedColorPropagation:
         # round recursed once per vertex. The total-domination search took
         # 1,659 nodes in all branching on the lowest-index undominated vertex,
         # 911 with the idle-class cap tested after a node was spent, and 887
-        # with reuses that leave a vertex no possible dominator spent
+        # with reuses that leave a vertex no possible dominator spent; 815
+        # before the odd-cycle bound skipped the chromatic k = 2 round
         g = fam.cycle_graph(1501)
         res = td_chromatic_number(g)
-        assert (res.value, res.nodes_explored) == (753, 815)
+        assert (res.value, res.nodes_explored) == (753, 814)
         assert is_td_coloring(g, res.witness) and res.witness.num_colors == 753
+
+
+def _branch_order_greedy_bound(g: Graph) -> int:
+    """Colors of the first-fit greedy coloring in branch order."""
+    greedy = [0] * g.vertex_count
+    for v in solvers._branch_order(g):
+        used = {greedy[u] for u in g.adjacency[v]}
+        greedy[v] = next(c for c in itertools.count(1) if c not in used)
+    return max(greedy, default=0)
 
 
 class TestTotalDominatingSet:
@@ -497,8 +517,9 @@ class TestSearchNodeTotals:
         # merge and k-loop nodes, P(10) taking 7 rather than 12 (its new set
         # merges into an incumbent one class worse, so a round runs); without
         # the support vertices as singleton classes in the counting bound,
-        # 388 merge and k-loop nodes
-        assert (chi, dom, rest) == (30, 70, 358)
+        # 388 merge and k-loop nodes; without the DSATUR greedy and odd-cycle
+        # bounds, 30 chromatic nodes
+        assert (chi, dom, rest) == (24, 70, 358)
 
     def test_bounds_total_domination(self):
         # the benchmark's sparse family members; 3,834,246 nodes by subset order,
@@ -511,6 +532,15 @@ class TestSearchNodeTotals:
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in BOUNDS_TOTALDOM]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
         assert sum(r.nodes_explored for r in results) == 63
+
+    def test_bounds_chromatic(self):
+        # the benchmark's planted graphs, the 60 that TestForcedColorPropagation
+        # builds from seed 0; 1,837 nodes with the greedy coloring in branch
+        # order as the only upper bound and no odd-cycle bound
+        rng = random.Random(0)
+        results = [chromatic_number(planted_graph(rng, 28, 6, 0.5)) for _ in range(60)]
+        assert {r.value for r in results} == {6}
+        assert sum(r.nodes_explored for r in results) == 1_249
 
 
 class TestClosedFormDeviations:
@@ -1169,14 +1199,103 @@ def test_propagation_keeps_every_round(g: Graph):
 @settings(max_examples=100, deadline=None)
 @given(graphs(min_vertices=0, max_vertices=12))
 def test_chromatic_matches_order_clique_search(g: Graph):
-    # the larger clique bound may only skip UNSAT rounds
+    _check_against_order_clique_search(g)
+
+
+def test_chromatic_matches_order_clique_search_on_planted_graphs():
+    # few small graphs have a DSATUR greedy better than the branch-order one
+    # (about 1 in 150 draws of up to 12 vertices); 36 of these 60 do
+    rng = random.Random(0)
+    replaced = 0
+    for _ in range(60):
+        g = planted_graph(rng, 28, 6, 0.5)
+        replaced += chromatic_number(g).upper_bound_used < _branch_order_greedy_bound(g)
+        _check_against_order_clique_search(g)
+    assert replaced == 36
+
+
+def _check_against_order_clique_search(g: Graph) -> None:
+    # the larger clique bound and the odd-cycle bound may only skip UNSAT
+    # rounds, and the DSATUR greedy may only close the round it would find
     res = chromatic_number(g)
     budget = _Budget(None)
     value, colors, lb, ub = reference_order_clique_chromatic_search(g, budget)
     assert (res.value, res.witness) == (value, normalize(Coloring(tuple(colors))))
     assert res.nodes_explored <= budget.nodes
     assert res.lower_bound_used >= lb
-    assert res.upper_bound_used == ub
+    # the DSATUR greedy replaces the branch-order one when it uses fewer
+    # colors and a round would run (ub > lb); d >= chi >= every lower bound,
+    # so d < ub implies ub > lb
+    d = max(solvers._dsatur_greedy(solvers._tables(g)[1]), default=0)
+    assert res.upper_bound_used == (d if d < ub and ub > lb else ub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(min_vertices=2, max_vertices=14))
+def test_dsatur_greedy_is_the_first_descent(g: Graph):
+    # the round for as many colors as the greedy uses returns its coloring
+    _dsatur_matches_its_round(g)
+
+
+def test_dsatur_greedy_is_the_first_descent_on_planted_graphs():
+    rng = random.Random(0)
+    for _ in range(60):
+        _dsatur_matches_its_round(planted_graph(rng, 28, 6, 0.5))
+
+
+def _dsatur_matches_its_round(g: Graph) -> None:
+    order, nbr, _ = solvers._tables(g)
+    colors = solvers._dsatur_greedy(nbr)
+    by_vertex = [0] * g.vertex_count
+    for p, v in enumerate(order):
+        by_vertex[v] = colors[p]
+    assert is_proper(g, Coloring(tuple(by_vertex)))
+    assert solvers._proper_exact_k(nbr, max(colors), _Budget(None)) == colors
+
+
+def _two_colorable(g: Graph) -> bool:
+    side = [-1] * g.vertex_count
+    for root in range(g.vertex_count):
+        if side[root] < 0:
+            side[root], stack = 0, [root]
+            while stack:
+                v = stack.pop()
+                for u in g.adjacency[v]:
+                    if side[u] < 0:
+                        side[u] = 1 - side[v]
+                        stack.append(u)
+                    elif side[u] == side[v]:
+                        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(bipartite_graphs(2, 14), two_component_graphs(max_vertices=8)))
+def test_dsatur_greedy_two_colors_exactly_the_bipartite_graphs(g: Graph):
+    # the odd-cycle bound: at least 3 colors only on a graph with an odd cycle
+    d = max(solvers._dsatur_greedy(solvers._tables(g)[1]))
+    assert (d <= 2) == _two_colorable(g)
+
+
+def test_bipartite_graphs_run_no_round():
+    # a first-fit greedy in branch order may use 3 colors on a bipartite
+    # graph, and the search then ran the k = 2 round; DSATUR uses 2, so no
+    # round runs and the lower bound stays 2
+    three = 0
+    for seed in range(200):
+        g = sparse_bipartite_graph(random.Random(seed), 6, 12)
+        three += _branch_order_greedy_bound(g) > 2
+        res = chromatic_number(g)
+        assert (res.value, res.nodes_explored, res.lower_bound_used, res.upper_bound_used) == (2, 0, 2, 2)
+    assert three == 9
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15, 21])
+def test_dsatur_greedy_on_odd_cycles(n):
+    g = fam.cycle_graph(n)
+    assert max(solvers._dsatur_greedy(solvers._tables(g)[1])) == 3
+    res = chromatic_number(g)
+    assert (res.value, res.nodes_explored, res.lower_bound_used) == (3, 0, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-from .graph import Graph
+from .graph import Graph, _bits
 
 __all__ = [
     "Coloring",
@@ -37,16 +37,15 @@ class Coloring:
 
     def classes(self) -> dict[int, frozenset[int]]:
         """Non-empty color classes keyed by color, in ascending color order."""
-        grouped = _group(self.colors)
-        return {c: frozenset(grouped[c]) for c in sorted(grouped)}
+        return {c: frozenset(_bits(m)) for c, m in sorted(_class_masks(self.colors).items())}
 
 
-def _group(colors: tuple[int, ...]) -> dict[int, set[int]]:
-    """The vertices of each color, by color in order of first appearance."""
-    grouped: dict[int, set[int]] = {}
+def _class_masks(colors: tuple[int, ...]) -> dict[int, int]:
+    """The vertices of each color as a bitmask, by color."""
+    masks: dict[int, int] = {}
     for v, c in enumerate(colors):
-        grouped.setdefault(c, set()).add(v)
-    return grouped
+        masks[c] = masks.get(c, 0) | 1 << v
+    return masks
 
 
 def _first_appearance(colors: Iterable[int]) -> tuple[int, ...]:
@@ -71,18 +70,19 @@ def _check_sized(g: Graph, coloring: Coloring) -> None:
 def is_proper(g: Graph, coloring: Coloring) -> bool:
     """True iff no edge joins two vertices of the same color."""
     _check_sized(g, coloring)
-    return _no_edge_inside(g, coloring.colors, _group(coloring.colors))
+    return _no_edge_inside(g, coloring.colors, _class_masks(coloring.colors))
 
 
-def _no_edge_inside(g: Graph, colors: tuple[int, ...], classes: dict[int, set[int]]) -> bool:
+def _no_edge_inside(g: Graph, colors: tuple[int, ...], classes: dict[int, int]) -> bool:
     """True iff no vertex has a neighbor in its own class of ``classes``."""
-    return all(nbrs.isdisjoint(classes[c]) for nbrs, c in zip(g.adjacency, colors))
+    return not any(m & classes[c] for m, c in zip(g.masks, colors))
 
 
 def is_td_coloring(g: Graph, coloring: Coloring) -> bool:
     """True iff proper and every vertex is adjacent to all of some color class."""
     _check_sized(g, coloring)
-    classes = _group(coloring.colors)
+    classes = _class_masks(coloring.colors)
     if not _no_edge_inside(g, coloring.colors, classes):
         return False
-    return all(any(members <= nbrs for members in classes.values()) for nbrs in g.adjacency)
+    members = classes.values()
+    return all(any(not b & ~m for b in members) for m in g.masks)

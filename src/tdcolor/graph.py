@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = ["Graph", "DimacsError"]
 
@@ -16,36 +16,63 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS .col input."""
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: no loops, no multi-edges, no direction.
 
     Instances are immutable and safe to share between concurrent workers.
-    ``adjacency[v]`` is the open neighborhood of ``v``.
+    The graph is stored as neighbor bitmasks: bit u of ``masks[v]`` is set
+    exactly when u and v are adjacent, so ``masks[v]`` is the open
+    neighborhood of ``v``.
     """
 
     vertex_count: int
-    adjacency: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.vertex_count
+        masks = self.masks
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adjacency) != n:
-            raise ValueError("adjacency size does not match vertex count")
-        for v, nbrs in enumerate(self.adjacency):
-            if v in nbrs:
+        if len(masks) != n:
+            raise ValueError("mask count does not match vertex count")
+        above = total = 0
+        for v, m in enumerate(masks):
+            if m < 0:
+                raise ValueError(f"neighbor mask of vertex {v} is negative")
+            if m >> n:
+                raise ValueError(f"neighbor {m.bit_length() - 1} of vertex {v} out of range")
+            if m >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range")
-                if v not in self.adjacency[u]:
+            up = m >> v + 1
+            above += up.bit_count()
+            total += m.bit_count()
+            while up:
+                low = up & -up
+                u = v + low.bit_length()
+                if not masks[u] >> v & 1:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
+                up ^= low
+        # every bit above the diagonal is mirrored below it, so equal counts
+        # leave no bit below the diagonal unmirrored
+        if 2 * above != total:
+            v, u = next(
+                (v, u) for v in range(n) for u in _bits(masks[v]) if not masks[u] >> v & 1
+            )
+            raise ValueError(f"asymmetric edge ({v}, {u})")
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph from an edge list; duplicate edges collapse."""
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
+        masks = [0] * vertex_count
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
@@ -53,48 +80,46 @@ class Graph:
                 )
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls(vertex_count, tuple(frozenset(s) for s in adj))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls(vertex_count, tuple(masks))
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood of ``v``; never contains ``v`` itself."""
         self._check_vertex(v)
-        return self.adjacency[v]
+        return frozenset(_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adjacency[v])
+        return self.masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ``(u, v)`` pairs with ``u < v``, sorted."""
         return [
-            (u, v)
-            for u in range(self.vertex_count)
-            for v in sorted(self.adjacency[u])
-            if u < v
+            (u, u + 1 + v)
+            for u, m in enumerate(self.masks)
+            for v in _bits(m >> u + 1)
         ]
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def is_connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
         if self.vertex_count <= 1:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.vertex_count
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.masks[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.vertex_count) - 1
 
     def has_isolated_vertex(self) -> bool:
-        return any(not nbrs for nbrs in self.adjacency)
+        return 0 in self.masks
 
     def to_dimacs(self) -> str:
         """Serialize as DIMACS .col text: ``p edge n m`` header, 1-based edges."""
@@ -111,42 +136,43 @@ class Graph:
         """
         vertex_count: int | None = None
         declared = 0
-        edges: list[tuple[int, int]] = []
+        masks: list[int] = []
         for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
+            parts = raw.split()
+            if not parts or parts[0][0] == "c":
                 continue
-            parts = line.split()
             if parts[0] == "p":
                 if vertex_count is not None:
                     raise DimacsError("duplicate problem line")
                 if len(parts) != 4 or parts[1] != "edge":
-                    raise DimacsError(f"malformed problem line: {line!r}")
+                    raise DimacsError(f"malformed problem line: {raw.strip()!r}")
                 try:
                     vertex_count, declared = int(parts[2]), int(parts[3])
                 except ValueError:
-                    raise DimacsError(f"malformed problem line: {line!r}") from None
+                    raise DimacsError(f"malformed problem line: {raw.strip()!r}") from None
                 if vertex_count < 0 or declared < 0:
-                    raise DimacsError(f"negative counts in problem line: {line!r}")
+                    raise DimacsError(f"negative counts in problem line: {raw.strip()!r}")
+                masks = [0] * vertex_count
             elif parts[0] == "e":
                 if vertex_count is None:
                     raise DimacsError("edge line before problem line")
                 if len(parts) != 3:
-                    raise DimacsError(f"malformed edge line: {line!r}")
+                    raise DimacsError(f"malformed edge line: {raw.strip()!r}")
                 try:
                     u, v = int(parts[1]), int(parts[2])
                 except ValueError:
-                    raise DimacsError(f"malformed edge line: {line!r}") from None
+                    raise DimacsError(f"malformed edge line: {raw.strip()!r}") from None
                 if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                     raise DimacsError(f"edge ({u}, {v}) out of range 1..{vertex_count}")
                 if u == v:
                     raise DimacsError(f"self-loop edge at vertex {u}")
-                edges.append((u - 1, v - 1))
+                masks[u - 1] |= 1 << v - 1
+                masks[v - 1] |= 1 << u - 1
             else:
-                raise DimacsError(f"unrecognized line: {line!r}")
+                raise DimacsError(f"unrecognized line: {raw.strip()!r}")
         if vertex_count is None:
             raise DimacsError("missing problem line")
-        g = cls.from_edges(vertex_count, edges)
+        g = cls(vertex_count, tuple(masks))
         if g.edge_count != declared:
             raise DimacsError(
                 f"problem line declares {declared} edges, found {g.edge_count} distinct"

@@ -171,11 +171,8 @@ class _Budget:
 
 def _branch_order(g: Graph) -> list[int]:
     # fail-first heuristic, fixed for determinism
-    return sorted(range(g.vertex_count), key=lambda v: (-len(g.adjacency[v]), v))
-
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    return _position_masks(g, range(g.vertex_count))
+    masks = g.masks
+    return sorted(range(g.vertex_count), key=lambda v: (-masks[v].bit_count(), v))
 
 
 def _position_masks(g: Graph, order: Sequence[int]) -> list[int]:
@@ -186,19 +183,22 @@ def _position_masks(g: Graph, order: Sequence[int]) -> list[int]:
     masks = []
     for v in order:
         m = 0
-        for u in g.adjacency[v]:
-            m |= bit[u]
+        rest = g.masks[v]
+        while rest:
+            low = rest & -rest
+            m |= bit[low.bit_length() - 1]
+            rest ^= low
         masks.append(m)
     return masks
 
 
-def _tables(g: Graph) -> tuple[list[int], list[int], list[int]]:
-    """The branch order, and g's neighbor bitmasks by position in it and by index."""
+def _tables(g: Graph) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """The branch order, g's neighbor bitmasks by position in it, and ``g.masks``."""
     order = _branch_order(g)
-    return order, _position_masks(g, order), _neighbor_masks(g)
+    return order, _position_masks(g, order), g.masks
 
 
-def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: int) -> int:
+def _can_cover(need: int, picks: int, avail: int, nbr_mask: Sequence[int], max_deg: int) -> int:
     """0 when no ``picks`` distinct vertices u of ``avail`` can cover ``need``.
 
     A pick u covers only N(u), at most ``max_deg`` vertices, so a vertex w
@@ -274,7 +274,7 @@ def _can_cover(need: int, picks: int, avail: int, nbr_mask: list[int], max_deg: 
 _FINDER_STEPS = 32  # per vertex: the cap on the steps of _automorphisms
 
 
-def _automorphisms(order: list[int], nbr_mask: list[int]) -> list[list[int]]:
+def _automorphisms(order: list[int], nbr_mask: Sequence[int]) -> list[list[int]]:
     """Automorphisms of the graph other than the identity, as image lists; not always all.
 
     First color refinement: each vertex starts in the cell of its degree,
@@ -523,7 +523,7 @@ def _dsatur_greedy(nbr: list[int]) -> list[int]:
 
 
 def _chromatic_search(
-    order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
+    order: list[int], nbr: list[int], nbr_mask: Sequence[int], budget: _Budget
 ) -> tuple[int, list[int], int, int]:
     """Exact chromatic number: (value, colors, lower bound, upper bound).
 
@@ -616,14 +616,15 @@ def chromatic_number(g: Graph, opts: SolveOptions | None = None) -> SolveResult:
 
 def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff every vertex of g (members of s included) has a neighbor in s."""
-    members = set(s)
-    for v in members:
+    bits = 0
+    for v in set(s):
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"vertex {v} out of range 0..{g.vertex_count - 1}")
-    return all(g.adjacency[v] & members for v in range(g.vertex_count))
+        bits |= 1 << v
+    return all(m & bits for m in g.masks)
 
 
-def _union(verts: int, nbr_mask: list[int]) -> int:
+def _union(verts: int, nbr_mask: Sequence[int]) -> int:
     """The union of N(v) over the vertices v of ``verts``."""
     out = 0
     while verts:
@@ -633,7 +634,7 @@ def _union(verts: int, nbr_mask: list[int]) -> int:
     return out
 
 
-def _covering_parts(nbr_mask: list[int]) -> list[tuple[int, int]]:
+def _covering_parts(nbr_mask: Sequence[int]) -> list[tuple[int, int]]:
     """The independent parts of total domination, as ``(part, candidates)`` bitmasks.
 
     Two vertices interact in the covering problem only when they share a
@@ -663,7 +664,7 @@ def _covering_parts(nbr_mask: list[int]) -> list[tuple[int, int]]:
 
 
 def _cover_search(
-    need: int, avail: int, nbr_mask: list[int], budget: _Budget
+    need: int, avail: int, nbr_mask: Sequence[int], budget: _Budget
 ) -> tuple[int, tuple[int, ...], int]:
     """The fewest vertices of ``avail`` whose neighborhoods cover ``need``, by increasing size.
 
@@ -773,7 +774,7 @@ def _cover_search(
 
 
 def _total_dom_search(
-    nbr_mask: list[int], budget: _Budget
+    nbr_mask: Sequence[int], budget: _Budget
 ) -> tuple[int, tuple[int, ...], int, int]:
     """Exact total domination number: one :func:`_cover_search` per covering part.
 
@@ -811,7 +812,7 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
         return SolveResult(0, (), 0, budget.elapsed(), 0, 0)
     if g.has_isolated_vertex():
         raise ValueError("total domination undefined: graph has an isolated vertex")
-    value, witness, lb, ub = _total_dom_search(_neighbor_masks(g), budget)
+    value, witness, lb, ub = _total_dom_search(g.masks, budget)
     if not is_total_dominating_set(g, witness):
         raise AssertionError("internal error: domination witness failed verification")
     return SolveResult(value, witness, budget.nodes, budget.elapsed(), lb, ub)
@@ -846,7 +847,7 @@ def _td_exact_k(
     k: int,
     gamma: int,
     order: list[int],
-    nbr_mask: list[int],
+    nbr_mask: Sequence[int],
     budget: _Budget,
     symmetry: _Symmetry,
 ) -> list[int] | None:
@@ -1147,7 +1148,7 @@ def _td_exact_k(
     return result
 
 
-def _merge_classes(colors: list[int], nbr_mask: list[int], budget: _Budget) -> list[int]:
+def _merge_classes(colors: list[int], nbr_mask: Sequence[int], budget: _Budget) -> list[int]:
     """Merge the classes of a TD-coloring while it stays one; colors 1..m out.
 
     Each class keeps three bitmasks: the class, ``reach`` (the union of its
@@ -1205,7 +1206,7 @@ def _require_td_defined(g: Graph) -> None:
         raise ValueError("TD-coloring undefined: graph has an isolated vertex")
 
 
-def _clique_cover(verts: int, nbr_mask: list[int]) -> int:
+def _clique_cover(verts: int, nbr_mask: Sequence[int]) -> int:
     """The number of cliques in a greedy cover of ``verts``, at least its alpha.
 
     Each clique starts at the lowest vertex left and adds the lowest common
@@ -1222,7 +1223,7 @@ def _clique_cover(verts: int, nbr_mask: list[int]) -> int:
     return count
 
 
-def _triple_common(verts: int, nbr_mask: list[int]) -> int:
+def _triple_common(verts: int, nbr_mask: Sequence[int]) -> int:
     """The most common neighbors of three pairwise non-adjacent vertices of ``verts``."""
     best = 0
     us = verts
@@ -1264,7 +1265,7 @@ def _mix_covers(local: int, members: int, n: int, p: tuple[int, int], q: tuple[i
     return all(lo * hd <= hi * ld for lo, ld in least for hi, hd in most)
 
 
-def _counting_bound(lower: int, gamma: int, nbr_mask: list[int]) -> int:
+def _counting_bound(lower: int, gamma: int, nbr_mask: Sequence[int]) -> int:
     """The least k >= ``lower`` that class sizes and domination counts allow.
 
     In a TD-coloring with k classes each vertex has a class inside its
@@ -1347,7 +1348,7 @@ def _counting_bound(lower: int, gamma: int, nbr_mask: list[int]) -> int:
 
 
 def _bounding_phase(
-    order: list[int], nbr: list[int], nbr_mask: list[int], budget: _Budget
+    order: list[int], nbr: list[int], nbr_mask: Sequence[int], budget: _Budget
 ) -> tuple[int, int, int, list[int]]:
     """The counting bound, gamma_t + chi, gamma_t, and a TD-coloring with gamma_t + chi colors."""
     chi, proper, _, _ = _chromatic_search(order, nbr, nbr_mask, budget)
@@ -1438,7 +1439,7 @@ def td_chromatic_oracle(g: Graph, cap: int = 10, opts: SolveOptions | None = Non
         raise ValueError(f"graph has {n} vertices; oracle cap is {cap}")
 
     budget = _Budget(opts)
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     # closed[v]: ~N(w) of each vertex w whose N(w) lies in 0..v-1; a block b
     # lies inside N(w) iff b & ~N(w) == 0
     closed = [[~m for m in nbr_mask if m.bit_length() <= v] for v in range(n + 1)]

@@ -15,6 +15,7 @@ from tdcolor.coloring import (
     is_td_coloring,
     normalize,
 )
+from tdcolor.solvers import is_total_dominating_set
 
 from util_graphs import graphs
 
@@ -117,3 +118,27 @@ def test_isolated_vertex_blocks_td(gc):
     g, c = gc
     if g.has_isolated_vertex():
         assert not is_td_coloring(g, c)
+
+
+@given(graph_and_coloring(), st.data())
+def test_checkers_match_definition(gc, data):
+    g, c = gc
+    n = g.vertex_count
+    edges = set(g.edges())
+
+    def adjacent(u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in edges
+
+    classes: dict[int, set[int]] = {}
+    for v, color in enumerate(c.colors):
+        classes.setdefault(color, set()).add(v)
+    assert list(c.classes().items()) == sorted((k, frozenset(m)) for k, m in classes.items())
+    proper = all(c.colors[u] != c.colors[v] for u, v in edges)
+    dominated = all(
+        any(all(adjacent(v, w) for w in members) for members in classes.values())
+        for v in range(n)
+    )
+    assert is_proper(g, c) == proper
+    assert is_td_coloring(g, c) == (proper and dominated)
+    s = data.draw(st.sets(st.integers(0, n - 1)))
+    assert is_total_dominating_set(g, s) == all(any(adjacent(v, w) for w in s) for v in range(n))

@@ -36,6 +36,28 @@ class TestFromEdges:
         assert g.edge_count == 0
 
 
+class TestDirectConstruction:
+    def test_masks_of_a_path(self):
+        assert Graph(3, (0b010, 0b101, 0b010)) == fam.path_graph(3)
+
+    @pytest.mark.parametrize(
+        "n,masks,message",
+        [
+            (-1, (), "vertex count must be non-negative"),
+            (2, (0b10,), "mask count does not match vertex count"),
+            (2, (-2, 0b01), "neighbor mask of vertex 0 is negative"),
+            (2, (0b110, 0b001), "neighbor 2 of vertex 0 out of range"),
+            (2, (0b11, 0b01), "self-loop at vertex 0"),
+            (3, (0b010, 0b000, 0b000), "asymmetric edge (0, 1)"),
+            (3, (0b000, 0b001, 0b000), "asymmetric edge (1, 0)"),
+        ],
+    )
+    def test_malformed_rejected(self, n: int, masks: tuple[int, ...], message: str):
+        with pytest.raises(ValueError) as err:
+            Graph(n, masks)
+        assert str(err.value) == message
+
+
 class TestQueries:
     def test_neighbors_cycle(self):
         c4 = fam.cycle_graph(4)
@@ -99,6 +121,37 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="unrecognized"):
             Graph.from_dimacs("p edge 2 1\nx 1 2\n")
 
+    def test_reversed_duplicate_edge_collapses(self):
+        assert Graph.from_dimacs("p edge 2 1\ne 1 2\ne 2 1\n") == fam.path_graph(2)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p edge 2 1\np edge 2 1\n", "duplicate problem line"),
+        ("p edges 2 1\n", "malformed problem line: 'p edges 2 1'"),
+        ("p edge 2\n", "malformed problem line: 'p edge 2'"),
+        ("p edge two 1\n", "malformed problem line: 'p edge two 1'"),
+        ("p edge -2 1\n", "negative counts in problem line: 'p edge -2 1'"),
+        ("p edge 2 -1\n", "negative counts in problem line: 'p edge 2 -1'"),
+        ("e 1 2\np edge 2 1\n", "edge line before problem line"),
+        ("p edge 2 1\ne 1\n", "malformed edge line: 'e 1'"),
+        ("p edge 2 1\ne 1 x\n", "malformed edge line: 'e 1 x'"),
+        ("p edge 2 1\ne 1 3\n", "edge (1, 3) out of range 1..2"),
+        ("p edge 2 1\ne 0 1\n", "edge (0, 1) out of range 1..2"),
+        ("p edge 2 1\ne 2 2\n", "self-loop edge at vertex 2"),
+        ("p edge 2 1\nx 1 2\n", "unrecognized line: 'x 1 2'"),
+        ("p edge 2 1\n  x 1 2 \n", "unrecognized line: 'x 1 2'"),
+        ("c only a comment\n", "missing problem line"),
+        ("p edge 3 2\ne 1 2\n", "problem line declares 2 edges, found 1 distinct"),
+        ("p edge 2 2\ne 1 2\ne 2 1\n", "problem line declares 2 edges, found 1 distinct"),
+    ],
+)
+def test_dimacs_error_message(text: str, message: str):
+    with pytest.raises(DimacsError) as err:
+        Graph.from_dimacs(text)
+    assert str(err.value) == message
+
 
 class TestCanonicalKey:
     def test_deterministic(self):
@@ -118,12 +171,19 @@ class TestCanonicalKey:
 
 @given(graphs())
 def test_adjacency_invariants(g: Graph):
-    for v in range(g.vertex_count):
+    n = g.vertex_count
+    assert len(g.masks) == n
+    for v in range(n):
         nbrs = g.neighbors(v)
+        assert nbrs == {u for u in range(n) if g.masks[v] >> u & 1}
+        assert g.degree(v) == len(nbrs)
         assert v not in nbrs
-        assert nbrs <= frozenset(range(g.vertex_count))
+        assert nbrs <= frozenset(range(n))
         for u in nbrs:
             assert v in g.neighbors(u)
+    assert g.edges() == [
+        (u, v) for u in range(n) for v in range(u + 1, n) if g.masks[u] >> v & 1
+    ]
 
 
 @given(graphs())

@@ -22,7 +22,6 @@ from tdcolor.solvers import (
     _automorphisms,
     _Budget,
     _can_cover,
-    _neighbor_masks,
     _Symmetry,
     chromatic_number,
     is_total_dominating_set,
@@ -170,7 +169,7 @@ def _branch_order_greedy_bound(g: Graph) -> int:
     """Colors of the first-fit greedy coloring in branch order."""
     greedy = [0] * g.vertex_count
     for v in solvers._branch_order(g):
-        used = {greedy[u] for u in g.adjacency[v]}
+        used = {greedy[u] for u in g.neighbors(v)}
         greedy[v] = next(c for c in itertools.count(1) if c not in used)
     return max(greedy, default=0)
 
@@ -355,7 +354,7 @@ class TestCanCover:
         # two each, enough for the sum-of-gains test, but the regions N(0) =
         # {1}, N(4) = {3} and N(3) = {2, 4} are disjoint and need three picks
         g = fam.path_graph(5)
-        nbr_mask, need, full = _neighbor_masks(g), 0b11101, 0b11111
+        nbr_mask, need, full = g.masks, 0b11101, 0b11111
         gains = [(m & need).bit_count() for m in nbr_mask]
         assert reference_gain_sum_can_cover(need, 2, gains, 2)
         assert not _can_cover(need, 2, full, nbr_mask, 2)
@@ -367,7 +366,7 @@ class TestCanCover:
         # test; the regions {4} and {1, 2} pass the packing test, but one pick
         # must be 4, which gains one, and the other gains at most two
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        nbr_mask, need, full = _neighbor_masks(g), 0b01111, 0b11111
+        nbr_mask, need, full = g.masks, 0b01111, 0b11111
         gains = [(m & need).bit_count() for m in nbr_mask]
         assert reference_gain_sum_can_cover(need, 2, gains, 2)
         assert not _can_cover(need, 2, full, nbr_mask, 2)
@@ -375,7 +374,7 @@ class TestCanCover:
 
     def test_uncoverable_vertex_cut(self):
         # vertex 0's only neighbor is not available
-        nbr_mask = _neighbor_masks(fam.path_graph(3))
+        nbr_mask = fam.path_graph(3).masks
         assert not _can_cover(0b001, 2, 0b101, nbr_mask, 2)
 
 
@@ -620,7 +619,7 @@ def test_bounds_are_the_td_solve_bounds(g: Graph):
 def test_counting_bound_is_sound(g: Graph):
     # no TD-coloring has fewer classes than the count allows, whether it
     # starts from max(chi, gamma_t) or from gamma_t alone
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     gamma = solvers._total_dom_search(nbr_mask, _Budget(None))[0]
     count = solvers._counting_bound(gamma, gamma, nbr_mask)
     assert count <= td_chromatic_bounds(g)[0] <= td_chromatic_oracle(g).value
@@ -648,7 +647,7 @@ def test_counting_bound_is_td_on_triangle_chains():
 def _round_alone(g: Graph, k: int, td_exact_k) -> tuple[int, list[int] | None]:
     """One round of ``td_exact_k`` at k, run alone: its nodes and the coloring found."""
     budget = _Budget(None)
-    found = td_exact_k(g, k, solvers._branch_order(g), _neighbor_masks(g), budget)
+    found = td_exact_k(g, k, solvers._branch_order(g), g.masks, budget)
     return budget.nodes, found
 
 
@@ -682,7 +681,7 @@ def _idle_round_alone(g: Graph, k: int, gamma: int) -> tuple[int, list[int] | No
 def _upward_k_loop_value(g: Graph) -> int:
     """The TD-chromatic number by the earlier upward k-loop on the frozen value-order copy."""
     chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
-    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(g.masks, _Budget(None))[0]
     exact_k = with_filled(reference_value_order_td_exact_k)
     return next(
         k for k in range(max(chi, gamma), chi + gamma + 1) if _round_alone(g, k, exact_k)[1]
@@ -749,7 +748,7 @@ def _idle_classes(g: Graph, coloring: Coloring) -> int:
     for v, c in enumerate(coloring.colors):
         classes.setdefault(c, set()).add(v)
     return sum(
-        not any(members <= g.adjacency[w] for w in range(g.vertex_count))
+        not any(members <= g.neighbors(w) for w in range(g.vertex_count))
         for members in classes.values()
     )
 
@@ -771,7 +770,7 @@ def test_td_cuts_are_sound(g: Graph):
     # searches exactly k colors, so k stops at n, where the all-singleton
     # coloring exists
     chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
-    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(g.masks, _Budget(None))[0]
     value_order = with_filled(reference_value_order_td_exact_k)
     for k in range(max(chi, gamma), min(gamma + chi, g.vertex_count) + 1):
         nodes, found = _round_alone(g, k, _solver_round(gamma))
@@ -794,7 +793,7 @@ def test_fatal_admissibility_keeps_every_round(g: Graph):
     # alone, finds the frozen idle copy's coloring (or none), which spends a
     # node on each such child, in exactly that many nodes fewer
     chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
-    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(g.masks, _Budget(None))[0]
     for k in range(max(chi, gamma), g.vertex_count + 1):
         nodes, found = _round_alone(g, k, _solver_round(gamma))
         idle_nodes, idle_found, dead_ends = _idle_round_alone(g, k, gamma)
@@ -828,12 +827,12 @@ def _is_automorphism(g: Graph, image: list[int]) -> bool:
     """Whether ``image`` permutes g's vertices and maps each neighborhood onto its image's."""
     n = g.vertex_count
     return sorted(image) == list(range(n)) and all(
-        {image[w] for w in g.adjacency[v]} == set(g.adjacency[image[v]]) for v in range(n)
+        {image[w] for w in g.neighbors(v)} == set(g.neighbors(image[v])) for v in range(n)
     )
 
 
 def _found_maps(g: Graph) -> list[list[int]]:
-    """The finder's maps for g, each re-checked on g's adjacency sets."""
+    """The finder's maps for g, each re-checked on g's neighbor sets."""
     order, _, nbr_mask = solvers._tables(g)
     maps = _automorphisms(order, nbr_mask)
     assert all(_is_automorphism(g, image) for image in maps)
@@ -903,7 +902,7 @@ def test_symmetry_cut_keeps_every_round(g: Graph):
     # few nodes into one (then the path to the node is replayed)
     maps = _found_maps(g)
     chi = solvers._chromatic_search(*solvers._tables(g), _Budget(None))[0]
-    gamma = solvers._total_dom_search(_neighbor_masks(g), _Budget(None))[0]
+    gamma = solvers._total_dom_search(g.masks, _Budget(None))[0]
     for k in range(max(chi, gamma), g.vertex_count + 1):
         nodes, found = _round_alone(g, k, _solver_round(gamma, maps))
         plain_nodes, plain_found = _round_alone(g, k, _solver_round(gamma))
@@ -984,7 +983,7 @@ def _root_bound_loop(g: Graph) -> int:
     part to cover and its candidates available. On a graph with one part
     this is the least p >= 2 over every vertex, as the search once found it.
     """
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     total = 0
     for need, avail in solvers._covering_parts(nbr_mask):
         gains = [(m & need).bit_count() for u, m in enumerate(nbr_mask) if avail >> u & 1]
@@ -1016,7 +1015,7 @@ def _two_coloring(g: Graph) -> list[int] | None:
     side[0] = 0
     queue = [0]
     for v in queue:
-        for u in g.adjacency[v]:
+        for u in g.neighbors(v):
             if side[u] < 0:
                 side[u] = 1 - side[v]
                 queue.append(u)
@@ -1032,13 +1031,13 @@ def test_covering_parts(g: Graph):
     # members' neighborhoods, and candidate sets are disjoint; two vertices
     # with a common neighbor share a part
     n = g.vertex_count
-    parts = solvers._covering_parts(_neighbor_masks(g))
+    parts = solvers._covering_parts(g.masks)
     part_of = {}
     cands = 0
     for i, (part, cand) in enumerate(parts):
         members = [w for w in range(n) if part >> w & 1]
         part_of.update((w, i) for w in members)
-        assert cand == sum(1 << u for u in set().union(*(g.adjacency[w] for w in members)))
+        assert cand == sum(1 << u for u in set().union(*(g.neighbors(w) for w in members)))
         assert not cand & cands
         cands |= cand
     assert sorted(part_of) == list(range(n))
@@ -1049,7 +1048,7 @@ def test_covering_parts(g: Graph):
         # through common neighbors, and no vertex outside it
         reached = [(part & -part).bit_length() - 1]
         for w in reached:
-            reached += sorted({x for u in g.adjacency[w] for x in g.adjacency[u]} - set(reached))
+            reached += sorted({x for u in g.neighbors(w) for x in g.neighbors(u)} - set(reached))
         assert sum(1 << w for w in reached) == part
     if n > 1 and g.is_connected():
         side = _two_coloring(g)
@@ -1072,7 +1071,7 @@ def _check_split(g: Graph) -> int:
     while a part does not, since its picks draw on all the gains at once, so
     the node order holds only when the whole search spends a node.
     """
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     full = (1 << g.vertex_count) - 1
     whole, split = _Budget(None), _Budget(None)
     value, witness, _ = solvers._cover_search(full, full, nbr_mask, whole)
@@ -1113,7 +1112,7 @@ def test_covering_parts_keep_the_witness_on_sparse_bipartite_graphs():
 def test_part_closed_at_its_root_spends_no_node(g: Graph):
     # a part whose root picks cover it returns them, a cover of the size the
     # root bound proved, with no node spent; the others search from it
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     for need, avail in solvers._covering_parts(nbr_mask):
         budget = _Budget(None)
         size, cover, start = solvers._cover_search(need, avail, nbr_mask, budget)
@@ -1141,7 +1140,7 @@ def test_counting_bound_with_support_vertices_is_sound(g: Graph):
     # each support vertex is a singleton class of every TD-coloring
     res = td_chromatic_oracle(g)
     assert td_chromatic_bounds(g)[0] <= res.value
-    for s in {next(iter(nbrs)) for nbrs in g.adjacency if len(nbrs) == 1}:
+    for s in {next(iter(g.neighbors(v))) for v in range(g.vertex_count) if g.degree(v) == 1}:
         assert res.witness.colors.count(res.witness.colors[s]) == 1
 
 
@@ -1260,7 +1259,7 @@ def _two_colorable(g: Graph) -> bool:
             side[root], stack = 0, [root]
             while stack:
                 v = stack.pop()
-                for u in g.adjacency[v]:
+                for u in g.neighbors(v):
                     if side[u] < 0:
                         side[u] = 1 - side[v]
                         stack.append(u)
@@ -1331,7 +1330,7 @@ def test_can_cover_is_sound_and_no_weaker(g: Graph, data: st.DataObject):
     need = data.draw(st.integers(1, full))
     avail = data.draw(st.integers(0, full))
     picks = data.draw(st.integers(0, n))
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     max_deg = max(m.bit_count() for m in nbr_mask)
     verdict = _can_cover(need, picks, avail, nbr_mask, max_deg)
     if verdict:

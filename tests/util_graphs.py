@@ -20,7 +20,6 @@ from tdcolor.solvers import (
     _Budget,
     _can_cover,
     _in_exactly_one,
-    _neighbor_masks,
 )
 
 
@@ -142,10 +141,11 @@ def planted_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
 def brute_force_gamma_t(g: Graph) -> int | None:
     """Minimum total dominating set size by plain subset enumeration."""
     n = g.vertex_count
+    nbrs = [g.neighbors(v) for v in range(n)]
     for size in range(1, n + 1):
         for comb in itertools.combinations(range(n), size):
             members = set(comb)
-            if all(g.adjacency[v] & members for v in range(n)):
+            if all(a & members for a in nbrs):
                 return size
     return None
 
@@ -180,7 +180,7 @@ def reference_td_oracle(g: Graph, cap: int = 10) -> SolveResult:
         raise ValueError(f"graph has {n} vertices; oracle cap is {cap}")
 
     started = time.perf_counter()
-    nbr_mask = [sum(1 << u for u in g.adjacency[v]) for v in range(n)]
+    nbr_mask = g.masks
     assign = [0] * n
     blocks: list[int] = []
     best_k = n + 1
@@ -224,7 +224,7 @@ def reference_proper_exact_k(g: Graph, k: int, order: list[int], budget: _Budget
     saturation-ordered search is compared against.
     """
     n = g.vertex_count
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in range(n)]
     color_of = [0] * n
     result: list[int] | None = None
 
@@ -261,7 +261,7 @@ def reference_dsatur_proper_exact_k(
     forced-color propagation is compared against.
     """
     n = g.vertex_count
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in range(n)]
     color_of = [0] * n
     nbr_colors = [0] * n  # colors present in N(v), uncolored v only
     result: list[int] | None = None
@@ -303,7 +303,7 @@ def reference_chromatic_search(g: Graph, budget: _Budget) -> tuple[int, list[int
     if n == 0:
         return 0, [], 0, 0
     order = _branch_order(g)
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in range(n)]
 
     greedy = [0] * n
     for v in order:
@@ -334,14 +334,14 @@ def reference_total_dom_search(g: Graph, budget: _Budget) -> tuple[int, tuple[in
     the reference that the undominated-vertex branching is compared against.
     """
     n = g.vertex_count
-    nbr_mask = _neighbor_masks(g)
+    nbr_mask = g.masks
     full = (1 << n) - 1
     # suffix[i]: union of neighborhoods coverable by vertices i..n-1
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] | nbr_mask[i]
 
-    max_deg = max(len(a) for a in g.adjacency)
+    max_deg = max(m.bit_count() for m in g.masks)
     lower = max(2, -(-n // max_deg))
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
@@ -382,7 +382,7 @@ def reference_order_clique_chromatic_search(
     if n == 0:
         return 0, [], 0, 0
     order = _branch_order(g)
-    adj = g.adjacency
+    adj = [g.neighbors(v) for v in range(n)]
 
     greedy = [0] * n
     for v in order:
@@ -416,10 +416,10 @@ def reference_degree_bound_dom_search(
     reference that the packing-bound search's value is compared against.
     """
     n = g.vertex_count
-    nbr_mask = _neighbor_masks(g)
-    nbr_list = [sorted(a) for a in g.adjacency]
+    nbr_mask = g.masks
+    nbr_list = [sorted(g.neighbors(v)) for v in range(n)]
     full = (1 << n) - 1
-    max_deg = max(len(a) for a in g.adjacency)
+    max_deg = max(m.bit_count() for m in g.masks)
     lower = max(2, -(-n // max_deg))
     chosen: list[int] = []
     witness: tuple[int, ...] = ()
@@ -495,10 +495,10 @@ def reference_gain_sum_dom_search(
     against.
     """
     n = g.vertex_count
-    nbr_mask = _neighbor_masks(g)
-    nbr_list = [sorted(a) for a in g.adjacency]
+    nbr_mask = g.masks
+    nbr_list = [sorted(g.neighbors(v)) for v in range(n)]
     full = (1 << n) - 1
-    degrees = [len(a) for a in g.adjacency]
+    degrees = [g.degree(v) for v in range(n)]
     max_deg = max(degrees)
     # the root case of the packing bound below
     lower = next(
@@ -1040,7 +1040,7 @@ def with_neighbor_lists(td_exact_k):
 
     def adapted(g, k, order, nbr_mask, budget):
         n = g.vertex_count
-        nbr_list = [sorted(g.adjacency[v]) for v in range(n)]
+        nbr_list = [sorted(g.neighbors(v)) for v in range(n)]
         non_nbr_list = [
             [w for w in range(n) if not (nbr_mask[v] >> w) & 1] for v in range(n)
         ]
@@ -1060,7 +1060,7 @@ def with_filled(td_exact_k):
         depth_of = {v: d for d, v in enumerate(order)}
         filled = [0] * g.vertex_count
         for w in range(g.vertex_count):
-            filled[max(depth_of[u] for u in g.adjacency[w])] |= 1 << w
+            filled[max(depth_of[u] for u in g.neighbors(w))] |= 1 << w
         for d in range(1, g.vertex_count):
             filled[d] |= filled[d - 1]
         return td_exact_k(g, k, order, nbr_mask, filled, budget)

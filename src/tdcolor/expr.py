@@ -7,6 +7,8 @@ Grammar (heads case-insensitive, whitespace insignificant)::
     op   := corona(expr,expr) | join(expr,expr) | cart(expr,expr)
 
 ``F(n)`` is shorthand for ``D(3,n)``. Syntax errors carry a 0-based offset.
+Operators nest at most 100 deep, since building and printing an expression
+recurse once per level.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from . import families
 from .families import FAMILIES, FamilySpec
 
 __all__ = ["ExprSyntaxError", "parse_expr", "pretty"]
+
+_MAX_DEPTH = 100  # operators nested in one another
 
 
 class ExprSyntaxError(ValueError):
@@ -68,8 +72,10 @@ class _Parser:
             raise ExprSyntaxError("expected a family or operator name", start)
         return self.text[start : self.pos].lower(), start
 
-    def parse(self) -> FamilySpec:
+    def parse(self, depth: int = 0) -> FamilySpec:
         name, start = self.parse_name()
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"operators nested more than {_MAX_DEPTH} deep", start)
         if name not in _SYNTAX:
             raise ExprSyntaxError(f"unknown name {name!r}", start)
         make, int_fields = _SYNTAX[name]
@@ -78,7 +84,7 @@ class _Parser:
         for i, is_int in enumerate(int_fields):
             if i:
                 self.expect(",")
-            args.append(self.parse_int() if is_int else self.parse())
+            args.append(self.parse_int() if is_int else self.parse(depth + 1))
         self.expect(")")
         return make(*args)
 

@@ -97,7 +97,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coloring import Coloring, _first_appearance, is_proper, is_td_coloring
-from .graph import Graph
+from .graph import Graph, _bits
 
 __all__ = [
     "SOLVER_VERSION",
@@ -294,14 +294,7 @@ def _automorphisms(order: list[int], nbr_mask: Sequence[int]) -> list[list[int]]
     """
     n = len(nbr_mask)
     cap = _FINDER_STEPS * n
-    nbrs = []
-    for m in nbr_mask:
-        ws = []
-        while m:
-            low = m & -m
-            ws.append(low.bit_length() - 1)
-            m ^= low
-        nbrs.append(ws)
+    nbrs = [list(_bits(m)) for m in nbr_mask]
     cell = [len(ws) for ws in nbrs]
     cells = len(set(cell))
     steps, per_round = n, n + sum(cell)
@@ -359,6 +352,16 @@ def _automorphisms(order: list[int], nbr_mask: Sequence[int]) -> list[list[int]]
     return maps
 
 
+def _union(verts: int, nbr_mask: Sequence[int]) -> int:
+    """The union of N(v) over the vertices v of ``verts``."""
+    out = 0
+    while verts:
+        low = verts & -verts
+        out |= nbr_mask[low.bit_length() - 1]
+        verts ^= low
+    return out
+
+
 def _in_exactly_one(masks: Iterable[int]) -> int:
     """The vertices that lie in exactly one of ``masks``."""
     once = twice = 0
@@ -378,20 +381,26 @@ def _propagate(blocked: list[int], k: int, free: int, nbr: list[int]) -> bool:
     ``blocked[c]`` holds the vertices with a neighbor colored c. A vertex of
     ``free`` with every color but c blocked must take c, which blocks c for
     its neighbors; this repeats on a copy of ``blocked`` until nothing is
-    forced. Two adjacent vertices forced to the same color, or a vertex with
-    every color blocked, end it with False. The prefix ANDs over ``blocked``
-    give the vertices with no color left, and a prefix AND with a suffix AND
-    the ones whose only color left is c.
+    forced. Two adjacent vertices forced to the same color end it with
+    False. A prefix AND over ``blocked`` with a suffix AND gives the
+    vertices whose only color left is c.
+
+    No vertex of ``free`` is left with every color blocked, so that needs no
+    test of its own. It holds at the first pass: the caller runs this after
+    a free placement, at a level below k - 1, so every vertex has at most
+    k - 1 colors blocked. A pass visits the colors from k down, and
+    ``blocked[c]`` grows only at step c. A vertex w that loses its last
+    color c0 loses it at step c0. At that step w's colors above c0 are
+    already blocked (the suffix AND reads this pass's blocks) and those
+    below were blocked at the start of the pass (the prefix AND reads
+    those), so w is itself forced to c0, in the same step as the neighbor
+    that blocks c0, and the adjacent-forced test returns False.
     """
     blocked = blocked[:]
-    prefix = [0] * (k + 1)
+    prefix = [-1] * k
     while True:
-        acc = prefix[0] = -1
-        for c in range(1, k + 1):
-            acc &= blocked[c]
-            prefix[c] = acc
-        if acc & free:
-            return False
+        for c in range(1, k):
+            prefix[c] = prefix[c - 1] & blocked[c]
         forced_any = False
         suffix = -1
         for c in range(k, 0, -1):
@@ -399,11 +408,7 @@ def _propagate(blocked: list[int], k: int, free: int, nbr: list[int]) -> bool:
             if forced:
                 forced_any = True
                 free ^= forced
-                reach, rest = 0, forced
-                while rest:
-                    low = rest & -rest
-                    reach |= nbr[low.bit_length() - 1]
-                    rest ^= low
+                reach = _union(forced, nbr)
                 if reach & forced:
                     return False
                 blocked[c] |= reach
@@ -624,16 +629,6 @@ def is_total_dominating_set(g: Graph, s: Iterable[int]) -> bool:
     return all(m & bits for m in g.masks)
 
 
-def _union(verts: int, nbr_mask: Sequence[int]) -> int:
-    """The union of N(v) over the vertices v of ``verts``."""
-    out = 0
-    while verts:
-        low = verts & -verts
-        out |= nbr_mask[low.bit_length() - 1]
-        verts ^= low
-    return out
-
-
 def _covering_parts(nbr_mask: Sequence[int]) -> list[tuple[int, int]]:
     """The independent parts of total domination, as ``(part, candidates)`` bitmasks.
 
@@ -808,8 +803,6 @@ def total_domination_number(g: Graph, opts: SolveOptions | None = None) -> Solve
     least number of picks that pass that part's covering test.
     """
     budget = _Budget(opts)
-    if g.vertex_count == 0:
-        return SolveResult(0, (), 0, budget.elapsed(), 0, 0)
     if g.has_isolated_vertex():
         raise ValueError("total domination undefined: graph has an isolated vertex")
     value, witness, lb, ub = _total_dom_search(g.masks, budget)
@@ -959,11 +952,8 @@ def _td_exact_k(
         uncolored[d] = uncolored[d + 1] | 1 << order[d + 1]
     last = [0] * n
     for d, v in enumerate(order):
-        ws = nbr_mask[v]
-        while ws:
-            low = ws & -ws
-            last[low.bit_length() - 1] = d
-            ws ^= low
+        for w in _bits(nbr_mask[v]):
+            last[w] = d
     closed = [0] * n
     for w, d in enumerate(last):
         closed[d] |= 1 << w
@@ -1058,12 +1048,7 @@ def _td_exact_k(
         for c in range(1, used + 1):
             free = rest & ~reach[c]
             if idle == cap and dom[c]:  # u must leave c dominating someone
-                keeps, ws = 0, dom[c]
-                while ws:
-                    low = ws & -ws
-                    keeps |= nbr_mask[low.bit_length() - 1]
-                    ws ^= low
-                free &= keeps
+                free &= _union(dom[c], nbr_mask)
             ws = dom[c] & fatal
             while ws and free:
                 low = ws & -ws
@@ -1191,10 +1176,8 @@ def _merge_classes(colors: list[int], nbr_mask: Sequence[int], budget: _Budget) 
 
     merged = [0] * n
     for c, cls in enumerate(classes, 1):
-        while cls:
-            low = cls & -cls
-            merged[low.bit_length() - 1] = c
-            cls ^= low
+        for v in _bits(cls):
+            merged[v] = c
     return merged
 
 
@@ -1307,12 +1290,7 @@ def _counting_bound(lower: int, gamma: int, nbr_mask: Sequence[int]) -> int:
     n = len(nbr_mask)
     c2 = a3 = c3 = 0
     for u, nu in enumerate(nbr_mask):
-        two, ws = 0, nu
-        while ws:
-            low = ws & -ws
-            two |= nbr_mask[low.bit_length() - 1]
-            ws ^= low
-        vs = two & ~nu & -(2 << u)  # the non-neighbors v > u that share a neighbor
+        vs = _union(nu, nbr_mask) & ~nu & -(2 << u)  # the non-neighbors v > u that share a neighbor
         while vs:
             low = vs & -vs
             common = (nu & nbr_mask[low.bit_length() - 1]).bit_count()

@@ -8,9 +8,9 @@ chromatic search, the total-domination search, the merge and each round
 below the merged incumbent as ``kS`` (it found a coloring) or ``kU`` (it
 found none), and the whole solve's. The total-domination cell also gives
 each covering part's least cover and the nodes its search spent, as
-``value in nodes``, one term per part. The phases are timed by wrapping the
-``solvers`` functions that run them, so the seconds include the wrappers'
-small cost. ``--json`` prints one JSON object per instance instead of the
+``value in nodes``, one term per part. The phases are recorded by
+``util_graphs.record_phases``, so the seconds include its wrappers' small
+cost. ``--json`` prints one JSON object per instance instead of the
 table's rows. pytest does not collect this file.
 """
 
@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import json
 import sys
-import time
-from unittest import mock
 
-from tdcolor import families, solvers
+from tdcolor import families
 from tdcolor.expr import parse_expr
 
-PHASES = {"chi": "_chromatic_search", "gamma_t": "_total_dom_search", "merge": "_merge_classes"}
+from util_graphs import record_phases
 
 
 def profile(text: str) -> dict:
@@ -33,39 +31,19 @@ def profile(text: str) -> dict:
     ``gamma_t_parts`` holds each covering part's [value, nodes].
     """
     g = families.realize(parse_expr(text))
+    res, seconds, calls = record_phases(g)
     row: dict = {"instance": text, "n": g.vertex_count, "rounds": [], "gamma_t_parts": []}
-
-    def timed(name: str, fn):
-        def wrapper(*args):
-            budget = args[-1] if name != "round" else args[4]
-            before, started = budget.nodes, time.perf_counter()
-            out = fn(*args)
-            cost = [budget.nodes - before, round(time.perf_counter() - started, 3)]
-            if name == "round":
-                row["rounds"].append([args[0], "U" if out is None else "S", *cost])
-            elif name == "part":
-                row["gamma_t_parts"].append([out[0], cost[0]])
-            else:
-                row[name] = cost
-                if name == "gamma_t":
-                    row["gamma_t_value"] = out[0]
-            return out
-
-        return wrapper
-
-    patches = [mock.patch.object(solvers, attr, timed(name, getattr(solvers, attr)))
-               for name, attr in PHASES.items()]
-    patches.append(mock.patch.object(solvers, "_td_exact_k", timed("round", solvers._td_exact_k)))
-    patches.append(mock.patch.object(solvers, "_cover_search", timed("part", solvers._cover_search)))
-    for patch in patches:
-        patch.start()
-    try:
-        started = time.perf_counter()
-        res = solvers.td_chromatic_number(g)
-        row["total"] = [res.nodes_explored, round(time.perf_counter() - started, 3)]
-    finally:
-        for patch in patches:
-            patch.stop()
+    for call in calls:
+        cost = [call.nodes, round(call.seconds, 3)]
+        if call.phase == "round":
+            row["rounds"].append([call.args["k"], "U" if call.out is None else "S", *cost])
+        elif call.phase == "part":
+            row["gamma_t_parts"].append([call.out[0], call.nodes])
+        else:
+            row[call.phase] = cost
+            if call.phase == "gamma_t":
+                row["gamma_t_value"] = call.out[0]
+    row["total"] = [res.nodes_explored, round(seconds, 3)]
     row["td"] = res.value
     return row
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -15,6 +16,7 @@ from tdcolor import (
     parse_expr,
     realize,
 )
+from tdcolor import solvers
 from tdcolor.cli import main
 
 
@@ -41,6 +43,12 @@ class TestBuild:
         code, _, err = run(capsys, "build", "P(")
         assert code == 1
         assert "offset" in err
+
+    def test_deep_nesting_exit_one(self, capsys):
+        # a syntax error, not a recursion error while the graph is built
+        code, out, err = run(capsys, "build", "cart(" * 500 + "K(1)" + ",K(1))" * 500)
+        assert (code, out) == (1, "")
+        assert err == "error: operators nested more than 100 deep at offset 505\n"
 
 
 class TestSolve:
@@ -114,18 +122,16 @@ class TestSolve:
     )
     def test_search_past_recursion_limit_exit_four(self, capsys, argv):
         # the searches recurse once per vertex or pick; no traceback, no
-        # answer. C(1501) took this path until forced-color propagation cut
-        # its chromatic round after one node, and P(2100) and P(3000)
-        # --what totaldom until the total-domination search ran once per
-        # covering part, each half as deep; an odd cycle has one part
+        # answer. An odd cycle has one covering part, so its total-domination
+        # search is as deep as its cover
         code, out, err = run(capsys, "solve", *argv)
         assert code == 4
         assert out == ""
         assert err == "error: search too deep for the recursion limit; no answer\n"
 
     def test_path_once_past_recursion_limit_answers(self, capsys):
-        # exit 4 until the total-domination search ran once per covering
-        # part: a path's two parts each need 525 picks, not 1,050 in one
+        # a path's two covering parts each need 525 picks, so each search
+        # stays within the recursion limit
         code, out, err = run(capsys, "solve", "P(2100)")
         assert code == 0
         assert out.startswith("value 1052\n")
@@ -167,12 +173,7 @@ class TestFormula:
         assert "value 5" in out
 
     def test_join_factor_budget_exhausted_exit_four(self, capsys):
-        # G(3,20) takes 6,195 nodes, more than the budget (6,231 before the
-        # total-domination search ran once per covering part, and 7,617
-        # before the lex-leader cut). T(20) served here
-        # until testing the idle-class cap before a node is spent solved it
-        # in 3,350 nodes, and T(30) (19,326 nodes) until the counting bound
-        # ruled out its UNSAT round and it solved in 811
+        # G(3,20) takes 6,195 nodes, more than the budget
         code, out, err = run(capsys, "formula", "join(G(3,20),K(3))", "--budget", "5000")
         assert code == 4
         assert out == ""
@@ -203,9 +204,7 @@ class TestBounds:
         assert "error: node_budget must be positive" in err
 
     def test_budget_exhausted_exit_four(self, capsys):
-        # one budget for both searches; T(36) needs more (3,706 nodes).
-        # G(10,10) served here until the total-domination search ran once
-        # per covering part and it took 219 nodes, not 24,441
+        # one budget for both searches; T(36) needs more (3,706 nodes)
         code, out, err = run(capsys, "bounds", "T(36)", "--budget", "1000")
         assert code == 4
         assert out == ""
@@ -220,9 +219,7 @@ class TestBounds:
 
     def test_one_budget_for_both_searches(self, capsys):
         # join(C(5),E(2)) spends 2 nodes on chi and 2 on gamma_t, 4 in all, so
-        # a budget that covers chi alone runs out in gamma_t. C(11) served
-        # here (1 node on chi, 6 on gamma_t; budgets 4 and 6 exited 4 and 7
-        # answered) until the odd-cycle bound closed its chi phase at 0 nodes
+        # a budget that covers chi alone runs out in gamma_t
         for budget in ("1", "3"):
             code, out, err = run(capsys, "bounds", "join(C(5),E(2))", "--budget", budget)
             assert (code, out) == (4, "")
@@ -268,14 +265,7 @@ class TestVerify:
 
     def test_budget_cut_join_formula_sequence(self, capsys, tmp_path):
         # within 5000 nodes the solver finishes the join (3 nodes), but the
-        # formula's solve of its factor G(3,20) (6,195 nodes; 6,231 before
-        # the total-domination search ran once per covering part, and 7,617
-        # before the lex-leader cut) does not; T(16)
-        # served here until the new-color-first order solved it in 2,614
-        # nodes, T(20) until testing the idle-class cap before a node is
-        # spent solved it in 3,350, and T(30) (row "join(T(30),K(3)) 64 25
-        # 6") until the counting bound ruled out its UNSAT round and it
-        # solved in 811
+        # formula's solve of its factor G(3,20) (6,195 nodes) does not
         cut = tmp_path / "cut.json"
         cut.write_text(
             json.dumps({"instances": ["join(G(3,20),K(3))"], "node_budget": 5000}),
@@ -390,6 +380,28 @@ class TestVerify:
         # so the next run warns no more and replays both rows as they were
         code, again, err = run(capsys, *argv)
         assert (code, err, again) == (0, "", out)
+
+    def test_oracle_disagreement_exit_two(self, capsys, tmp_path, monkeypatch):
+        real = solvers.td_chromatic_oracle
+
+        def wrong_oracle(g, cap=10, opts=None):
+            res = real(g, cap=cap, opts=opts)
+            return dataclasses.replace(res, value=res.value + 1, upper_bound_used=res.value + 1)
+
+        monkeypatch.setattr(solvers, "td_chromatic_oracle", wrong_oracle)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": ["P(4)"]}), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--suite", str(suite))
+        assert (code, out) == (2, "")
+        assert err == "internal inconsistency: P(4): solver found 3, oracle found 4\n"
+
+    def test_deep_suite_instance_exit_one(self, capsys, tmp_path):
+        deep = "join(" * 600 + "K(1)" + ",K(1))" * 600
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": [deep]}), encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--suite", str(suite))
+        assert (code, out) == (1, "")
+        assert err == "error: operators nested more than 100 deep at offset 505\n"
 
     def test_unreadable_suite_exit_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--suite", str(tmp_path / "missing.json"))

@@ -87,6 +87,23 @@ class TestErrors:
         assert err.value.offset == offset
 
 
+@pytest.mark.parametrize("op,order", [("cart", 1), ("join", 101)])
+def test_nesting_capped_at_100_operators(op, order):
+    # building and printing recurse once per level; past the cap the parser
+    # stops at the first operand too deep
+    def nested(depth: int) -> str:
+        return f"{op}(" * depth + "K(1)" + ",K(1))" * depth
+
+    spec = parse_expr(nested(100))
+    assert parse_expr(pretty(spec)) == spec
+    assert fam.realize(spec).vertex_count == order
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(nested(101))
+    offset = 101 * len(f"{op}(")
+    assert str(err.value) == f"operators nested more than 100 deep at offset {offset}"
+    assert err.value.offset == offset
+
+
 def test_pretty_rejects_non_spec():
     with pytest.raises(TypeError, match="not a family spec"):
         pretty(3)

@@ -148,9 +148,8 @@ class TestVerifyInstance:
         [
             ("P(7)", None, 10, ("path", 5)),
             ("G(4,5)", 5_000, 20, ("grid", 11)),
-            # G(3,20) runs out of the budget as a join factor (T(20) solves
-            # in it, and T(30) in 811 nodes since the counting bound), so the
-            # form is cut off
+            # G(3,20) runs out of the budget as a join factor, so the form
+            # is cut off
             ("join(G(3,20),K(3))", 5_000, 10, ("join", None)),
         ],
     )
@@ -393,6 +392,51 @@ class TestSuite:
         assert report.records == cold.records  # the valid row replayed
         assert path.read_bytes() == good
 
+    def test_other_record_schema_version_skipped(self, tmp_path, monkeypatch):
+        config = SuiteConfig(instances=("P(4)",), cache_dir=str(tmp_path))
+        cold = run_suite(config)
+        path = tmp_path / "records.jsonl"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert entry["record"]["schema_version"] == 1
+        entry["record"]["schema_version"] = 2
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        solved: list[int] = []
+        td_chromatic_number = solvers.td_chromatic_number
+
+        def counting(g, opts=None):
+            solved.append(g.vertex_count)
+            return td_chromatic_number(g, opts)
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", counting)
+        report = run_suite(config)
+        assert (report.skipped_cache_lines, report.rejected_cache_records) == (1, 0)
+        assert solved == [4]
+        assert [dataclasses.replace(r, elapsed=0) for r in report.records] == [
+            dataclasses.replace(r, elapsed=0) for r in cold.records
+        ]
+        # the line is dropped and the fresh record written in its place
+        (line,) = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["record"]["schema_version"] == 1
+        assert run_suite(config).skipped_cache_lines == 0
+        assert solved == [4]
+
+    def test_blank_cache_lines_not_counted(self, tmp_path, monkeypatch):
+        config = SuiteConfig(instances=("P(4)", "C(6)"), cache_dir=str(tmp_path))
+        cold = run_suite(config)
+        path = tmp_path / "records.jsonl"
+        p4, c6 = path.read_text(encoding="utf-8").splitlines()
+        spaced = f"\n{p4}\n\n\n{c6}\n\n"
+        path.write_text(spaced, encoding="utf-8")
+
+        def boom(*args, **kwargs):
+            raise AssertionError("solver called on a warm cache")
+
+        monkeypatch.setattr(solvers, "td_chromatic_number", boom)
+        report = run_suite(config)
+        assert (report.skipped_cache_lines, report.rejected_cache_records) == (0, 0)
+        assert report.records == cold.records
+        assert path.read_text(encoding="utf-8") == spaced  # nothing to drop, so not rewritten
+
     def test_budget_cut_factor_solved_once(self, tmp_path, monkeypatch):
         solved: list[int] = []
         td_chromatic_number = solvers.td_chromatic_number
@@ -405,14 +449,8 @@ class TestSuite:
         texts = ("join(G(3,20),K(3))", "join(G(3,20),P(3))", "join(G(3,20),C(5))")
         config = SuiteConfig(instances=texts, node_budget=5000, cache_dir=str(tmp_path))
         report = run_suite(config)
-        # G(3,20) (60 vertices, 6,195 nodes; 6,231 before the total-domination
-        # search ran once per covering part, 7,617 before the lex-leader cut)
-        # runs out of budget once; the
-        # three joins (3-8 nodes each) reuse that outcome. T(16) served here
-        # until the new-color-first order solved it in 2,614 nodes, T(20)
-        # until testing the idle-class cap before a node is spent solved it in
-        # 3,350, and T(30) (solved [61, 64, 64, 66]) until the counting bound
-        # solved it in 811
+        # G(3,20) (60 vertices, 6,195 nodes) runs out of budget once; the
+        # three joins (3-8 nodes each) reuse that outcome
         assert solved == [60, 63, 63, 65]
         assert [(r.theorem_tag, r.formula_value) for r in report.records] == [("join", None)] * 3
         assert report.exit_code == EXIT_BUDGET

@@ -31,6 +31,7 @@ from tdcolor.solvers import (
     total_domination_number,
 )
 
+import reach_table
 from util_graphs import (
     BOUNDS_TOTALDOM,
     FRONTIER,
@@ -92,6 +93,11 @@ class TestChromaticNumber:
             g = random_connected_graph(rng, lo=2, hi=6)
             assert chromatic_number(g).value == brute_force_chromatic(g)
 
+    def test_empty_graph_result(self):
+        res = chromatic_number(fam.empty_graph(0))
+        assert (res.value, res.witness, res.nodes_explored) == (0, Coloring(()), 0)
+        assert (res.lower_bound_used, res.upper_bound_used) == (0, 0)
+
 
 def _rounds_against_reference(g: Graph, ks) -> tuple[int, int]:
     """Run each chromatic round k of ``ks`` live and frozen; nodes of each side.
@@ -121,11 +127,9 @@ class TestForcedColorPropagation:
     def test_planted_graphs(self):
         # the benchmark's planted graphs (n = 28, k = 6, p = 0.5), 60 of them
         # from seed 0: every round from the clique bound up to the greedy
-        # coloring in branch order (the search's upper bound before the
-        # DSATUR greedy joined it) finds the frozen copy's coloring, or none
+        # coloring in branch order finds the frozen copy's coloring, or none
         # as it does, in no more nodes. The search itself skips the rounds
-        # the DSATUR greedy closes and spends 1,249 nodes; without that
-        # greedy it spent the 1,837 of the live rounds below
+        # the DSATUR greedy closes
         rng = random.Random(0)
         live = ref = searched = 0
         for _ in range(60):
@@ -141,24 +145,20 @@ class TestForcedColorPropagation:
 
     def test_odd_cycle_in_one_node(self):
         # the 2-coloring is forced around the cycle, so the k = 2 round fails
-        # after its first placement; it used to visit every vertex
+        # after its first placement
         g = fam.cycle_graph(1501)
         budget = _Budget(None)
         assert solvers._proper_exact_k(solvers._tables(g)[1], 2, budget) is None
         assert budget.nodes == 1
-        # the DSATUR greedy's 3 colors certify an odd cycle, so the search now
-        # runs no round at all (it spent the k = 2 round's 1 node before)
+        # the DSATUR greedy's 3 colors certify an odd cycle, so the search
+        # runs no round at all
         res = chromatic_number(g)
         assert (res.value, res.nodes_explored, res.lower_bound_used) == (3, 0, 3)
         assert is_proper(g, res.witness) and res.witness.num_colors == 3
 
     def test_td_of_a_long_odd_cycle(self):
-        # past the recursion limit before the propagation cut: the chromatic
-        # round recursed once per vertex. The total-domination search took
-        # 1,659 nodes in all branching on the lowest-index undominated vertex,
-        # 911 with the idle-class cap tested after a node was spent, and 887
-        # with reuses that leave a vertex no possible dominator spent; 815
-        # before the odd-cycle bound skipped the chromatic k = 2 round
+        # a chromatic round that recursed once per vertex would pass the
+        # recursion limit; the odd-cycle bound runs none
         g = fam.cycle_graph(1501)
         res = td_chromatic_number(g)
         assert (res.value, res.nodes_explored) == (753, 814)
@@ -205,6 +205,12 @@ class TestTotalDominationNumber:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(ValueError, match="isolated"):
             total_domination_number(fam.empty_graph(2))
+
+    def test_empty_graph_result(self):
+        # no covering part, so the empty set with no node spent
+        res = total_domination_number(fam.empty_graph(0))
+        assert (res.value, res.witness, res.nodes_explored) == (0, (), 0)
+        assert (res.lower_bound_used, res.upper_bound_used) == (0, 0)
 
     def test_matches_brute_force(self):
         rng = random.Random(11)
@@ -476,14 +482,10 @@ class TestOracle:
 class TestSearchNodeTotals:
     """Node totals of the three searches, each instance solved alone.
 
-    Totals, not rows: a single small graph may take a node or two more than
-    under the static-order searches (corona(C(5),K(1)): 33 -> 35 total
-    domination nodes). Without automorphisms, a k-loop round that finds no
-    coloring visits the same nodes in any color order, so the
-    new-color-first order left those rounds unchanged; the round that finds a coloring may grow on a single
-    instance (join(C(5),C(5)): 10 -> 28 nodes) while the total falls. The
-    merges and the rounds below the incumbent may cost a node or two more
-    than the upward k-loop on a small instance (P(6): 13 -> 14 nodes).
+    Totals, not rows: a change that shrinks the trees in all may still cost
+    a single small graph a node or two more, or grow the round that finds a
+    coloring on one instance. Each total is exact, so any change to a
+    search's tree shows here.
     """
 
     def test_default_suite(self):
@@ -495,47 +497,18 @@ class TestSearchNodeTotals:
             chi += c
             dom += d
             rest += td_chromatic_number(g).nodes_explored - c - d
-        # the static-order searches took 157 chromatic and 5,080 domination
-        # nodes; the k-loop took 27,190 without the domination-capacity bound;
-        # without the clique-per-vertex and packing bounds, 100 and 956; with
-        # the sum-of-gains covering test in place of the open-packing one,
-        # 553 domination and 3,170 k-loop nodes; with colors tried in
-        # ascending order, 2,875 k-loop nodes; the upward k-loop from
-        # max(chi, gamma_t), before the merged incumbent, 1,777; without the
-        # idle-class cap and the placement check, 1,076; without forced-color
-        # propagation in the chromatic rounds, 86 chromatic nodes; branching
-        # on the lowest-index undominated vertex, 352 domination nodes, and
-        # 770 merge and k-loop nodes from the incumbents its witnesses gave;
-        # with the idle-class cap tested after a node was spent, 748; with
-        # reuses that leave a vertex no possible dominator spent, 635; with
-        # rounds down to max(chi, gamma_t) before the counting bound, 523;
-        # without the lex-leader cut from automorphisms, 404; with the
-        # total-domination search run over the whole graph rather than once
-        # per covering part, 276 domination nodes; with each part searched
-        # even when its root picks already cover it, 267 domination and 351
-        # merge and k-loop nodes, P(10) taking 7 rather than 12 (its new set
-        # merges into an incumbent one class worse, so a round runs); without
-        # the support vertices as singleton classes in the counting bound,
-        # 388 merge and k-loop nodes; without the DSATUR greedy and odd-cycle
-        # bounds, 30 chromatic nodes
+        # rest: the merge and the rounds below the incumbent
         assert (chi, dom, rest) == (24, 70, 358)
 
     def test_bounds_total_domination(self):
-        # the benchmark's sparse family members; 3,834,246 nodes by subset order,
-        # 51,575 with only the picks-left-times-max-degree prune, 1,768 with
-        # the sum-of-gains covering test in place of the open-packing one and
-        # 197 branching on the lowest-index undominated vertex, 85 searching
-        # the whole graph rather than once per covering part (L(14): 15 -> 12)
-        # and 82 searching a part whose root picks already cover it (C(32):
-        # 16 -> 8, O(10): 11 -> 0)
+        # the benchmark's sparse family members
         results = [total_domination_number(fam.realize(parse_expr(t))) for t in BOUNDS_TOTALDOM]
         assert [r.value for r in results] == [16, 16, 10, 11, 15, 10]
         assert sum(r.nodes_explored for r in results) == 63
 
     def test_bounds_chromatic(self):
         # the benchmark's planted graphs, the 60 that TestForcedColorPropagation
-        # builds from seed 0; 1,837 nodes with the greedy coloring in branch
-        # order as the only upper bound and no odd-cycle bound
+        # builds from seed 0
         rng = random.Random(0)
         results = [chromatic_number(planted_graph(rng, 28, 6, 0.5)) for _ in range(60)]
         assert {r.value for r in results} == {6}
@@ -1399,3 +1372,15 @@ def test_values_invariant_under_vertex_relabeling(g: Graph, rng: random.Random):
     assert is_td_coloring(h, td.witness) and td.witness.num_colors == td.value
     assert is_proper(h, chi.witness) and chi.witness.num_colors == chi.value
     assert is_total_dominating_set(h, dom.witness) and len(set(dom.witness)) == dom.value
+
+
+def test_reach_table_phases_add_up(capsys):
+    # pytest does not collect tests/reach_table.py, so this keeps it running
+    row = reach_table.profile("G(4,4)")
+    rounds = sum(nodes for _, _, nodes, _ in row["rounds"])
+    assert row["chi"][0] + row["gamma_t"][0] + row["merge"][0] + rounds == row["total"][0]
+    assert sum(nodes for _, nodes in row["gamma_t_parts"]) == row["gamma_t"][0]
+    assert sum(value for value, _ in row["gamma_t_parts"]) == row["gamma_t_value"]
+    assert (row["td"], row["rounds"][0][:3]) == (8, [7, "U", 8])
+    reach_table.main(["G(4,4)"])
+    assert capsys.readouterr().out.splitlines()[2].startswith("| `G(4,4)` | 16 | 8 | 6 |")

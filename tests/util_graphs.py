@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import itertools
 import random
 import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -56,30 +58,66 @@ RANDOM_ROUNDS_SEEDS = range(60)
 RANDOM_ROUNDS_PATH = Path(__file__).parent / "data" / "random_rounds.json"
 
 
+# the phases of a TD solve, by the solvers function that runs each one
+PHASES = {
+    "chi": "_chromatic_search",
+    "gamma_t": "_total_dom_search",
+    "part": "_cover_search",
+    "merge": "_merge_classes",
+    "round": "_td_exact_k",
+}
+
+
+class PhaseCall(NamedTuple):
+    """One call of a phase function: its arguments by name, result, nodes and seconds."""
+
+    phase: str
+    args: dict
+    out: object
+    nodes: int
+    seconds: float
+
+
+def record_phases(g: Graph) -> tuple[SolveResult, float, list[PhaseCall]]:
+    """Solve g with ``td_chromatic_number``; its seconds and each phase call, in call order.
+
+    Each function of ``PHASES`` is wrapped for the solve and charged the
+    nodes its ``budget`` argument counts during the call. A covering part
+    (``part``) runs inside the total-domination search (``gamma_t``), so
+    both are charged its nodes. The seconds include the wrappers' small cost.
+    """
+    calls: list[PhaseCall] = []
+
+    def recorded(phase: str, fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args):
+            bound = signature.bind(*args).arguments
+            budget = bound["budget"]
+            before, started = budget.nodes, time.perf_counter()
+            out = fn(*args)
+            seconds = time.perf_counter() - started
+            calls.append(PhaseCall(phase, bound, out, budget.nodes - before, seconds))
+            return out
+
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for phase, attr in PHASES.items():
+            wrapped = recorded(phase, getattr(solvers, attr))
+            stack.enter_context(mock.patch.object(solvers, attr, wrapped))
+        started = time.perf_counter()
+        res = solvers.td_chromatic_number(g)
+        seconds = time.perf_counter() - started
+    return res, seconds, calls
+
+
 def recorded_solve(g: Graph):
     """Solve g; the merge's (input, output, nodes), and each round's (k, nodes, found)."""
-    merge_classes, td_exact_k = solvers._merge_classes, solvers._td_exact_k
-    merges: list[tuple[list[int], list[int], int]] = []
-    rounds: list[tuple[int, int, list[int] | None]] = []
-
-    def merge(colors, nbr_mask, budget):
-        before = budget.nodes
-        merged = merge_classes(colors, nbr_mask, budget)
-        merges.append((colors, merged, budget.nodes - before))
-        return merged
-
-    def round_(k, gamma, order, nbr_mask, budget, symmetry):
-        before = budget.nodes
-        found = td_exact_k(k, gamma, order, nbr_mask, budget, symmetry)
-        rounds.append((k, budget.nodes - before, found))
-        return found
-
-    with mock.patch.object(solvers, "_merge_classes", merge), mock.patch.object(
-        solvers, "_td_exact_k", round_
-    ):
-        res = solvers.td_chromatic_number(g)
-    (merge_record,) = merges
-    return res, merge_record, rounds
+    res, _, calls = record_phases(g)
+    (merge,) = [c for c in calls if c.phase == "merge"]
+    rounds = [(c.args["k"], c.nodes, c.out) for c in calls if c.phase == "round"]
+    return res, (merge.args["colors"], merge.out, merge.nodes), rounds
 
 
 def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
